@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import ZERO_NORM
+from .matching import _row_scales
 from .series import DescriptorSeries
 
 
@@ -45,14 +45,11 @@ def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceP
     if not 1 <= d_max < t_count:
         raise ValueError(f"d_max must be in [1, {t_count - 1}], got {d_max}")
     data = series.data
-    norms = np.linalg.norm(data, axis=1)
+    scales = _row_scales(data)
     medians = np.empty(d_max)
     for i, d in enumerate(range(1, d_max + 1)):
         dots = np.einsum("td,td->t", data[:-d], data[d:])
-        denom = norms[:-d] * norms[d:]
-        dead = (norms[:-d] < ZERO_NORM) | (norms[d:] < ZERO_NORM)
-        dist = np.clip(1.0 - dots / np.where(dead, 1.0, denom), 0.0, 2.0)
-        dist[dead] = 1.0
+        dist = np.clip(1.0 - dots * scales[:-d] * scales[d:], 0.0, 2.0)
         medians[i] = np.median(dist)
     return SelfDistanceProfile(np.arange(1, d_max + 1), medians)
 

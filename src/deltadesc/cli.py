@@ -14,28 +14,22 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import io as ddio
 from .calibration import estimate_span, self_distance_profile
-from .evaluation import correct_matches, evaluate_pr, max_f1, precision_at_full_recall
+from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision_at_full_recall
 from .evaluation import median_pair_products, rank_dimensions
+from .matching import DistanceMatrix, MatchSet
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
 from .reduction import pca_fit, pca_transform
-from .series import DescriptorSeries, apply_permutation
+from .series import DescriptorSeries, GroundTruth, apply_permutation
 from .synth import SynthParams, generate_traverse_pair
-from .transform import (
-    EDGE_REPLICATE,
-    VALID_ONLY,
-    DeltaConfig,
-    delta,
-    delta_bank,
-    smooth,
-)
+from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, delta, delta_bank, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
@@ -61,7 +55,7 @@ class RunConfig:
     positions_path: Optional[str] = None
     transform: str = "raw"
     window: Optional[int] = None
-    spans: Optional[tuple[int, ...]] = None
+    spans: Optional[Sequence[int]] = None
     padding: str = EDGE_REPLICATE
     seqmatch_length: int = 1
     pca_k: Optional[int] = None
@@ -79,6 +73,8 @@ class RunConfig:
             raise ValueError("multi-delta needs a non-empty --spans list")
         if self.padding not in (EDGE_REPLICATE, VALID_ONLY):
             raise ValueError(f"unknown padding {self.padding!r}")
+        if self.transform == "multi-delta" and self.padding != EDGE_REPLICATE:
+            raise ValueError(f"multi-delta needs --padding {EDGE_REPLICATE} to keep spans aligned")
         if int(self.seqmatch_length) < 1:
             raise ValueError("seqmatch length must be >= 1")
         if self.pca_k is not None and int(self.pca_k) < 1:
@@ -93,22 +89,82 @@ class RunConfig:
             raise ValueError("meters mode requires reference positions")
 
 
-def _apply_transform(series: DescriptorSeries, cfg: RunConfig) -> DescriptorSeries:
-    if cfg.transform == "raw":
-        return series
-    if cfg.transform == "smooth":
-        return smooth(series, cfg.window)
-    return delta(series, DeltaConfig(window=cfg.window, padding=cfg.padding))
+def _transform_members(
+    series: DescriptorSeries,
+    transform: str,
+    window: Optional[int],
+    padding: str,
+    spans: Optional[Sequence[int]] = None,
+) -> list[DescriptorSeries]:
+    """The series to match: one per span for multi-delta, otherwise one."""
+    if transform == "multi-delta":
+        return list(delta_bank(series, DeltaConfig(window=spans[0], spans=spans)).series)
+    if transform == "smooth":
+        return [smooth(series, window)]
+    if transform == "delta":
+        return [delta(series, DeltaConfig(window=window, padding=padding))]
+    return [series]
 
 
-def _pca_fit_series(
-    tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str
-) -> DescriptorSeries:
-    if fit_on == "ref":
-        return tr
-    if fit_on == "query":
-        return tq
-    return DescriptorSeries(np.vstack([tr.data, tq.data]))
+def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> DescriptorSeries:
+    if fit_on == "both":
+        return DescriptorSeries(np.vstack([tr.data, tq.data]))
+    return tr if fit_on == "ref" else tq
+
+
+def _match(
+    q_members: list[DescriptorSeries], r_members: list[DescriptorSeries], seqmatch_length: int
+) -> tuple[DistanceMatrix, MatchSet]:
+    """Distances (min over pairings for banks), optional seqmatch, best reference per query."""
+    with _stage("distance"):
+        if len(q_members) == 1 and len(r_members) == 1:
+            m = distance_matrix(q_members[0], r_members[0])
+        else:
+            m = multi_delta_distance(q_members, r_members)
+    if seqmatch_length > 1:
+        with _stage("seqmatch"):
+            m = seq_match(m, seqmatch_length)
+    with _stage("retrieve"):
+        return m, retrieve_best(m)
+
+
+def _score(
+    matches: MatchSet,
+    gt: GroundTruth,
+    ref_positions: Optional[np.ndarray],
+    out_matches: Optional[Path],
+    out_pr: Optional[Path],
+) -> PrCurve:
+    """PR curve of the matches; writes the scored match CSV and the curve where asked."""
+    with _stage("evaluate"):
+        curve = evaluate_pr(matches, gt, ref_positions)
+        correct = correct_matches(matches, gt, ref_positions)
+    if out_matches:
+        ddio.write_matches_csv(out_matches, matches, correct)
+    if out_pr:
+        ddio.write_pr_csv(out_pr, curve)
+    return curve
+
+
+def _summary(
+    curve: Optional[PrCurve],
+    gt: Optional[GroundTruth],
+    transform: Optional[str],
+    window: Optional[int],
+    seqmatch_length: int,
+    pca_k: Optional[int],
+) -> dict:
+    """summary.json's fixed key set; scores and radius are None without ground truth."""
+    return {
+        "precision_at_full_recall": precision_at_full_recall(curve) if curve is not None else None,
+        "max_f1": max_f1(curve) if curve is not None else None,
+        "radius": gt.radius if gt is not None else None,
+        "radius_mode": gt.radius_mode if gt is not None else None,
+        "transform": transform,
+        "window": window,
+        "seqmatch_length": seqmatch_length,
+        "pca_k": pca_k,
+    }
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -132,64 +188,34 @@ def run_pipeline(cfg: RunConfig) -> dict:
         )
         ref_positions = ddio.read_positions(cfg.positions_path) if cfg.positions_path else None
 
-    if cfg.transform == "multi-delta":
-        with _stage("transform"):
-            dcfg = DeltaConfig(window=cfg.spans[0], spans=cfg.spans)
-            q_members = list(delta_bank(query, dcfg).series)
-            r_members = list(delta_bank(ref, dcfg).series)
-        if cfg.pca_k is not None:
-            with _stage("pca"):
-                for i in range(len(q_members)):
-                    model = pca_fit(
-                        _pca_fit_series(q_members[i], r_members[i], cfg.pca_fit_on), cfg.pca_k
-                    )
-                    q_members[i] = pca_transform(model, q_members[i])
-                    r_members[i] = pca_transform(model, r_members[i])
-        with _stage("distance"):
-            m = multi_delta_distance(q_members, r_members)
-    else:
-        with _stage("transform"):
-            tq = _apply_transform(query, cfg)
-            tr = _apply_transform(ref, cfg)
-        if cfg.pca_k is not None:
-            with _stage("pca"):
-                model = pca_fit(_pca_fit_series(tq, tr, cfg.pca_fit_on), cfg.pca_k)
-                tq = pca_transform(model, tq)
-                tr = pca_transform(model, tr)
+    with _stage("transform"):
+        q_members, r_members = (
+            _transform_members(series, cfg.transform, cfg.window, cfg.padding, cfg.spans)
+            for series in (query, ref)
+        )
+    if cfg.pca_k is not None:
+        with _stage("pca"):
+            # index in place so that no name keeps a pre-PCA member alive
+            for i in range(len(q_members)):
+                model = pca_fit(
+                    _pca_fit_series(q_members[i], r_members[i], cfg.pca_fit_on), cfg.pca_k
+                )
+                q_members[i] = pca_transform(model, q_members[i])
+                r_members[i] = pca_transform(model, r_members[i])
+            if len(q_members) == 1:
                 ddio.save_pca_model(out_dir / "pca_model.bin", model)
-        with _stage("distance"):
-            m = distance_matrix(tq, tr)
 
-    if cfg.seqmatch_length > 1:
-        with _stage("seqmatch"):
-            m = seq_match(m, cfg.seqmatch_length)
+    _, matches = _match(q_members, r_members, cfg.seqmatch_length)
 
-    with _stage("retrieve"):
-        matches = retrieve_best(m)
+    curve = None
+    if gt is None:
+        ddio.write_matches_csv(out_dir / "matches.csv", matches)
+    else:
+        curve = _score(matches, gt, ref_positions, out_dir / "matches.csv", out_dir / "pr.csv")
 
-    pafr = mf1 = None
-    with _stage("evaluate"):
-        if gt is not None:
-            curve = evaluate_pr(matches, gt, ref_positions)
-            pafr = precision_at_full_recall(curve)
-            mf1 = max_f1(curve)
-            ddio.write_matches_csv(
-                out_dir / "matches.csv", matches, correct_matches(matches, gt, ref_positions)
-            )
-            ddio.write_pr_csv(out_dir / "pr.csv", curve)
-        else:
-            ddio.write_matches_csv(out_dir / "matches.csv", matches)
-
-    summary = {
-        "precision_at_full_recall": pafr,
-        "max_f1": mf1,
-        "radius": cfg.radius if gt is not None else None,
-        "radius_mode": cfg.radius_mode if gt is not None else None,
-        "transform": cfg.transform,
-        "window": int(cfg.window) if cfg.transform in ("smooth", "delta") else None,
-        "seqmatch_length": int(cfg.seqmatch_length),
-        "pca_k": int(cfg.pca_k) if cfg.pca_k is not None else None,
-    }
+    window = int(cfg.window) if cfg.transform in ("smooth", "delta") else None
+    pca_k = int(cfg.pca_k) if cfg.pca_k is not None else None
+    summary = _summary(curve, gt, cfg.transform, window, int(cfg.seqmatch_length), pca_k)
     with _stage("write"):
         ddio.write_summary_json(out_dir / "summary.json", summary)
     return summary
@@ -210,6 +236,16 @@ def _parse_warp(text: str) -> tuple[tuple[float, float], ...]:
         raise ValueError(f"cannot parse warp {text!r}; expected 's:t,s:t,...'") from exc
 
 
+def _write_traverse_pair(
+    args: argparse.Namespace, ref: DescriptorSeries, query: DescriptorSeries, gt: GroundTruth
+) -> int:
+    ddio.write_descriptors(args.out_ref, ref, dtype=args.dtype)
+    ddio.write_descriptors(args.out_query, query, dtype=args.dtype)
+    ddio.write_ground_truth(args.out_gt, gt)
+    print(f"wrote {args.out_ref}, {args.out_query}, {args.out_gt}")
+    return 0
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     params = SynthParams(
         frames=args.frames,
@@ -220,21 +256,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         warp=_parse_warp(args.warp) if args.warp else None,
         seed=args.seed,
     )
-    ref, query, gt = generate_traverse_pair(params)
-    ddio.write_descriptors(args.out_ref, ref, dtype=args.dtype)
-    ddio.write_descriptors(args.out_query, query, dtype=args.dtype)
-    ddio.write_ground_truth(args.out_gt, gt)
-    print(f"wrote {args.out_ref}, {args.out_query}, {args.out_gt}")
-    return 0
+    return _write_traverse_pair(args, *generate_traverse_pair(params))
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
     series = ddio.read_descriptors(args.input)
     with _stage("transform"):
-        if args.transform == "smooth":
-            out = smooth(series, args.window)
-        else:
-            out = delta(series, DeltaConfig(window=args.window, padding=args.padding))
+        (out,) = _transform_members(series, args.transform, args.window, args.padding)
     ddio.write_descriptors(args.output, out, dtype=args.dtype)
     print(f"wrote {args.output}")
     return 0
@@ -243,15 +271,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     queries = [ddio.read_descriptors(p) for p in args.query]
     refs = [ddio.read_descriptors(p) for p in args.ref]
-    with _stage("distance"):
-        if len(queries) == 1 and len(refs) == 1:
-            m = distance_matrix(queries[0], refs[0])
-        else:
-            m = multi_delta_distance(queries, refs)
-    if args.seqmatch_length > 1:
-        with _stage("seqmatch"):
-            m = seq_match(m, args.seqmatch_length)
-    matches = retrieve_best(m)
+    m, matches = _match(queries, refs, args.seqmatch_length)
     ddio.write_matches_csv(args.out_matches, matches)
     if args.out_distances:
         ddio.write_distance_matrix(args.out_distances, m)
@@ -277,23 +297,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     matches = ddio.read_matches_csv(args.matches)
     gt = ddio.read_ground_truth(args.gt, radius_mode=args.radius_mode, radius=args.radius)
     ref_positions = ddio.read_positions(args.ref_positions) if args.ref_positions else None
-    with _stage("evaluate"):
-        curve = evaluate_pr(matches, gt, ref_positions)
-        correct = correct_matches(matches, gt, ref_positions)
-    if args.out_matches:
-        ddio.write_matches_csv(args.out_matches, matches, correct)
-    if args.out_pr:
-        ddio.write_pr_csv(args.out_pr, curve)
-    summary = {
-        "precision_at_full_recall": precision_at_full_recall(curve),
-        "max_f1": max_f1(curve),
-        "radius": gt.radius,
-        "radius_mode": gt.radius_mode,
-        "transform": args.transform,
-        "window": args.window,
-        "seqmatch_length": args.seqmatch_length,
-        "pca_k": args.pca_k,
-    }
+    curve = _score(matches, gt, ref_positions, args.out_matches, args.out_pr)
+    summary = _summary(curve, gt, args.transform, args.window, args.seqmatch_length, args.pca_k)
     if args.out_summary:
         ddio.write_summary_json(args.out_summary, summary)
     print(
@@ -321,31 +326,12 @@ def cmd_shuffle(args: argparse.Namespace) -> int:
     query = ddio.read_descriptors(args.query)
     gt = ddio.read_ground_truth(args.gt)
     with _stage("shuffle"):
-        s_ref, s_query, s_gt = apply_permutation(ref, query, gt, args.seed)
-    ddio.write_descriptors(args.out_ref, s_ref, dtype=args.dtype)
-    ddio.write_descriptors(args.out_query, s_query, dtype=args.dtype)
-    ddio.write_ground_truth(args.out_gt, s_gt)
-    print(f"wrote {args.out_ref}, {args.out_query}, {args.out_gt}")
-    return 0
+        shuffled = apply_permutation(ref, query, gt, args.seed)
+    return _write_traverse_pair(args, *shuffled)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        ref_path=args.ref,
-        query_path=args.query,
-        out_dir=args.out_dir,
-        gt_path=args.gt,
-        positions_path=args.ref_positions,
-        transform=args.transform,
-        window=args.window,
-        spans=tuple(args.spans) if args.spans else None,
-        padding=args.padding,
-        seqmatch_length=args.seqmatch_length,
-        pca_k=args.pca_k,
-        pca_fit_on=args.pca_fit_on,
-        radius=args.radius,
-        radius_mode=args.radius_mode,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     summary = run_pipeline(cfg)
     print(
         f"wrote {Path(args.out_dir) / 'summary.json'}: "
@@ -449,10 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_shuffle)
 
     p = sub.add_parser("run", help="full pipeline: transform, PCA, match, seqmatch, evaluate")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--gt", default=None)
-    p.add_argument("--ref-positions", default=None)
+    # dests are RunConfig's field names, so cmd_run copies the namespace field by field
+    p.add_argument("--ref", dest="ref_path", required=True)
+    p.add_argument("--query", dest="query_path", required=True)
+    p.add_argument("--gt", dest="gt_path", default=None)
+    p.add_argument("--ref-positions", dest="positions_path", default=None)
     p.add_argument("--transform", choices=TRANSFORMS, default="raw")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--spans", type=int, nargs="+", default=None)
@@ -472,10 +459,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ddio.DataError as exc:
-        print(f"deltadesc: data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ddio.DataError, OSError) as exc:
         print(f"deltadesc: data error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

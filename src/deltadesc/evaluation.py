@@ -127,6 +127,20 @@ def max_f1(curve: PrCurve) -> float:
     return float(f1.max())
 
 
+def median_pair_products(
+    ref: DescriptorSeries, query: DescriptorSeries, gt: GroundTruth
+) -> np.ndarray:
+    """Per-dimension median of element-wise products over true pairs."""
+    if ref.dim != query.dim:
+        raise ValueError(f"dimension mismatch: reference D={ref.dim}, query D={query.dim}")
+    if gt.query_count != query.frame_count:
+        raise ValueError(
+            f"ground truth covers {gt.query_count} queries, expected {query.frame_count}"
+        )
+    gt.check_reference(ref.frame_count)
+    return np.median(query.data * ref.data[gt.pairs], axis=0)
+
+
 def rank_dimensions(
     ref: DescriptorSeries,
     query: DescriptorSeries,
@@ -135,29 +149,11 @@ def rank_dimensions(
 ) -> np.ndarray:
     """Dimensions ranked by how strongly true pairs co-activate.
 
-    For each true pair the two rows are multiplied element-wise; dimensions are
-    ordered by the median product across pairs, descending, ties toward the
-    lower index. Returns the first ``top_k`` dimension indices.
+    Dimensions are ordered by ``median_pair_products``, descending, ties
+    toward the lower index. Returns the first ``top_k`` dimension indices.
     """
-    if ref.dim != query.dim:
-        raise ValueError(f"dimension mismatch: reference D={ref.dim}, query D={query.dim}")
-    if gt.query_count != query.frame_count:
-        raise ValueError(
-            f"ground truth covers {gt.query_count} queries, expected {query.frame_count}"
-        )
-    gt.check_reference(ref.frame_count)
     top_k = int(top_k)
     if not 1 <= top_k <= ref.dim:
         raise ValueError(f"top_k must be in [1, {ref.dim}], got {top_k}")
-    products = query.data * ref.data[gt.pairs]
-    medians = np.median(products, axis=0)
-    order = np.argsort(-medians, kind="stable")
-    return order[:top_k]
-
-
-def median_pair_products(
-    ref: DescriptorSeries, query: DescriptorSeries, gt: GroundTruth
-) -> np.ndarray:
-    """Per-dimension median of element-wise products over true pairs."""
-    gt.check_reference(ref.frame_count)
-    return np.median(query.data * ref.data[gt.pairs], axis=0)
+    medians = median_pair_products(ref, query, gt)
+    return np.argsort(-medians, kind="stable")[:top_k]

@@ -217,19 +217,15 @@ def read_ground_truth(
 def write_matches_csv(
     path: PathLike, matches: MatchSet, correct: Optional[np.ndarray] = None
 ) -> None:
+    lines = [
+        f"{q},{int(r)},{_fmt(d)}"
+        for q, (r, d) in enumerate(zip(matches.ref_indices, matches.distances))
+    ]
     if correct is None:
-        lines = ["query_idx,ref_idx,distance"]
-        lines += [
-            f"{q},{int(r)},{_fmt(d)}"
-            for q, (r, d) in enumerate(zip(matches.ref_indices, matches.distances))
-        ]
+        _write_lines(path, ["query_idx,ref_idx,distance"] + lines)
     else:
-        lines = ["query_idx,ref_idx,distance,correct"]
-        lines += [
-            f"{q},{int(r)},{_fmt(d)},{int(c)}"
-            for q, (r, d, c) in enumerate(zip(matches.ref_indices, matches.distances, correct))
-        ]
-    _write_lines(path, lines)
+        lines = [f"{line},{int(c)}" for line, c in zip(lines, correct)]
+        _write_lines(path, ["query_idx,ref_idx,distance,correct"] + lines)
 
 
 def read_matches_csv(path: PathLike) -> MatchSet:

@@ -71,35 +71,38 @@ class MatchSet:
         return self.ref_indices.size
 
 
+def _row_scales(data: np.ndarray) -> np.ndarray:
+    """1/|row|, or 0 for rows with norm below ``ZERO_NORM`` so that they compare at exactly 1.0."""
+    norms = np.linalg.norm(data, axis=1)
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM)
+
+
+def _cosine_block(
+    q: np.ndarray, q_scale: np.ndarray, r: np.ndarray, r_scale: np.ndarray
+) -> np.ndarray:
+    """Q x R cosine distances from one GEMM, given each side's ``_row_scales``."""
+    vals = q @ r.T
+    vals *= q_scale[:, None]
+    vals *= r_scale[None, :]
+    np.subtract(1.0, vals, out=vals)
+    return np.clip(vals, 0.0, 2.0, out=vals)
+
+
 def cosine_distance(a, b) -> float:
     """1 - cos(a, b); 1.0 when either vector has norm below 1e-12."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    a = np.asarray(a, dtype=np.float64).reshape(1, -1)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < ZERO_NORM or nb < ZERO_NORM:
-        return 1.0
-    return float(np.clip(1.0 - a.dot(b) / (na * nb), 0.0, 2.0))
-
-
-def _cosine_block(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    qn = np.linalg.norm(q, axis=1)
-    rn = np.linalg.norm(r, axis=1)
-    denom = np.outer(np.where(qn < ZERO_NORM, 1.0, qn), np.where(rn < ZERO_NORM, 1.0, rn))
-    vals = np.clip(1.0 - (q @ r.T) / denom, 0.0, 2.0)
-    dead = (qn < ZERO_NORM)[:, None] | (rn < ZERO_NORM)[None, :]
-    if dead.any():
-        vals[dead] = 1.0
-    return vals
+    return float(_cosine_block(a, _row_scales(a), b, _row_scales(b))[0, 0])
 
 
 def distance_matrix(query: DescriptorSeries, ref: DescriptorSeries) -> DistanceMatrix:
     """All-pairs cosine distances, one row per query frame."""
     if query.dim != ref.dim:
         raise ValueError(f"dimension mismatch: query D={query.dim}, reference D={ref.dim}")
-    return DistanceMatrix(_cosine_block(query.data, ref.data))
+    q, r = query.data, ref.data
+    return DistanceMatrix(_cosine_block(q, _row_scales(q), r, _row_scales(r)))
 
 
 def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
@@ -148,11 +151,13 @@ def multi_delta_distance(query_bank: Bank, ref_bank: Bank) -> DistanceMatrix:
         raise ValueError(
             f"dimension mismatch: query D={q_members[0].dim}, reference D={r_members[0].dim}"
         )
+    r_scales = [_row_scales(rs.data) for rs in r_members]
     best = None
     for qs in q_members:
-        for rs in r_members:
-            vals = _cosine_block(qs.data, rs.data)
-            best = vals if best is None else np.minimum(best, vals)
+        q_scale = _row_scales(qs.data)
+        for rs, r_scale in zip(r_members, r_scales):
+            vals = _cosine_block(qs.data, q_scale, rs.data, r_scale)
+            best = vals if best is None else np.minimum(best, vals, out=best)
     return DistanceMatrix(best)
 
 

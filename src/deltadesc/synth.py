@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .series import DescriptorSeries, GroundTruth
+from .transform import _window_mean
 
 WarpPoints = Sequence[tuple[float, float]]
 
@@ -68,20 +69,6 @@ class SynthParams:
             )
 
 
-def _box_smooth(data: np.ndarray, window: int) -> np.ndarray:
-    """Centered box average of exactly ``window`` samples, count-normalized at edges."""
-    if window == 1:
-        return data.copy()
-    t_count = data.shape[0]
-    lo = (window - 1) // 2
-    hi = window - 1 - lo
-    csum = np.vstack([np.zeros((1, data.shape[1])), np.cumsum(data, axis=0)])
-    t = np.arange(t_count)
-    starts = np.clip(t - lo, 0, t_count)
-    stops = np.clip(t + hi + 1, 0, t_count)
-    return (csum[stops] - csum[starts]) / (stops - starts)[:, None].astype(float)
-
-
 def _warped_source_positions(frames: int, points: np.ndarray) -> np.ndarray:
     """Fractional source row per output row under the piecewise-linear warp."""
     targets = np.linspace(0.0, 1.0, frames)
@@ -117,9 +104,10 @@ def generate_traverse_pair(
     radius 0 in frames mode; widen it with ``dataclasses.replace`` as needed.
     """
     rng = np.random.default_rng(params.seed)
-    latent = _box_smooth(
-        rng.standard_normal((params.frames, params.dims)), params.latent_smooth_window
-    )
+    # centered box mean of exactly w draws: (w - 1) // 2 rows before, the rest after
+    before = (params.latent_smooth_window - 1) // 2
+    after = params.latent_smooth_window - 1 - before
+    latent = _window_mean(rng.standard_normal((params.frames, params.dims)), before, after)
     rms = float(np.sqrt(np.mean(latent**2)))
     rms_row = rms * np.sqrt(params.dims)
 

@@ -94,6 +94,19 @@ def _prefix_sums(data: np.ndarray) -> np.ndarray:
     return csum
 
 
+def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Mean of rows [t - before, t + after] at each t, clipped to the array and
+    divided by the in-range count. A one-row window returns ``data`` copied bit for bit."""
+    if before == after == 0:
+        return data.copy()
+    t_count = data.shape[0]
+    csum = _prefix_sums(data)
+    t = np.arange(t_count)
+    starts = np.clip(t - before, 0, t_count)
+    stops = np.clip(t + after + 1, 0, t_count)
+    return (csum[stops] - csum[starts]) / (stops - starts)[:, None].astype(float)
+
+
 def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
     """Centered moving average over rows [t - floor(w/2), t + ceil(w/2)].
 
@@ -108,12 +121,7 @@ def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
         raise ValueError("window exceeds series")
     lo = window // 2
     hi = window - lo
-    csum = _prefix_sums(series.data)
-    t = np.arange(t_count)
-    starts = np.clip(t - lo, 0, t_count)
-    stops = np.clip(t + hi + 1, 0, t_count)
-    counts = (stops - starts).astype(float)
-    out = (csum[stops] - csum[starts]) / counts[:, None]
+    out = _window_mean(series.data, lo, hi)
     valid = (lo, t_count - hi) if lo <= t_count - hi else (0, 0)
     return DescriptorSeries(out, positions=series.positions, valid_range=valid)
 
@@ -123,25 +131,21 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
 
     At frame t the leading half covers rows t+1 .. t+l and the trailing half
     rows t-l+1 .. t, matching a sliding dot product with the step filter of
-    length 2l described in the module docstring.
+    length 2l described in the module docstring. The valid-only output is the
+    edge-replicate output restricted to its ``valid_range``.
     """
     l = cfg.window
     t_count = series.frame_count
-
-    if cfg.padding == VALID_ONLY:
-        if t_count < 2 * l:
-            raise ValueError("series too short for span")
-        csum = _prefix_sums(series.data)
-        t = np.arange(l - 1, t_count - l)
-        out = ((csum[t + l + 1] - csum[t + 1]) - (csum[t + 1] - csum[t - l + 1])) / l
-        pos = series.positions[l - 1 : t_count - l] if series.positions is not None else None
-        return DescriptorSeries(out, positions=pos, valid_range=None)
-
-    padded = np.pad(series.data, ((l, l), (0, 0)), mode="edge")
-    csum = _prefix_sums(padded)
+    if cfg.padding == VALID_ONLY and t_count < 2 * l:
+        raise ValueError("series too short for span")
+    csum = _prefix_sums(np.pad(series.data, ((l, l), (0, 0)), mode="edge"))
     t = np.arange(t_count) + l
     out = ((csum[t + l + 1] - csum[t + 1]) - (csum[t + 1] - csum[t - l + 1])) / l
     valid = (l - 1, t_count - l) if l - 1 <= t_count - l else (0, 0)
+    if cfg.padding == VALID_ONLY:
+        start, end = valid
+        pos = series.positions[start:end] if series.positions is not None else None
+        return DescriptorSeries(out[start:end], positions=pos, valid_range=None)
     return DescriptorSeries(out, positions=series.positions, valid_range=valid)
 
 

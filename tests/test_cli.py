@@ -270,6 +270,17 @@ class TestExitCodes:
         assert code == 2
         assert "[transform]" in capsys.readouterr().err
 
+    def test_multi_delta_valid_only_is_config_error(self, synth_files, tmp_path, capsys):
+        ref, query, gt = synth_files
+        code = run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", 4, 8, "--padding", "valid-only",
+            "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert "--padding" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--bogus")

@@ -9,6 +9,7 @@ from deltadesc import (
     correct_matches,
     evaluate_pr,
     max_f1,
+    median_pair_products,
     precision_at_full_recall,
     rank_dimensions,
 )
@@ -170,6 +171,31 @@ class TestRankDimensions:
             rank_dimensions(series, series, gt, 5)
         with pytest.raises(ValueError):
             rank_dimensions(series, series, gt, 0)
+
+
+class TestMedianPairProducts:
+    def test_rank_dimensions_is_stable_argsort_of_medians(self):
+        rng = np.random.default_rng(3)
+        ref = DescriptorSeries(rng.normal(size=(20, 6)))
+        query = DescriptorSeries(rng.normal(size=(20, 6)))
+        gt = GroundTruth(rng.integers(0, 20, size=20))
+        medians = median_pair_products(ref, query, gt)
+        np.testing.assert_array_equal(
+            rank_dimensions(ref, query, gt, 6), np.argsort(-medians, kind="stable")
+        )
+
+    def test_short_ground_truth_does_not_broadcast(self):
+        # one true pair against ten query frames would broadcast to a 10 x D product
+        rng = np.random.default_rng(4)
+        ref = DescriptorSeries(rng.normal(size=(10, 3)))
+        query = DescriptorSeries(rng.normal(size=(10, 3)))
+        with pytest.raises(ValueError, match="ground truth covers 1 queries, expected 10"):
+            median_pair_products(ref, query, GroundTruth([5]))
+
+    def test_dimension_mismatch(self):
+        series = DescriptorSeries(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            median_pair_products(series, DescriptorSeries(np.ones((3, 4))), GroundTruth([0, 1, 2]))
 
 
 class TestCorrectMatches:

@@ -144,3 +144,24 @@ def test_gt_radius_widened_with_replace():
     _, _, gt = generate_traverse_pair(params)
     widened = replace(gt, radius=2.0)
     assert widened.radius == 2.0 and gt.radius == 0.0
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 20])
+def test_clean_reference_is_box_mean_of_first_draws(window):
+    # offset and noise at 0: the reference is the latent signal, a centered box
+    # mean of exactly `window` draws, count-normalized where it meets the ends
+    frames, dims, seed = 60, 5, 4
+    params = SynthParams(frames=frames, dims=dims, latent_smooth_window=window, seed=seed)
+    ref, _, _ = generate_traverse_pair(params)
+    draws = np.random.default_rng(seed).standard_normal((frames, dims))
+    before = (window - 1) // 2
+    after = window - 1 - before
+    expected = np.empty_like(draws)
+    for t in range(frames):
+        rows = range(max(0, t - before), min(frames, t + after + 1))
+        for d in range(dims):
+            expected[t, d] = sum(draws[i, d] for i in rows) / len(rows)
+    if window == 1:
+        np.testing.assert_array_equal(ref.data, draws)
+    else:
+        np.testing.assert_allclose(ref.data, expected, rtol=0, atol=1e-12)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -112,12 +113,32 @@ def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> 
     return tr if fit_on == "ref" else tq
 
 
+def _check_dense_fits(q_count: int, r_count: int, matrices: int) -> None:
+    """Refuse a dense match whose Q x R float64 matrices exceed physical memory."""
+    need = matrices * q_count * r_count * 8
+    try:
+        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return  # physical memory unknown on this platform
+    if need > ram:
+        raise ValueError(
+            f"matching {q_count} query x {r_count} reference frames holds {matrices} dense "
+            f"float64 matrices, {need / 2**30:.1f} GiB, more than the "
+            f"{ram / 2**30:.1f} GiB of physical memory; "
+            "split the traverses into shorter segments or subsample their frames"
+        )
+
+
 def _match(
     q_members: list[DescriptorSeries], r_members: list[DescriptorSeries], seqmatch_length: int
 ) -> tuple[DistanceMatrix, MatchSet]:
     """Distances (min over pairings for banks), optional seqmatch, best reference per query."""
+    pairings = len(q_members) * len(r_members)
     with _stage("distance"):
-        if len(q_members) == 1 and len(r_members) == 1:
+        # a second matrix: seq_match's output, or the running minimum over pairings
+        matrices = 2 if seqmatch_length > 1 or pairings > 1 else 1
+        _check_dense_fits(q_members[0].frame_count, r_members[0].frame_count, matrices)
+        if pairings == 1:
             m = distance_matrix(q_members[0], r_members[0])
         else:
             m = multi_delta_distance(q_members, r_members)
@@ -195,15 +216,23 @@ def run_pipeline(cfg: RunConfig) -> dict:
         )
     if cfg.pca_k is not None:
         with _stage("pca"):
+            # one model per bank member; DeltaConfig gives the bank's span order
+            names = (
+                ["pca_model.bin"]
+                if len(q_members) == 1
+                else [
+                    f"pca_model_span{s}.bin"
+                    for s in DeltaConfig(window=cfg.spans[0], spans=cfg.spans).spans
+                ]
+            )
             # index in place so that no name keeps a pre-PCA member alive
-            for i in range(len(q_members)):
+            for i, name in enumerate(names):
                 model = pca_fit(
                     _pca_fit_series(q_members[i], r_members[i], cfg.pca_fit_on), cfg.pca_k
                 )
                 q_members[i] = pca_transform(model, q_members[i])
                 r_members[i] = pca_transform(model, r_members[i])
-            if len(q_members) == 1:
-                ddio.save_pca_model(out_dir / "pca_model.bin", model)
+                ddio.save_pca_model(out_dir / name, model)
 
     _, matches = _match(q_members, r_members, cfg.seqmatch_length)
 

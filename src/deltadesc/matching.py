@@ -17,21 +17,37 @@ from .series import DescriptorSeries
 from .transform import DeltaBank
 
 ZERO_NORM = 1e-12
+# query rows per seq_match block: the block's sums stay in cache across the L shifts
+SEQ_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Q x R matrix of cosine distances between query and reference rows."""
+    """Q x R matrix of cosine distances between query and reference rows.
+
+    A float64 ndarray that is read-only and owns its data is adopted as is:
+    no caller can write to it, so sharing it is safe. Anything else is copied
+    to a fresh float64 array, so a caller's writable array stays independent.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = self.values
+        if not (
+            type(values) is np.ndarray
+            and values.dtype == np.float64
+            and values.flags.owndata
+            and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"distance matrix must be Q x R, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # min and max propagate NaN, so one pass each checks finiteness and range
+        lo, hi = values.min(), values.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("distance matrix contains non-finite entries")
-        if values.min() < 0.0 or values.max() > 2.0:
+        if lo < 0.0 or hi > 2.0:
             raise ValueError("cosine distances must lie in [0, 2]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -88,6 +104,12 @@ def _cosine_block(
     return np.clip(vals, 0.0, 2.0, out=vals)
 
 
+def _adopt(values: np.ndarray) -> DistanceMatrix:
+    """Freeze a freshly computed float64 result and hand it over without a copy."""
+    values.setflags(write=False)
+    return DistanceMatrix(values)
+
+
 def cosine_distance(a, b) -> float:
     """1 - cos(a, b); 1.0 when either vector has norm below 1e-12."""
     a = np.asarray(a, dtype=np.float64).reshape(1, -1)
@@ -102,7 +124,7 @@ def distance_matrix(query: DescriptorSeries, ref: DescriptorSeries) -> DistanceM
     if query.dim != ref.dim:
         raise ValueError(f"dimension mismatch: query D={query.dim}, reference D={ref.dim}")
     q, r = query.data, ref.data
-    return DistanceMatrix(_cosine_block(q, _row_scales(q), r, _row_scales(r)))
+    return _adopt(_cosine_block(q, _row_scales(q), r, _row_scales(r)))
 
 
 def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
@@ -112,21 +134,33 @@ def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
     [-floor(L/2), ceil(L/2) - 1], restricted to in-bounds pairs and normalized
     by the in-bounds count. No velocity search: the aggregation line has
     slope exactly one.
+
+    The output is the only Q x R array allocated. It is filled in blocks of
+    ``SEQ_BLOCK_ROWS`` query rows: each block sums the shifts in increasing k,
+    then divides by its closed-form in-bounds count
+    ``min(ceil(L/2), Q-q, R-r) + min(floor(L/2), q, r)``.
     """
     length = int(length)
     if length < 1:
         raise ValueError(f"sequence length must be >= 1, got {length}")
-    q_count, r_count = m.values.shape
-    acc = np.zeros((q_count, r_count))
-    cnt = np.zeros((q_count, r_count))
-    for k in range(-(length // 2), (length + 1) // 2):
-        q0, q1 = max(0, -k), min(q_count, q_count - k)
-        r0, r1 = max(0, -k), min(r_count, r_count - k)
-        if q1 <= q0 or r1 <= r0:
-            continue
-        acc[q0:q1, r0:r1] += m.values[q0 + k : q1 + k, r0 + k : r1 + k]
-        cnt[q0:q1, r0:r1] += 1.0
-    return DistanceMatrix(acc / cnt)
+    values = m.values
+    q_count, r_count = values.shape
+    lo, hi = length // 2, (length + 1) // 2
+    out = np.zeros((q_count, r_count))
+    r = np.arange(r_count)
+    for b0 in range(0, q_count, SEQ_BLOCK_ROWS):
+        b1 = min(b0 + SEQ_BLOCK_ROWS, q_count)
+        for k in range(-lo, hi):
+            q0, q1 = max(b0, -k), min(b1, q_count - k)
+            r0, r1 = max(0, -k), min(r_count, r_count - k)
+            if q1 <= q0 or r1 <= r0:
+                continue
+            out[q0:q1, r0:r1] += values[q0 + k : q1 + k, r0 + k : r1 + k]
+        q = np.arange(b0, b1)[:, None]
+        cnt = np.minimum(np.minimum(hi, q_count - q), r_count - r)
+        cnt += np.minimum(np.minimum(lo, q), r)
+        out[b0:b1] /= cnt
+    return _adopt(out)
 
 
 Bank = Union[DeltaBank, Sequence[DescriptorSeries]]
@@ -158,10 +192,12 @@ def multi_delta_distance(query_bank: Bank, ref_bank: Bank) -> DistanceMatrix:
         for rs, r_scale in zip(r_members, r_scales):
             vals = _cosine_block(qs.data, q_scale, rs.data, r_scale)
             best = vals if best is None else np.minimum(best, vals, out=best)
-    return DistanceMatrix(best)
+    return _adopt(best)
 
 
 def retrieve_best(m: DistanceMatrix) -> MatchSet:
     """Argmin per query row; ties break toward the smallest reference index."""
-    idx = np.argmin(m.values, axis=1)
-    return MatchSet(idx, m.values[np.arange(m.query_count), idx])
+    values = m.values
+    # row by row: np.argmin(values, axis=1) would copy the whole read-only matrix
+    idx = np.fromiter((row.argmin() for row in values), dtype=np.int64, count=m.query_count)
+    return MatchSet(idx, values[np.arange(m.query_count), idx])

@@ -1,12 +1,18 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from deltadesc import (
+    DeltaConfig,
+    DescriptorSeries,
+    delta,
+    load_pca_model,
     read_descriptors,
     read_ground_truth,
     read_matches_csv,
+    write_descriptors,
 )
 from deltadesc.cli import main
 
@@ -166,6 +172,39 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["precision_at_full_recall"] is None
 
+    def test_multi_delta_pca_saves_one_model_per_span(self, synth_files, tmp_path):
+        ref, query, gt = synth_files
+        out = tmp_path / "bank"
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", 8, 4, "--pca-k", 6,
+            "--radius", 2, "--out-dir", out,
+        ) == 0
+        names = sorted(p.name for p in out.glob("pca_model*.bin"))
+        assert names == ["pca_model_span4.bin", "pca_model_span8.bin"]
+        ref_series = read_descriptors(ref)
+        for span in (4, 8):
+            model = load_pca_model(out / f"pca_model_span{span}.bin")
+            assert model.components.shape == (24, 6)
+            # each model is fitted on the reference delta of its own span
+            expected_mean = delta(ref_series, DeltaConfig(span)).data.mean(axis=0)
+            np.testing.assert_allclose(model.mean, expected_mean, atol=1e-12)
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary.keys()) == [
+            "precision_at_full_recall", "max_f1", "radius", "radius_mode",
+            "transform", "window", "seqmatch_length", "pca_k",
+        ]
+
+    def test_single_span_bank_keeps_plain_model_name(self, synth_files, tmp_path):
+        ref, query, gt = synth_files
+        out = tmp_path / "one"
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", 8, "--pca-k", 6,
+            "--radius", 2, "--out-dir", out,
+        ) == 0
+        assert sorted(p.name for p in out.glob("pca_model*.bin")) == ["pca_model.bin"]
+
     def test_smooth_transform_runs(self, synth_files, tmp_path):
         ref, query, gt = synth_files
         assert run_cli(
@@ -280,6 +319,25 @@ class TestExitCodes:
         assert code == 2
         assert "--padding" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_dense_match_over_physical_memory_is_config_error(self, tmp_path, capsys):
+        frames = 200_000
+        need = frames * frames * 8
+        if os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") >= need:
+            pytest.skip("physical memory holds a 200000 x 200000 float64 matrix")
+        path = tmp_path / "long.dvpr"
+        write_descriptors(path, DescriptorSeries(np.ones((frames, 1))))
+        code = run_cli("run", "--ref", path, "--query", path, "--transform", "raw",
+                       "--out-dir", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "200000" in err and "298.0 GiB" in err
+        assert not (tmp_path / "o" / "matches.csv").exists()
+        code = run_cli("match", "--query", path, "--ref", path, "--seqmatch-length", 4,
+                       "--out-matches", tmp_path / "m.csv")
+        assert code == 2
+        assert "596.0 GiB" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -19,6 +19,32 @@ from deltadesc import (
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def seq_match_oracle(values, length):
+    """Full-size accumulator and count arrays, the original dense formulation."""
+    q_count, r_count = values.shape
+    acc = np.zeros((q_count, r_count))
+    cnt = np.zeros((q_count, r_count))
+    for k in range(-(length // 2), (length + 1) // 2):
+        q0, q1 = max(0, -k), min(q_count, q_count - k)
+        r0, r1 = max(0, -k), min(r_count, r_count - k)
+        if q1 <= q0 or r1 <= r0:
+            continue
+        acc[q0:q1, r0:r1] += values[q0 + k : q1 + k, r0 + k : r1 + k]
+        cnt[q0:q1, r0:r1] += 1.0
+    return acc / cnt
+
+
+def random_distances(seed, q_count, r_count):
+    """Uniform distances in [0, 2] with some exact zeros, twos and repeated values."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 2.0, size=(q_count, r_count))
+    pick = rng.random((q_count, r_count))
+    values[pick < 0.1] = 0.0
+    values[pick > 0.95] = 2.0
+    values[(pick > 0.5) & (pick < 0.6)] = 0.5
+    return values
+
+
 class TestCosineDistance:
     def test_hand_cases(self):
         assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
@@ -92,6 +118,65 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[np.inf]]))
 
 
+class TestDistanceMatrixAdoption:
+    def test_read_only_owning_float64_is_adopted(self):
+        values = np.full((3, 4), 0.5)
+        values.setflags(write=False)
+        m = DistanceMatrix(values)
+        assert np.shares_memory(m.values, values)
+        assert not m.values.flags.writeable
+
+    def test_writable_input_is_copied(self):
+        values = np.full((3, 4), 0.5)
+        m = DistanceMatrix(values)
+        values[:] = 1.5
+        np.testing.assert_array_equal(m.values, 0.5)
+        assert not np.shares_memory(m.values, values)
+        assert values.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        base = np.full((3, 4), 0.5)
+        view = base[:, :2]
+        view.setflags(write=False)
+        m = DistanceMatrix(view)
+        base[:] = 1.5
+        np.testing.assert_array_equal(m.values, 0.5)
+
+    def test_float32_is_converted(self):
+        values = np.full((2, 2), 0.25, dtype=np.float32)
+        values.setflags(write=False)
+        m = DistanceMatrix(values)
+        assert m.values.dtype == np.float64
+        np.testing.assert_array_equal(m.values, 0.25)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.full((2, 3), 0.5)
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DistanceMatrix(values)
+
+    @pytest.mark.parametrize("bad", [3.0, -0.1])
+    def test_out_of_range_rejected(self, bad):
+        values = np.full((2, 3), 0.5)
+        values[0, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            DistanceMatrix(values)
+
+    def test_nan_wins_over_range(self):
+        values = np.array([[3.0, np.nan]])
+        with pytest.raises(ValueError, match="non-finite"):
+            DistanceMatrix(values)
+
+    def test_results_are_adopted_read_only(self):
+        rng = np.random.default_rng(8)
+        q = DescriptorSeries(rng.normal(size=(5, 3)))
+        r = DescriptorSeries(rng.normal(size=(6, 3)))
+        for m in (distance_matrix(q, r), multi_delta_distance([q, q], [r]),
+                  seq_match(distance_matrix(q, r), 3)):
+            assert m.values.flags.owndata and not m.values.flags.writeable
+
+
 class TestSeqMatch:
     def test_length_one_is_identity(self):
         values = np.random.default_rng(2).uniform(0, 2, size=(6, 8))
@@ -137,6 +222,30 @@ class TestSeqMatch:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             seq_match(DistanceMatrix(np.zeros((2, 2))), 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        q_count=st.integers(min_value=1, max_value=40),
+        r_count=st.integers(min_value=1, max_value=40),
+        length=st.integers(min_value=1, max_value=50),
+    )
+    def test_equals_dense_oracle_bit_for_bit(self, seed, q_count, r_count, length):
+        values = random_distances(seed, q_count, r_count)
+        out = seq_match(DistanceMatrix(values), length).values
+        assert np.array_equal(out, seq_match_oracle(values, length))
+
+    @pytest.mark.parametrize("q_count", [63, 64, 65, 129])
+    @pytest.mark.parametrize("length", [1, 2, 8, 33, 200])
+    def test_block_edges_equal_dense_oracle(self, q_count, length):
+        values = random_distances(q_count, q_count, 70)
+        out = seq_match(DistanceMatrix(values), length).values
+        assert np.array_equal(out, seq_match_oracle(values, length))
+
+    def test_negative_zero_sums_like_the_oracle(self):
+        values = np.full((3, 3), -0.0)
+        out = seq_match(DistanceMatrix(values), 1).values
+        assert out.tobytes() == seq_match_oracle(values, 1).tobytes()
 
 
 class TestMultiDelta:
@@ -203,3 +312,20 @@ class TestRetrieveBest:
     def test_tie_breaks_to_lower_index(self):
         m = DistanceMatrix(np.array([[0.3, 0.3]]))
         assert retrieve_best(m).ref_indices[0] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        q_count=st.integers(min_value=1, max_value=40),
+        r_count=st.integers(min_value=1, max_value=40),
+        levels=st.integers(min_value=1, max_value=4),
+    )
+    def test_equals_argmin_of_writable_copy(self, seed, q_count, r_count, levels):
+        # few distinct levels give tied minima, and levels == 1 gives constant rows
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, levels, size=(q_count, r_count)) / 2.0
+        values[rng.integers(0, q_count)] = 1.0
+        matches = retrieve_best(DistanceMatrix(values))
+        expected = np.argmin(values.copy(), axis=1)
+        np.testing.assert_array_equal(matches.ref_indices, expected)
+        np.testing.assert_array_equal(matches.distances, values[np.arange(q_count), expected])

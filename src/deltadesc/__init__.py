@@ -51,7 +51,6 @@ from .synth import SynthParams, generate_traverse_pair, time_warp
 from .transform import (
     EDGE_REPLICATE,
     VALID_ONLY,
-    DeltaBank,
     DeltaConfig,
     delta,
     delta_bank,

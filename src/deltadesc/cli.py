@@ -72,6 +72,8 @@ class RunConfig:
                 raise ValueError(f"transform {self.transform!r} needs --window >= 1")
         if self.transform == "multi-delta" and not self.spans:
             raise ValueError("multi-delta needs a non-empty --spans list")
+        if any(int(s) < 1 for s in self.spans or ()):
+            raise ValueError(f"--spans must all be >= 1, got {list(self.spans)}")
         if self.padding not in (EDGE_REPLICATE, VALID_ONLY):
             raise ValueError(f"unknown padding {self.padding!r}")
         if self.transform == "multi-delta" and self.padding != EDGE_REPLICATE:
@@ -99,7 +101,7 @@ def _transform_members(
 ) -> list[DescriptorSeries]:
     """The series to match: one per span for multi-delta, otherwise one."""
     if transform == "multi-delta":
-        return list(delta_bank(series, DeltaConfig(window=spans[0], spans=spans)).series)
+        return list(delta_bank(series, spans))
     if transform == "smooth":
         return [smooth(series, window)]
     if transform == "delta":
@@ -209,21 +211,20 @@ def run_pipeline(cfg: RunConfig) -> dict:
         )
         ref_positions = ddio.read_positions(cfg.positions_path) if cfg.positions_path else None
 
+    # the one place that orders a span bank: distinct spans, shortest first
+    spans = sorted({int(s) for s in cfg.spans or ()})
     with _stage("transform"):
         q_members, r_members = (
-            _transform_members(series, cfg.transform, cfg.window, cfg.padding, cfg.spans)
+            _transform_members(series, cfg.transform, cfg.window, cfg.padding, spans)
             for series in (query, ref)
         )
     if cfg.pca_k is not None:
         with _stage("pca"):
-            # one model per bank member; DeltaConfig gives the bank's span order
+            # one model per bank member, named by its span
             names = (
                 ["pca_model.bin"]
                 if len(q_members) == 1
-                else [
-                    f"pca_model_span{s}.bin"
-                    for s in DeltaConfig(window=cfg.spans[0], spans=cfg.spans).spans
-                ]
+                else [f"pca_model_span{s}.bin" for s in spans]
             )
             # index in place so that no name keeps a pre-PCA member alive
             for i, name in enumerate(names):
@@ -342,8 +343,8 @@ def cmd_rank_dims(args: argparse.Namespace) -> int:
     query = ddio.read_descriptors(args.query)
     gt = ddio.read_ground_truth(args.gt)
     with _stage("rank-dims"):
-        order = rank_dimensions(ref, query, gt, args.top_k)
         medians = median_pair_products(ref, query, gt)
+        order = rank_dimensions(medians, args.top_k)
     if args.out:
         ddio.write_dimension_ranking_csv(args.out, order, medians)
     print(" ".join(str(int(d)) for d in order))

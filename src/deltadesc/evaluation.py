@@ -141,19 +141,13 @@ def median_pair_products(
     return np.median(query.data * ref.data[gt.pairs], axis=0)
 
 
-def rank_dimensions(
-    ref: DescriptorSeries,
-    query: DescriptorSeries,
-    gt: GroundTruth,
-    top_k: int,
-) -> np.ndarray:
-    """Dimensions ranked by how strongly true pairs co-activate.
+def rank_dimensions(medians: np.ndarray, top_k: int) -> np.ndarray:
+    """The ``top_k`` dimensions whose true pairs co-activate most.
 
-    Dimensions are ordered by ``median_pair_products``, descending, ties
-    toward the lower index. Returns the first ``top_k`` dimension indices.
+    ``medians`` is ``median_pair_products``' output. Dimensions are ordered
+    by it, descending, ties toward the lower index.
     """
     top_k = int(top_k)
-    if not 1 <= top_k <= ref.dim:
-        raise ValueError(f"top_k must be in [1, {ref.dim}], got {top_k}")
-    medians = median_pair_products(ref, query, gt)
+    if not 1 <= top_k <= medians.size:
+        raise ValueError(f"top_k must be in [1, {medians.size}], got {top_k}")
     return np.argsort(-medians, kind="stable")[:top_k]

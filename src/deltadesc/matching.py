@@ -9,12 +9,11 @@ between unrelated stationary segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .series import DescriptorSeries
-from .transform import DeltaBank
 
 ZERO_NORM = 1e-12
 # query rows per seq_match block: the block's sums stay in cache across the L shifts
@@ -163,24 +162,22 @@ def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
     return _adopt(out)
 
 
-Bank = Union[DeltaBank, Sequence[DescriptorSeries]]
+def multi_delta_distance(
+    q_members: Sequence[DescriptorSeries], r_members: Sequence[DescriptorSeries]
+) -> DistanceMatrix:
+    """Per-cell minimum cosine distance over every (query, reference) member pairing.
 
-
-def _bank_members(bank: Bank) -> Sequence[DescriptorSeries]:
-    members = bank.series if isinstance(bank, DeltaBank) else tuple(bank)
-    if len(members) == 0:
-        raise ValueError("empty bank")
-    return members
-
-
-def multi_delta_distance(query_bank: Bank, ref_bank: Bank) -> DistanceMatrix:
-    """Per-cell minimum cosine distance over all span combinations.
-
-    With n query spans and m reference spans every cell considers n*m
-    combinations; members must be frame-aligned (edge-replicate deltas).
+    Each side is a span bank, such as ``delta_bank``'s output: its members must
+    share frame count and dimension, which is checked before any GEMM. With n
+    query and m reference members every cell takes the minimum of n*m
+    distances. ``np.minimum`` is exact, so the member order does not change a bit.
     """
-    q_members = _bank_members(query_bank)
-    r_members = _bank_members(ref_bank)
+    if not q_members or not r_members:
+        raise ValueError("empty bank")
+    for members in (q_members, r_members):
+        first = members[0]
+        if any(m.frame_count != first.frame_count or m.dim != first.dim for m in members):
+            raise ValueError("bank members must share frame count and dimension")
     if q_members[0].dim != r_members[0].dim:
         raise ValueError(
             f"dimension mismatch: query D={q_members[0].dim}, reference D={r_members[0].dim}"

@@ -20,7 +20,7 @@ T - 2l + 1 frames whose window lies fully inside the series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +32,10 @@ VALID_ONLY = "valid-only"
 
 @dataclass(frozen=True)
 class DeltaConfig:
-    """Window length, boundary policy, and optional span set for delta banks."""
+    """Window length and boundary policy of one delta transform."""
 
     window: int
     padding: str = EDGE_REPLICATE
-    spans: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         window = int(self.window)
@@ -47,43 +46,6 @@ class DeltaConfig:
             raise ValueError(
                 f"padding must be {EDGE_REPLICATE!r} or {VALID_ONLY!r}, got {self.padding!r}"
             )
-        if self.spans is not None:
-            spans = tuple(sorted({int(s) for s in self.spans}))
-            if not spans:
-                raise ValueError("spans must be non-empty when given")
-            if spans[0] < 1:
-                raise ValueError(f"spans must be positive, got {spans}")
-            object.__setattr__(self, "spans", spans)
-
-
-@dataclass(frozen=True)
-class DeltaBank:
-    """One delta series per span, all frame-aligned with the source series."""
-
-    spans: tuple[int, ...]
-    series: tuple[DescriptorSeries, ...]
-
-    def __post_init__(self) -> None:
-        if not self.spans or len(self.spans) != len(self.series):
-            raise ValueError("bank needs one series per span")
-        first = self.series[0]
-        for member in self.series[1:]:
-            if member.frame_count != first.frame_count or member.dim != first.dim:
-                raise ValueError("bank members must share frame count and dimension")
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    @property
-    def frame_count(self) -> int:
-        return self.series[0].frame_count
-
-    @property
-    def dim(self) -> int:
-        return self.series[0].dim
-
-    def for_span(self, span: int) -> DescriptorSeries:
-        return self.series[self.spans.index(span)]
 
 
 def _prefix_sums(data: np.ndarray) -> np.ndarray:
@@ -149,16 +111,13 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     return DescriptorSeries(out, positions=series.positions, valid_range=valid)
 
 
-def delta_bank(series: DescriptorSeries, cfg: DeltaConfig) -> DeltaBank:
-    """Delta series for every span in ``cfg.spans``.
+def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> tuple[DescriptorSeries, ...]:
+    """One edge-replicate delta per span, in the order given.
 
-    All members are computed with edge replication so their frame indices stay
-    aligned with the source series and with each other.
+    Edge replication keeps every member frame-aligned with the source series
+    and with each other. The order is the caller's: ``multi_delta_distance``
+    does not depend on it.
     """
-    if not cfg.spans:
+    if not spans:
         raise ValueError("delta bank needs a non-empty span set")
-    members = tuple(
-        delta(series, DeltaConfig(window=span, padding=EDGE_REPLICATE))
-        for span in cfg.spans
-    )
-    return DeltaBank(spans=cfg.spans, series=members)
+    return tuple(delta(series, DeltaConfig(window=span)) for span in spans)

@@ -159,8 +159,7 @@ def test_criterion_06_degenerate_case_identities():
 
     series = dd.DescriptorSeries(rng.normal(size=(60, 12)))
     other = dd.DescriptorSeries(rng.normal(size=(60, 12)))
-    cfg = dd.DeltaConfig(5, spans=(5,))
-    bank_m = dd.multi_delta_distance(dd.delta_bank(series, cfg), dd.delta_bank(other, cfg))
+    bank_m = dd.multi_delta_distance(dd.delta_bank(series, (5,)), dd.delta_bank(other, (5,)))
     plain_m = dd.distance_matrix(
         dd.delta(series, dd.DeltaConfig(5)), dd.delta(other, dd.DeltaConfig(5))
     )

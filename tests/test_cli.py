@@ -205,6 +205,22 @@ class TestRunCommand:
         ) == 0
         assert sorted(p.name for p in out.glob("pca_model*.bin")) == ["pca_model.bin"]
 
+    def test_bank_spans_are_deduplicated_and_sorted(self, synth_files, tmp_path):
+        ref, query, gt = synth_files
+        out = tmp_path / "bank"
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", 16, 8, 16, "--pca-k", 6,
+            "--radius", 2, "--out-dir", out,
+        ) == 0
+        names = sorted(p.name for p in out.glob("pca_model*.bin"))
+        assert names == ["pca_model_span16.bin", "pca_model_span8.bin"]
+        ref_series = read_descriptors(ref)
+        for span in (8, 16):
+            model = load_pca_model(out / f"pca_model_span{span}.bin")
+            expected_mean = delta(ref_series, DeltaConfig(span)).data.mean(axis=0)
+            np.testing.assert_allclose(model.mean, expected_mean, atol=1e-12)
+
     def test_smooth_transform_runs(self, synth_files, tmp_path):
         ref, query, gt = synth_files
         assert run_cli(
@@ -337,6 +353,40 @@ class TestExitCodes:
                        "--out-matches", tmp_path / "m.csv")
         assert code == 2
         assert "596.0 GiB" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("spans", [(0, 4), (4, 0)])
+    def test_non_positive_span_is_config_error(self, synth_files, tmp_path, capsys, spans):
+        ref, query, gt = synth_files
+        code = run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", *spans, "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--spans" in err and "[transform]" not in err
+
+    def test_non_positive_span_is_caught_before_loading(self, synth_files, tmp_path, capsys):
+        _, query, _ = synth_files
+        code = run_cli(
+            "run", "--ref", tmp_path / "nothere.dvpr", "--query", query,
+            "--transform", "multi-delta", "--spans", 0, 4, "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert "--spans" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--query", "--ref"])
+    @pytest.mark.parametrize("shape", [(30, 6), (40, 5)], ids=["frames", "dims"])
+    def test_misaligned_match_bank_is_config_error(self, tmp_path, capsys, option, shape):
+        rng = np.random.default_rng(5)
+        a, b, single = tmp_path / "a.dvpr", tmp_path / "b.dvpr", tmp_path / "s.dvpr"
+        write_descriptors(a, DescriptorSeries(rng.normal(size=(40, 6))))
+        write_descriptors(b, DescriptorSeries(rng.normal(size=shape)))
+        write_descriptors(single, DescriptorSeries(rng.normal(size=(50, 6))))
+        other = "--ref" if option == "--query" else "--query"
+        code = run_cli("match", option, a, b, other, single, "--out-matches", tmp_path / "m.csv")
+        assert code == 2
+        assert "bank members must share frame count and dimension" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
     def test_unknown_flag_exits_two(self):

@@ -142,7 +142,7 @@ class TestRankDimensions:
         rows[:, 0] = 1.0
         series = DescriptorSeries(rows)
         gt = GroundTruth(np.arange(5))
-        order = rank_dimensions(series, series, gt, 1)
+        order = rank_dimensions(median_pair_products(series, series, gt), 1)
         assert order[0] == 0
 
     def test_median_tie_breaks_to_lower_index(self):
@@ -152,14 +152,16 @@ class TestRankDimensions:
         gt = GroundTruth([0, 1])
         products = query.data * ref.data[gt.pairs]
         np.testing.assert_array_equal(np.median(products, axis=0), [1.5, 1.5])
-        np.testing.assert_array_equal(rank_dimensions(ref, query, gt, 2), [0, 1])
+        np.testing.assert_array_equal(
+            rank_dimensions(median_pair_products(ref, query, gt), 2), [0, 1]
+        )
 
     def test_full_ranking_against_direct_median(self):
         rng = np.random.default_rng(2)
         ref = DescriptorSeries(rng.normal(size=(30, 10)))
         query = DescriptorSeries(rng.normal(size=(30, 10)))
         gt = GroundTruth(rng.integers(0, 30, size=30))
-        order = rank_dimensions(ref, query, gt, 10)
+        order = rank_dimensions(median_pair_products(ref, query, gt), 10)
         medians = np.median(query.data * ref.data[gt.pairs], axis=0)
         assert np.all(np.diff(medians[order]) <= 0)
         assert sorted(order) == list(range(10))
@@ -168,9 +170,9 @@ class TestRankDimensions:
         series = DescriptorSeries(np.ones((3, 4)))
         gt = GroundTruth([0, 1, 2])
         with pytest.raises(ValueError):
-            rank_dimensions(series, series, gt, 5)
+            rank_dimensions(median_pair_products(series, series, gt), 5)
         with pytest.raises(ValueError):
-            rank_dimensions(series, series, gt, 0)
+            rank_dimensions(median_pair_products(series, series, gt), 0)
 
 
 class TestMedianPairProducts:
@@ -181,7 +183,7 @@ class TestMedianPairProducts:
         gt = GroundTruth(rng.integers(0, 20, size=20))
         medians = median_pair_products(ref, query, gt)
         np.testing.assert_array_equal(
-            rank_dimensions(ref, query, gt, 6), np.argsort(-medians, kind="stable")
+            rank_dimensions(medians, 6), np.argsort(-medians, kind="stable")
         )
 
     def test_short_ground_truth_does_not_broadcast(self):

@@ -253,8 +253,7 @@ class TestMultiDelta:
         rng = np.random.default_rng(4)
         ref = DescriptorSeries(rng.normal(size=(40, 5)))
         query = DescriptorSeries(rng.normal(size=(40, 5)))
-        cfg = DeltaConfig(4, spans=(4,))
-        qb, rb = delta_bank(query, cfg), delta_bank(ref, cfg)
+        qb, rb = delta_bank(query, (4,)), delta_bank(ref, (4,))
         expected = distance_matrix(delta(query, DeltaConfig(4)), delta(ref, DeltaConfig(4)))
         np.testing.assert_array_equal(
             multi_delta_distance(qb, rb).values, expected.values
@@ -265,14 +264,9 @@ class TestMultiDelta:
         ref = DescriptorSeries(rng.normal(size=(120, 6)))
         query = DescriptorSeries(rng.normal(size=(120, 6)))
         spans = (30, 40, 50, 60)
-        cfg = DeltaConfig(30, spans=spans)
-        qb, rb = delta_bank(query, cfg), delta_bank(ref, cfg)
+        qb, rb = delta_bank(query, spans), delta_bank(ref, spans)
         out = multi_delta_distance(qb, rb).values
-        combos = [
-            distance_matrix(qb.for_span(sq), rb.for_span(sr)).values
-            for sq in spans
-            for sr in spans
-        ]
+        combos = [distance_matrix(qs, rs).values for qs in qb for rs in rb]
         assert len(combos) == 16
         np.testing.assert_array_equal(out, np.minimum.reduce(combos))
         for combo in combos:
@@ -281,6 +275,40 @@ class TestMultiDelta:
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="empty bank"):
             multi_delta_distance([], [])
+
+    @pytest.mark.parametrize("side", ["query", "ref"])
+    @pytest.mark.parametrize("shape", [(30, 5), (40, 6)], ids=["frames", "dims"])
+    def test_misaligned_members_rejected_before_any_gemm(self, side, shape, monkeypatch):
+        rng = np.random.default_rng(7)
+        aligned = [DescriptorSeries(rng.normal(size=(40, 5))) for _ in range(2)]
+        misaligned = [aligned[0], DescriptorSeries(rng.normal(size=shape))]
+        banks = (misaligned, aligned) if side == "query" else (aligned, misaligned)
+
+        def no_gemm(*args):
+            raise AssertionError("GEMM ran before the alignment check")
+
+        monkeypatch.setattr("deltadesc.matching._cosine_block", no_gemm)
+        with pytest.raises(ValueError, match="bank members must share frame count and dimension"):
+            multi_delta_distance(*banks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q_spans=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+        r_spans=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_member_order_changes_no_bit(self, seed, q_spans, r_spans, data):
+        # np.minimum is exact, so the order of a bank's members is free
+        rng = np.random.default_rng(seed)
+        ref_data, query_data = rng.normal(size=(30, 5)), rng.normal(size=(25, 5))
+        query_data[8:18] = query_data[8]  # a stationary stretch: zero deltas, dead rows
+        qb = delta_bank(DescriptorSeries(query_data), q_spans)
+        rb = delta_bank(DescriptorSeries(ref_data), r_spans)
+        q_order = data.draw(st.permutations(range(len(qb))))
+        r_order = data.draw(st.permutations(range(len(rb))))
+        permuted = multi_delta_distance([qb[i] for i in q_order], [rb[i] for i in r_order])
+        assert np.array_equal(permuted.values, multi_delta_distance(qb, rb).values)
 
     def test_offset_robustness_in_delta_space(self):
         # constant descriptor offsets leave delta-space distances untouched

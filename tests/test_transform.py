@@ -170,38 +170,31 @@ class TestDeltaConfig:
         with pytest.raises(ValueError):
             DeltaConfig(2, padding="mirror")
 
-    def test_spans_normalized(self):
-        cfg = DeltaConfig(2, spans=(40, 30, 40, 60, 50))
-        assert cfg.spans == (30, 40, 50, 60)
-        with pytest.raises(ValueError):
-            DeltaConfig(2, spans=(0, 3))
-
 
 class TestDeltaBank:
     def test_singleton_bank_equals_plain_delta(self):
         rng = np.random.default_rng(8)
         series = DescriptorSeries(rng.normal(size=(50, 4)))
-        bank = delta_bank(series, DeltaConfig(16, spans=(16,)))
+        bank = delta_bank(series, (16,))
         np.testing.assert_array_equal(
-            bank.for_span(16).data, delta(series, DeltaConfig(16)).data
+            bank[0].data, delta(series, DeltaConfig(16)).data
         )
 
     def test_four_span_bank_alignment(self):
         rng = np.random.default_rng(9)
         series = DescriptorSeries(rng.normal(size=(200, 4)))
-        bank = delta_bank(series, DeltaConfig(30, spans=(30, 40, 50, 60)))
-        assert bank.spans == (30, 40, 50, 60)
+        bank = delta_bank(series, (30, 40, 50, 60))
         assert len(bank) == 4
-        for member in bank.series:
+        for member in bank:
             assert member.frame_count == 200 and member.dim == 4
 
     def test_constant_input_gives_zero_bank(self):
         series = DescriptorSeries(np.full((20, 3), 4.0))
-        bank = delta_bank(series, DeltaConfig(2, spans=(2, 4)))
-        for member in bank.series:
+        bank = delta_bank(series, (2, 4))
+        for member in bank:
             np.testing.assert_allclose(member.data, 0.0, atol=1e-12)
 
     def test_empty_spans_rejected(self):
         series = DescriptorSeries(np.ones((10, 2)))
         with pytest.raises(ValueError, match="span set"):
-            delta_bank(series, DeltaConfig(2))
+            delta_bank(series, ())

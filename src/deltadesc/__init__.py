@@ -46,7 +46,7 @@ from .matching import (
     seq_match,
 )
 from .reduction import PcaModel, pca_fit, pca_transform
-from .series import DescriptorSeries, GroundTruth, apply_permutation, l2_normalize
+from .series import DescriptorSeries, GroundTruth, apply_permutation
 from .synth import SynthParams, generate_traverse_pair, time_warp
 from .transform import (
     EDGE_REPLICATE,

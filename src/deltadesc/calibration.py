@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching import _row_scales
-from .series import DescriptorSeries
+from .series import DescriptorSeries, _freeze, _seal
 
 
 @dataclass(frozen=True)
@@ -24,16 +24,14 @@ class SelfDistanceProfile:
     median_distance: np.ndarray
 
     def __post_init__(self) -> None:
-        offsets = np.array(self.offsets, dtype=np.int64)
-        medians = np.array(self.median_distance, dtype=np.float64)
+        offsets = _freeze(self.offsets, np.int64)
+        medians = _freeze(self.median_distance)
         if offsets.ndim != 1 or offsets.size < 1 or offsets.shape != medians.shape:
             raise ValueError("profile needs one median per offset")
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("offsets must be strictly increasing")
         if medians.min() < 0.0 or medians.max() > 2.0:
             raise ValueError("median distances must lie in [0, 2]")
-        offsets.setflags(write=False)
-        medians.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "median_distance", medians)
 
@@ -51,7 +49,7 @@ def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceP
         dots = np.einsum("td,td->t", data[:-d], data[d:])
         dist = np.clip(1.0 - dots * scales[:-d] * scales[d:], 0.0, 2.0)
         medians[i] = np.median(dist)
-    return SelfDistanceProfile(np.arange(1, d_max + 1), medians)
+    return SelfDistanceProfile(_seal(np.arange(1, d_max + 1)), _seal(medians))
 
 
 def estimate_span(

@@ -28,7 +28,7 @@ from .evaluation import median_pair_products, rank_dimensions
 from .matching import DistanceMatrix, MatchSet
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
 from .reduction import pca_fit, pca_transform
-from .series import DescriptorSeries, GroundTruth, apply_permutation
+from .series import DescriptorSeries, GroundTruth, _seal, apply_permutation
 from .synth import SynthParams, generate_traverse_pair
 from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, delta, delta_bank, smooth
 
@@ -43,6 +43,18 @@ def _stage(name: str):
         yield
     except (ValueError, ddio.DataError, OSError) as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+
+
+def _check_unread_flags(transform: str, window, spans, padding: str) -> None:
+    """Reject a transform flag that ``transform`` would silently ignore."""
+    if padding not in (EDGE_REPLICATE, VALID_ONLY):
+        raise ValueError(f"unknown padding {padding!r}")
+    if window is not None and transform not in ("smooth", "delta"):
+        raise ValueError(f"--window is read only by smooth and delta, not by {transform!r}")
+    if spans is not None and transform != "multi-delta":
+        raise ValueError(f"--spans is read only by multi-delta, not by {transform!r}")
+    if padding != EDGE_REPLICATE and transform != "delta":
+        raise ValueError(f"--padding {padding} is read only by delta, not by {transform!r}")
 
 
 @dataclass
@@ -67,6 +79,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
+        _check_unread_flags(self.transform, self.window, self.spans, self.padding)
         if self.transform in ("smooth", "delta"):
             if self.window is None or int(self.window) < 1:
                 raise ValueError(f"transform {self.transform!r} needs --window >= 1")
@@ -74,10 +87,6 @@ class RunConfig:
             raise ValueError("multi-delta needs a non-empty --spans list")
         if any(int(s) < 1 for s in self.spans or ()):
             raise ValueError(f"--spans must all be >= 1, got {list(self.spans)}")
-        if self.padding not in (EDGE_REPLICATE, VALID_ONLY):
-            raise ValueError(f"unknown padding {self.padding!r}")
-        if self.transform == "multi-delta" and self.padding != EDGE_REPLICATE:
-            raise ValueError(f"multi-delta needs --padding {EDGE_REPLICATE} to keep spans aligned")
         if int(self.seqmatch_length) < 1:
             raise ValueError("seqmatch length must be >= 1")
         if self.pca_k is not None and int(self.pca_k) < 1:
@@ -111,7 +120,7 @@ def _transform_members(
 
 def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> DescriptorSeries:
     if fit_on == "both":
-        return DescriptorSeries(np.vstack([tr.data, tq.data]))
+        return DescriptorSeries(_seal(np.vstack([tr.data, tq.data])))
     return tr if fit_on == "ref" else tq
 
 
@@ -218,6 +227,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             _transform_members(series, cfg.transform, cfg.window, cfg.padding, spans)
             for series in (query, ref)
         )
+    # the members replace the loaded series: release them before PCA and matching
+    del query, ref
     if cfg.pca_k is not None:
         with _stage("pca"):
             # one model per bank member, named by its span
@@ -290,6 +301,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    _check_unread_flags(args.transform, args.window, None, args.padding)
     series = ddio.read_descriptors(args.input)
     with _stage("transform"):
         (out,) = _transform_members(series, args.transform, args.window, args.padding)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .matching import MatchSet
-from .series import DescriptorSeries, GroundTruth
+from .series import DescriptorSeries, GroundTruth, _freeze, _seal
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class PrCurve:
 
     def __post_init__(self) -> None:
         for name in ("thresholds", "precisions", "recalls"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if not (self.thresholds.size == self.precisions.size == self.recalls.size >= 1):
             raise ValueError("curve needs at least one (threshold, precision, recall) point")
 
@@ -104,9 +102,9 @@ def evaluate_pr(
     precision = np.where(retrieved > 0, correct_retrieved / np.maximum(retrieved, 1.0), 1.0)
     recall = correct_retrieved / q_count
     return PrCurve(
-        thresholds=d_sorted[last],
-        precisions=precision,
-        recalls=recall,
+        thresholds=_seal(d_sorted[last]),
+        precisions=_seal(precision),
+        recalls=_seal(recall),
         radius=gt.radius,
         radius_mode=gt.radius_mode,
         correct_total=int(correct.sum()),

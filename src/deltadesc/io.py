@@ -30,7 +30,7 @@ from .calibration import SelfDistanceProfile
 from .evaluation import PrCurve
 from .matching import DistanceMatrix, MatchSet
 from .reduction import PcaModel
-from .series import DescriptorSeries, GroundTruth
+from .series import DescriptorSeries, GroundTruth, _seal
 
 MAGIC = b"DVPR"
 FORMAT_VERSION = 1
@@ -81,7 +81,8 @@ def _unpack_block(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]
             f"got {len(buf) - offset - _HEADER.size}"
         )
     values = np.frombuffer(buf, dtype=dtype, count=t_count * dim, offset=offset + _HEADER.size)
-    return values.reshape(t_count, dim).astype(np.float64), end
+    # astype copies out of ``buf``, so the result owns its data
+    return _seal(values.reshape(t_count, dim).astype(np.float64)), end
 
 
 def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "float32") -> None:
@@ -95,15 +96,12 @@ def read_descriptors(path: PathLike) -> DescriptorSeries:
     """Read a descriptor series from the binary container or from CSV."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return DescriptorSeries(_read_csv_matrix(path))
-    buf = path.read_bytes()
-    values, end = _unpack_block(buf, 0, str(path))
-    if end != len(buf):
-        raise DataError(f"{path}: {len(buf) - end} trailing bytes after payload")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        t, d = np.argwhere(bad)[0]
-        raise DataError(f"{path}: non-finite value at row {t}, column {d}")
+        values = _read_csv_matrix(path)
+    else:
+        buf = path.read_bytes()
+        values, end = _unpack_block(buf, 0, str(path))
+        if end != len(buf):
+            raise DataError(f"{path}: {len(buf) - end} trailing bytes after payload")
     try:
         return DescriptorSeries(values)
     except ValueError as exc:
@@ -120,11 +118,7 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
         raise DataError(f"{path}: cannot parse CSV matrix ({exc})") from exc
     if values.size == 0:
         raise DataError(f"{path}: empty CSV matrix")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        t, d = np.argwhere(bad)[0]
-        raise DataError(f"{path}: non-finite value at row {t}, column {d}")
-    return values
+    return _seal(values)
 
 
 def read_positions(path: PathLike) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import DescriptorSeries
+from .series import DescriptorSeries, _freeze, _seal
 
 ZERO_NORM = 1e-12
 # query rows per seq_match block: the block's sums stay in cache across the L shifts
@@ -24,22 +24,14 @@ SEQ_BLOCK_ROWS = 64
 class DistanceMatrix:
     """Q x R matrix of cosine distances between query and reference rows.
 
-    A float64 ndarray that is read-only and owns its data is adopted as is:
-    no caller can write to it, so sharing it is safe. Anything else is copied
-    to a fresh float64 array, so a caller's writable array stays independent.
+    ``values`` follows ``_freeze``'s rule: a sealed float64 result is adopted
+    without a copy, anything else is copied.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = self.values
-        if not (
-            type(values) is np.ndarray
-            and values.dtype == np.float64
-            and values.flags.owndata
-            and not values.flags.writeable
-        ):
-            values = np.array(values, dtype=np.float64)
+        values = _freeze(self.values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"distance matrix must be Q x R, got shape {values.shape}")
         # min and max propagate NaN, so one pass each checks finiteness and range
@@ -48,7 +40,6 @@ class DistanceMatrix:
             raise ValueError("distance matrix contains non-finite entries")
         if lo < 0.0 or hi > 2.0:
             raise ValueError("cosine distances must lie in [0, 2]")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -68,16 +59,15 @@ class MatchSet:
     distances: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.array(self.ref_indices, dtype=np.int64)
-        dist = np.array(self.distances, dtype=np.float64)
+        idx = _freeze(self.ref_indices, np.int64)
+        dist = _freeze(self.distances)
         if idx.ndim != 1 or idx.shape != dist.shape or idx.size < 1:
             raise ValueError("match set needs one (index, distance) pair per query")
         if np.any(idx < 0):
             raise ValueError("match indices must be non-negative")
-        if dist.min() < 0.0 or dist.max() > 2.0 or not np.all(np.isfinite(dist)):
+        # NaN fails both comparisons, so this also rejects non-finite distances
+        if not (0.0 <= dist.min() and dist.max() <= 2.0):
             raise ValueError("match distances must lie in [0, 2]")
-        idx.setflags(write=False)
-        dist.setflags(write=False)
         object.__setattr__(self, "ref_indices", idx)
         object.__setattr__(self, "distances", dist)
 
@@ -103,12 +93,6 @@ def _cosine_block(
     return np.clip(vals, 0.0, 2.0, out=vals)
 
 
-def _adopt(values: np.ndarray) -> DistanceMatrix:
-    """Freeze a freshly computed float64 result and hand it over without a copy."""
-    values.setflags(write=False)
-    return DistanceMatrix(values)
-
-
 def cosine_distance(a, b) -> float:
     """1 - cos(a, b); 1.0 when either vector has norm below 1e-12."""
     a = np.asarray(a, dtype=np.float64).reshape(1, -1)
@@ -123,7 +107,7 @@ def distance_matrix(query: DescriptorSeries, ref: DescriptorSeries) -> DistanceM
     if query.dim != ref.dim:
         raise ValueError(f"dimension mismatch: query D={query.dim}, reference D={ref.dim}")
     q, r = query.data, ref.data
-    return _adopt(_cosine_block(q, _row_scales(q), r, _row_scales(r)))
+    return DistanceMatrix(_seal(_cosine_block(q, _row_scales(q), r, _row_scales(r))))
 
 
 def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
@@ -159,7 +143,7 @@ def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
         cnt = np.minimum(np.minimum(hi, q_count - q), r_count - r)
         cnt += np.minimum(np.minimum(lo, q), r)
         out[b0:b1] /= cnt
-    return _adopt(out)
+    return DistanceMatrix(_seal(out))
 
 
 def multi_delta_distance(
@@ -189,7 +173,7 @@ def multi_delta_distance(
         for rs, r_scale in zip(r_members, r_scales):
             vals = _cosine_block(qs.data, q_scale, rs.data, r_scale)
             best = vals if best is None else np.minimum(best, vals, out=best)
-    return _adopt(best)
+    return DistanceMatrix(_seal(best))
 
 
 def retrieve_best(m: DistanceMatrix) -> MatchSet:
@@ -197,4 +181,4 @@ def retrieve_best(m: DistanceMatrix) -> MatchSet:
     values = m.values
     # row by row: np.argmin(values, axis=1) would copy the whole read-only matrix
     idx = np.fromiter((row.argmin() for row in values), dtype=np.int64, count=m.query_count)
-    return MatchSet(idx, values[np.arange(m.query_count), idx])
+    return MatchSet(_seal(idx), _seal(values[np.arange(m.query_count), idx]))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DescriptorSeries
+from .series import DescriptorSeries, _freeze, _seal
 
 
 @dataclass(frozen=True)
@@ -18,9 +18,9 @@ class PcaModel:
     explained_variance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=np.float64).reshape(-1)
-        components = np.array(self.components, dtype=np.float64)
-        variance = np.array(self.explained_variance, dtype=np.float64).reshape(-1)
+        mean = _freeze(self.mean).reshape(-1)
+        components = _freeze(self.components)
+        variance = _freeze(self.explained_variance).reshape(-1)
         if components.ndim != 2 or components.shape[0] != mean.size:
             raise ValueError("components must be D x k with D matching the mean")
         k = components.shape[1]
@@ -32,7 +32,6 @@ class PcaModel:
         if np.any(np.diff(variance) > 1e-12) or variance.min() < -1e-12:
             raise ValueError("explained variance must be non-increasing and non-negative")
         for arr, name in ((mean, "mean"), (components, "components"), (variance, "explained_variance")):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -64,7 +63,7 @@ def pca_fit(series: DescriptorSeries, k: int, center: bool = True) -> PcaModel:
     flip = components[np.argmax(np.abs(components), axis=0), np.arange(k)] < 0
     components[:, flip] *= -1.0
     variance = singular[:k] ** 2 / (t_count - 1)
-    return PcaModel(mean=mean, components=components, explained_variance=variance)
+    return PcaModel(_seal(mean), _seal(components), _seal(variance))
 
 
 def pca_transform(
@@ -82,4 +81,4 @@ def pca_transform(
     if whiten:
         scale = np.sqrt(model.explained_variance)
         z = z / np.where(scale > 0.0, scale, 1.0)
-    return DescriptorSeries(z, positions=series.positions, valid_range=series.valid_range)
+    return DescriptorSeries(_seal(z), positions=series.positions, valid_range=series.valid_range)

@@ -14,21 +14,43 @@ from typing import Optional
 import numpy as np
 
 
+def _seal(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array read-only so that ``_freeze`` adopts it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _freeze(arr, dtype=np.float64) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    """Adopt ``arr`` if it is a read-only ``dtype`` ndarray that owns its data, else copy it.
+
+    Every value type takes its arrays through here. A producer that seals a
+    fresh result with ``_seal`` hands it over and writes to it no more. Any
+    other array, such as a caller's writable one or a view, is copied and frozen.
+    """
+    if not (
+        type(arr) is np.ndarray
+        and arr.dtype == dtype
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        arr = _seal(np.array(arr, dtype=dtype))
+    return arr
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, so the pair tests finiteness without a bool array
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         t, d = np.argwhere(~np.isfinite(np.atleast_2d(arr)))[0]
         raise ValueError(f"non-finite {what} value at row {t}, column {d}")
 
 
 @dataclass(frozen=True)
 class DescriptorSeries:
-    """Immutable T x D descriptor matrix for one traverse."""
+    """Immutable T x D descriptor matrix for one traverse.
+
+    ``data`` and ``positions`` follow ``_freeze``'s rule: sealed float64
+    arrays are adopted, anything else is copied.
+    """
 
     data: np.ndarray
     positions: Optional[np.ndarray] = None
@@ -80,12 +102,11 @@ class GroundTruth:
     radius: float = 0.0
 
     def __post_init__(self) -> None:
-        pairs = np.array(self.pairs, dtype=np.int64)
+        pairs = _freeze(self.pairs, np.int64)
         if pairs.ndim != 1 or pairs.size < 1:
             raise ValueError("ground truth needs one reference index per query")
         if np.any(pairs < 0):
             raise ValueError("ground-truth reference indices must be non-negative")
-        pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
         if self.radius_mode not in ("frames", "meters"):
             raise ValueError(f"radius_mode must be 'frames' or 'meters', got {self.radius_mode!r}")
@@ -105,15 +126,6 @@ class GroundTruth:
                 f"ground-truth index {int(self.pairs.max())} out of range for "
                 f"{ref_count} reference frames"
             )
-
-
-def l2_normalize(series: DescriptorSeries) -> DescriptorSeries:
-    """Scale each row to unit Euclidean norm; all-zero rows pass through unchanged."""
-    norms = np.linalg.norm(series.data, axis=1, keepdims=True)
-    scale = np.where(norms == 0.0, 1.0, norms)
-    return DescriptorSeries(
-        series.data / scale, positions=series.positions, valid_range=series.valid_range
-    )
 
 
 def apply_permutation(
@@ -144,11 +156,11 @@ def apply_permutation(
     inverse[perm] = np.arange(perm.size)
 
     def shuffle(series: DescriptorSeries) -> DescriptorSeries:
-        pos = series.positions[perm] if series.positions is not None else None
-        return DescriptorSeries(series.data[perm], positions=pos)
+        pos = _seal(series.positions[perm]) if series.positions is not None else None
+        return DescriptorSeries(_seal(series.data[perm]), positions=pos)
 
     # new query q' holds old query perm[q'], whose true match (old ref index)
     # now sits at new ref index inverse[...]
-    new_pairs = inverse[gt.pairs[perm]]
+    new_pairs = _seal(inverse[gt.pairs[perm]])
     new_gt = GroundTruth(new_pairs, radius_mode=gt.radius_mode, radius=gt.radius)
     return shuffle(ref), shuffle(query), new_gt

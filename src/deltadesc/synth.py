@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .series import DescriptorSeries, GroundTruth
+from .series import DescriptorSeries, GroundTruth, _seal
 from .transform import _window_mean
 
 WarpPoints = Sequence[tuple[float, float]]
@@ -90,8 +90,8 @@ def time_warp(series: DescriptorSeries, control_points: WarpPoints) -> Descripto
     """
     pts = _validated_warp(control_points)
     sources = _warped_source_positions(series.frame_count, pts)
-    pos = _interp_rows(series.positions, sources) if series.positions is not None else None
-    return DescriptorSeries(_interp_rows(series.data, sources), positions=pos)
+    pos = _seal(_interp_rows(series.positions, sources)) if series.positions is not None else None
+    return DescriptorSeries(_seal(_interp_rows(series.data, sources)), positions=pos)
 
 
 def generate_traverse_pair(
@@ -123,7 +123,7 @@ def generate_traverse_pair(
         sources = np.arange(params.frames, dtype=np.float64)
         query_base = latent
 
-    ref = DescriptorSeries(latent + offset_ref + noise_ref)
-    query = DescriptorSeries(query_base + offset_query + noise_query)
-    pairs = np.clip(np.rint(sources).astype(np.int64), 0, params.frames - 1)
+    ref = DescriptorSeries(_seal(latent + offset_ref + noise_ref))
+    query = DescriptorSeries(_seal(query_base + offset_query + noise_query))
+    pairs = _seal(np.clip(np.rint(sources).astype(np.int64), 0, params.frames - 1))
     return ref, query, GroundTruth(pairs, radius_mode="frames", radius=0.0)

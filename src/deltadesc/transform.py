@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import DescriptorSeries
+from .series import DescriptorSeries, _seal
 
 EDGE_REPLICATE = "edge-replicate"
 VALID_ONLY = "valid-only"
@@ -85,7 +85,7 @@ def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
     hi = window - lo
     out = _window_mean(series.data, lo, hi)
     valid = (lo, t_count - hi) if lo <= t_count - hi else (0, 0)
-    return DescriptorSeries(out, positions=series.positions, valid_range=valid)
+    return DescriptorSeries(_seal(out), positions=series.positions, valid_range=valid)
 
 
 def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
@@ -107,8 +107,9 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     if cfg.padding == VALID_ONLY:
         start, end = valid
         pos = series.positions[start:end] if series.positions is not None else None
+        # a slice is a view, so the series copies it
         return DescriptorSeries(out[start:end], positions=pos, valid_range=None)
-    return DescriptorSeries(out, positions=series.positions, valid_range=valid)
+    return DescriptorSeries(_seal(out), positions=series.positions, valid_range=valid)
 
 
 def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> tuple[DescriptorSeries, ...]:

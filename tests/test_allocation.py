@@ -1,9 +1,12 @@
-"""Allocation peaks of the dense match path, in units of one Q x R float64 matrix.
+"""Allocation peaks of loading and of the dense match path, in float64 matrices.
 
 Each call is traced with tracemalloc from an already-built input, so the peak
-is what the call itself allocates. The bounds pin the memory model: distance
-builds one matrix in place, seq_match allocates only its output plus
-per-block counts, and retrieve_best allocates per-query vectors only.
+is what the call itself allocates. The unit is one 1000 x 1000 float64 matrix,
+the Q x R distance matrix or the T x D descriptor matrix. The bounds pin the
+memory model: distance builds one matrix in place, seq_match allocates only
+its output plus per-block counts, retrieve_best allocates per-query vectors
+only, a sealed array is adopted without a copy, and reading a float32 file
+holds the file's bytes plus the float64 payload.
 """
 
 import tracemalloc
@@ -11,7 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deltadesc import DescriptorSeries, DistanceMatrix, distance_matrix, retrieve_best, seq_match
+from deltadesc import (
+    DescriptorSeries,
+    DistanceMatrix,
+    distance_matrix,
+    read_descriptors,
+    retrieve_best,
+    seq_match,
+    write_descriptors,
+)
 
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
@@ -50,3 +61,16 @@ def test_retrieve_best_copies_no_matrix(inputs):
 
 def test_adopting_a_result_copies_nothing(inputs):
     assert peak_matrices(DistanceMatrix, inputs[2].values) <= 0.01
+
+
+def test_adopting_a_sealed_series_copies_nothing():
+    data = np.random.default_rng(1).normal(size=(FRAMES, FRAMES))
+    data.setflags(write=False)
+    assert peak_matrices(DescriptorSeries, data) <= 0.01
+
+
+def test_reading_float32_holds_the_file_and_the_payload(tmp_path):
+    path = tmp_path / "series.dvpr"
+    data = np.random.default_rng(2).normal(size=(FRAMES, FRAMES))
+    write_descriptors(path, DescriptorSeries(data))
+    assert peak_matrices(read_descriptors, path) <= 1.55

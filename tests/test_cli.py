@@ -1,9 +1,12 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+import deltadesc.cli
+import deltadesc.io
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -221,6 +224,28 @@ class TestRunCommand:
             expected_mean = delta(ref_series, DeltaConfig(span)).data.mean(axis=0)
             np.testing.assert_allclose(model.mean, expected_mean, atol=1e-12)
 
+    def test_loaded_series_are_released_before_pca(self, synth_files, tmp_path, monkeypatch):
+        ref, query, gt = synth_files
+        loaded, alive_at_pca = [], []
+        read, fit = deltadesc.io.read_descriptors, deltadesc.cli.pca_fit
+
+        def read_and_watch(path):
+            series = read(path)
+            loaded.append(weakref.ref(series))
+            return series
+
+        def fit_and_check(*args, **kwargs):
+            alive_at_pca.append([w() is not None for w in loaded])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
+        monkeypatch.setattr(deltadesc.cli, "pca_fit", fit_and_check)
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "delta", "--window", 8, "--pca-k", 6, "--out-dir", tmp_path / "o",
+        ) == 0
+        assert alive_at_pca == [[False, False]]
+
     def test_smooth_transform_runs(self, synth_files, tmp_path):
         ref, query, gt = synth_files
         assert run_cli(
@@ -388,6 +413,42 @@ class TestExitCodes:
         assert code == 2
         assert "bank members must share frame count and dimension" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--transform", "delta", "--window", 4, "--spans", 8, 16), "--spans"),
+        (("--transform", "smooth", "--window", 4, "--spans", 8), "--spans"),
+        (("--transform", "multi-delta", "--spans", 8, "--window", 99), "--window"),
+        (("--transform", "raw", "--window", 4), "--window"),
+        (("--transform", "smooth", "--window", 4, "--padding", "valid-only"), "--padding"),
+        (("--transform", "raw", "--padding", "valid-only"), "--padding"),
+    ], ids=["delta-spans", "smooth-spans", "multi-delta-window", "raw-window",
+            "smooth-padding", "raw-padding"])
+    def test_unread_flag_is_config_error_before_loading(self, tmp_path, capsys, flags, named):
+        missing = tmp_path / "nothere.dvpr"
+        code = run_cli("run", "--ref", missing, "--query", missing, *flags,
+                       "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_transform_command_rejects_padding_under_smooth(self, tmp_path, capsys):
+        code = run_cli("transform", "--input", tmp_path / "nothere.dvpr",
+                       "--output", tmp_path / "out.dvpr", "--transform", "smooth",
+                       "--window", 4, "--padding", "valid-only")
+        assert code == 2
+        assert "--padding" in capsys.readouterr().err
+        assert not (tmp_path / "out.dvpr").exists()
+
+    def test_non_finite_csv_input_is_data_error(self, synth_files, tmp_path, capsys):
+        _, query, gt = synth_files
+        ref = tmp_path / "ref.csv"
+        data = read_descriptors(query).data.copy()
+        data[5, 3] = np.nan
+        np.savetxt(ref, data, delimiter=",")
+        code = run_cli("run", "--ref", ref, "--query", query, "--gt", gt,
+                       "--out-dir", tmp_path / "o")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ref.csv" in err and "row 5, column 3" in err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

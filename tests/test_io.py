@@ -130,6 +130,13 @@ class TestCsvDescriptors:
         with pytest.raises(DataError):
             read_descriptors(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_path_and_cell(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0\n3.0,{bad}\n")
+        with pytest.raises(DataError, match=r"bad\.csv: non-finite .* row 1, column 1"):
+            read_descriptors(path)
+
     def test_positions_need_two_columns(self, tmp_path):
         path = tmp_path / "pos.csv"
         path.write_text("1.0,2.0,3.0\n")

@@ -118,36 +118,50 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[np.inf]]))
 
 
-class TestDistanceMatrixAdoption:
+class _AdoptionCases:
+    """``_freeze``'s ownership rule, seen through one value type's ``held`` array."""
+
     def test_read_only_owning_float64_is_adopted(self):
         values = np.full((3, 4), 0.5)
         values.setflags(write=False)
-        m = DistanceMatrix(values)
-        assert np.shares_memory(m.values, values)
-        assert not m.values.flags.writeable
+        held = self.held(values)
+        assert np.shares_memory(held, values)
+        assert not held.flags.writeable
 
     def test_writable_input_is_copied(self):
         values = np.full((3, 4), 0.5)
-        m = DistanceMatrix(values)
+        held = self.held(values)
         values[:] = 1.5
-        np.testing.assert_array_equal(m.values, 0.5)
-        assert not np.shares_memory(m.values, values)
+        np.testing.assert_array_equal(held, 0.5)
+        assert not np.shares_memory(held, values)
         assert values.flags.writeable
 
     def test_read_only_view_is_copied(self):
         base = np.full((3, 4), 0.5)
         view = base[:, :2]
         view.setflags(write=False)
-        m = DistanceMatrix(view)
+        held = self.held(view)
         base[:] = 1.5
-        np.testing.assert_array_equal(m.values, 0.5)
+        np.testing.assert_array_equal(held, 0.5)
 
     def test_float32_is_converted(self):
         values = np.full((2, 2), 0.25, dtype=np.float32)
         values.setflags(write=False)
-        m = DistanceMatrix(values)
-        assert m.values.dtype == np.float64
-        np.testing.assert_array_equal(m.values, 0.25)
+        held = self.held(values)
+        assert held.dtype == np.float64
+        np.testing.assert_array_equal(held, 0.25)
+
+
+class TestDescriptorSeriesAdoption(_AdoptionCases):
+    @staticmethod
+    def held(values):
+        return DescriptorSeries(values).data
+
+
+class TestDistanceMatrixAdoption(_AdoptionCases):
+    @staticmethod
+    def held(values):
+        return DistanceMatrix(values).values
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
     def test_non_finite_rejected(self, bad):

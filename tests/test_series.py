@@ -1,40 +1,20 @@
 import numpy as np
 import pytest
 
+import deltadesc.series
 from deltadesc import (
+    DeltaConfig,
     DescriptorSeries,
     GroundTruth,
     apply_permutation,
     cosine_distance,
-    l2_normalize,
+    delta,
+    pca_fit,
+    pca_transform,
+    read_descriptors,
+    smooth,
+    write_descriptors,
 )
-
-
-def test_l2_normalize_hand_cases():
-    series = DescriptorSeries(np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 1.0]]))
-    out = l2_normalize(series)
-    np.testing.assert_allclose(out.data[0], [0.6, 0.8], atol=1e-15)
-    np.testing.assert_array_equal(out.data[1], [0.0, 0.0])
-    np.testing.assert_allclose(out.data[2], [1 / np.sqrt(2)] * 2, atol=1e-15)
-
-
-def test_l2_normalize_idempotent():
-    rng = np.random.default_rng(3)
-    series = DescriptorSeries(rng.normal(size=(40, 17)) * 50.0)
-    once = l2_normalize(series)
-    twice = l2_normalize(once)
-    np.testing.assert_allclose(twice.data, once.data, atol=1e-12)
-    assert np.allclose(np.linalg.norm(once.data, axis=1), 1.0)
-
-
-def test_l2_normalize_keeps_shape_and_metadata():
-    rng = np.random.default_rng(4)
-    pos = rng.normal(size=(5, 2))
-    series = DescriptorSeries(rng.normal(size=(5, 3)), positions=pos, valid_range=(1, 4))
-    out = l2_normalize(series)
-    assert out.data.shape == (5, 3)
-    np.testing.assert_array_equal(out.positions, pos)
-    assert out.valid_range == (1, 4)
 
 
 def test_cosine_distance_matches_normalized_euclidean():
@@ -63,6 +43,13 @@ class TestDescriptorSeries:
         with pytest.raises(ValueError, match="row 1, column 1"):
             DescriptorSeries(bad)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinities(self, bad):
+        data = np.ones((3, 2))
+        data[2, 0] = bad
+        with pytest.raises(ValueError, match="row 2, column 0"):
+            DescriptorSeries(data)
+
     def test_rejects_position_mismatch(self):
         with pytest.raises(ValueError):
             DescriptorSeries(np.ones((3, 2)), positions=np.zeros((2, 2)))
@@ -77,6 +64,41 @@ class TestDescriptorSeries:
         series = DescriptorSeries(np.ones((2, 2)))
         with pytest.raises(ValueError):
             series.data[0, 0] = 5.0
+
+
+def _read_back(series, path):
+    if path.suffix == ".csv":
+        np.savetxt(path, series.data, delimiter=",")
+    else:
+        write_descriptors(path, series)
+    return read_descriptors(path)
+
+
+PRODUCERS = {
+    "read_descriptors-binary": lambda s, model, tmp: _read_back(s, tmp / "s.dvpr"),
+    "read_descriptors-csv": lambda s, model, tmp: _read_back(s, tmp / "s.csv"),
+    "delta": lambda s, model, tmp: delta(s, DeltaConfig(window=3)),
+    "smooth": lambda s, model, tmp: smooth(s, 4),
+    "pca_transform": lambda s, model, tmp: pca_transform(model, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_producers_hand_over_their_result(name, tmp_path, monkeypatch):
+    series = DescriptorSeries(np.random.default_rng(6).normal(size=(20, 5)))
+    model = pca_fit(series, 3)
+    handed = []
+    freeze = deltadesc.series._freeze
+
+    def spy(arr, dtype=np.float64):
+        handed.append(arr)
+        return freeze(arr, dtype)
+
+    monkeypatch.setattr(deltadesc.series, "_freeze", spy)
+    data = PRODUCERS[name](series, model, tmp_path).data
+    assert data.flags.owndata and not data.flags.writeable
+    # the series holds the very array the producer handed over: no copy was made
+    assert any(arr is data for arr in handed)
 
 
 class TestGroundTruth:

@@ -83,6 +83,8 @@ class RunConfig:
         if self.transform in ("smooth", "delta"):
             if self.window is None or int(self.window) < 1:
                 raise ValueError(f"transform {self.transform!r} needs --window >= 1")
+        if self.padding == VALID_ONLY and not self.gt_path:
+            raise ValueError("--padding valid-only restricts scoring under run and needs --gt")
         if self.transform == "multi-delta" and not self.spans:
             raise ValueError("multi-delta needs a non-empty --spans list")
         if any(int(s) < 1 for s in self.spans or ()):
@@ -166,10 +168,11 @@ def _score(
     ref_positions: Optional[np.ndarray],
     out_matches: Optional[Path],
     out_pr: Optional[Path],
+    query_valid_range: Optional[tuple[int, int]] = None,
 ) -> PrCurve:
     """PR curve of the matches; writes the scored match CSV and the curve where asked."""
     with _stage("evaluate"):
-        curve = evaluate_pr(matches, gt, ref_positions)
+        curve = evaluate_pr(matches, gt, ref_positions, query_valid_range)
         correct = correct_matches(matches, gt, ref_positions)
     if out_matches:
         ddio.write_matches_csv(out_matches, matches, correct)
@@ -223,10 +226,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
     # the one place that orders a span bank: distinct spans, shortest first
     spans = sorted({int(s) for s in cfg.spans or ()})
     with _stage("transform"):
+        # frame-aligned members; valid-only restricts scoring to the unpadded queries
         q_members, r_members = (
-            _transform_members(series, cfg.transform, cfg.window, cfg.padding, spans)
+            _transform_members(series, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
             for series in (query, ref)
         )
+        scored = q_members[0].valid_range if cfg.padding == VALID_ONLY else None
+        if scored is not None and scored[0] >= scored[1]:
+            raise ValueError("series too short for span")
     # the members replace the loaded series: release them before PCA and matching
     del query, ref
     if cfg.pca_k is not None:
@@ -252,7 +259,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if gt is None:
         ddio.write_matches_csv(out_dir / "matches.csv", matches)
     else:
-        curve = _score(matches, gt, ref_positions, out_dir / "matches.csv", out_dir / "pr.csv")
+        curve = _score(
+            matches, gt, ref_positions, out_dir / "matches.csv", out_dir / "pr.csv", scored
+        )
 
     window = int(cfg.window) if cfg.transform in ("smooth", "delta") else None
     pca_k = int(cfg.pca_k) if cfg.pca_k is not None else None

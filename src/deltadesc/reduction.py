@@ -43,12 +43,11 @@ class PcaModel:
         return self.mean.size
 
 
-def pca_fit(series: DescriptorSeries, k: int, center: bool = True) -> PcaModel:
-    """Fit a k-component PCA model via SVD of the (optionally) centered rows.
+def pca_fit(series: DescriptorSeries, k: int) -> PcaModel:
+    """Fit a k-component PCA model via SVD of the centered rows.
 
     Sign convention is deterministic: each component is flipped so its
-    largest-magnitude entry is positive. ``center=False`` keeps the mean at
-    zero, exposing the raw projection's sensitivity to data centering.
+    largest-magnitude entry is positive.
     """
     t_count, dim = series.frame_count, series.dim
     if t_count < 2:
@@ -56,7 +55,7 @@ def pca_fit(series: DescriptorSeries, k: int, center: bool = True) -> PcaModel:
     k = int(k)
     if not 1 <= k <= min(t_count, dim):
         raise ValueError(f"k must be in [1, {min(t_count, dim)}], got {k}")
-    mean = series.data.mean(axis=0) if center else np.zeros(dim)
+    mean = series.data.mean(axis=0)
     centered = series.data - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:k].T.copy()
@@ -66,19 +65,12 @@ def pca_fit(series: DescriptorSeries, k: int, center: bool = True) -> PcaModel:
     return PcaModel(_seal(mean), _seal(components), _seal(variance))
 
 
-def pca_transform(
-    model: PcaModel, series: DescriptorSeries, whiten: bool = False
-) -> DescriptorSeries:
+def pca_transform(model: PcaModel, series: DescriptorSeries) -> DescriptorSeries:
     """Project rows onto the model components: (x - mean) @ components.
 
-    Positions and valid_range carry through unchanged. ``whiten`` divides each
-    coordinate by the component's standard deviation (zero-variance components
-    are left unscaled).
+    Positions and valid_range carry through unchanged.
     """
     if series.dim != model.input_dim:
         raise ValueError(f"dimension mismatch: series D={series.dim}, model D={model.input_dim}")
     z = (series.data - model.mean) @ model.components
-    if whiten:
-        scale = np.sqrt(model.explained_variance)
-        z = z / np.where(scale > 0.0, scale, 1.0)
     return DescriptorSeries(_seal(z), positions=series.positions, valid_range=series.valid_range)

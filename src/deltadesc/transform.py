@@ -14,7 +14,9 @@ robust to global appearance change between repeated traverses.
 Two boundary policies exist: ``edge-replicate`` pads by repeating the first
 and last rows and keeps the output length at T (so frame indices stay aligned
 with the input and with ground truth), while ``valid-only`` returns only the
-T - 2l + 1 frames whose window lies fully inside the series.
+T - 2l + 1 frames whose window lies fully inside the series. Every window sum,
+``smooth``'s too, is a difference of two row slices of the running sums of one
+padded copy of the series (``_box_sums``), so a call holds that and its output.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ class DeltaConfig:
             )
 
 
-def _prefix_sums(data: np.ndarray) -> np.ndarray:
-    """Return C with C[i] = sum of rows [0, i), so sums of row slices are C[b]-C[a]."""
-    csum = np.empty((data.shape[0] + 1, data.shape[1]))
-    csum[0] = 0.0
-    np.cumsum(data, axis=0, out=csum[1:])
-    return csum
+def _box_sums(padded: np.ndarray, width: int) -> np.ndarray:
+    """Row i is the sum of ``padded`` rows i+1 .. i+width; ``padded`` becomes its running sums."""
+    csum = np.cumsum(padded, axis=0, out=padded)
+    return csum[width:] - csum[:-width]
 
 
 def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -61,12 +61,10 @@ def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
     divided by the in-range count. A one-row window returns ``data`` copied bit for bit."""
     if before == after == 0:
         return data.copy()
-    t_count = data.shape[0]
-    csum = _prefix_sums(data)
-    t = np.arange(t_count)
-    starts = np.clip(t - before, 0, t_count)
-    stops = np.clip(t + after + 1, 0, t_count)
-    return (csum[stops] - csum[starts]) / (stops - starts)[:, None].astype(float)
+    out = _box_sums(np.pad(data, ((before + 1, after), (0, 0))), before + after + 1)
+    t = np.arange(len(data))
+    out /= (np.minimum(t + after + 1, len(data)) - np.maximum(t - before, 0))[:, None]
+    return out
 
 
 def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
@@ -98,17 +96,17 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     """
     l = cfg.window
     t_count = series.frame_count
+    valid = (l - 1, t_count - l) if l - 1 <= t_count - l else (0, 0)
     if cfg.padding == VALID_ONLY and t_count < 2 * l:
         raise ValueError("series too short for span")
-    csum = _prefix_sums(np.pad(series.data, ((l, l), (0, 0)), mode="edge"))
-    t = np.arange(t_count) + l
-    out = ((csum[t + l + 1] - csum[t + 1]) - (csum[t + 1] - csum[t - l + 1])) / l
-    valid = (l - 1, t_count - l) if l - 1 <= t_count - l else (0, 0)
+    start, end = valid if cfg.padding == VALID_ONLY else (0, t_count)
+    # sums[t + l] is the window ahead of output row t, sums[t] the window up to it
+    sums = _box_sums(np.pad(series.data, ((l, l), (0, 0)), mode="edge"), l)
+    out = sums[l + start : l + end] - sums[start:end]
+    out /= l
     if cfg.padding == VALID_ONLY:
-        start, end = valid
         pos = series.positions[start:end] if series.positions is not None else None
-        # a slice is a view, so the series copies it
-        return DescriptorSeries(out[start:end], positions=pos, valid_range=None)
+        return DescriptorSeries(_seal(out), positions=pos, valid_range=None)
     return DescriptorSeries(_seal(out), positions=series.positions, valid_range=valid)
 
 

@@ -1,9 +1,10 @@
-"""Allocation peaks of loading and of the dense match path, in float64 matrices.
+"""Allocation peaks of loading, the transforms and the dense match path, in float64 matrices.
 
 Each call is traced with tracemalloc from an already-built input, so the peak
 is what the call itself allocates. The unit is one 1000 x 1000 float64 matrix,
 the Q x R distance matrix or the T x D descriptor matrix. The bounds pin the
-memory model: distance builds one matrix in place, seq_match allocates only
+memory model: delta and smooth hold one padded copy of the series plus their
+output, distance builds one matrix in place, seq_match allocates only
 its output plus per-block counts, retrieve_best allocates per-query vectors
 only, a sealed array is adopted without a copy, and reading a float32 file
 holds the file's bytes plus the float64 payload.
@@ -15,12 +16,16 @@ import numpy as np
 import pytest
 
 from deltadesc import (
+    VALID_ONLY,
+    DeltaConfig,
     DescriptorSeries,
     DistanceMatrix,
+    delta,
     distance_matrix,
     read_descriptors,
     retrieve_best,
     seq_match,
+    smooth,
     write_descriptors,
 )
 
@@ -44,6 +49,20 @@ def inputs():
     query = DescriptorSeries(rng.normal(size=(FRAMES, 16)))
     ref = DescriptorSeries(rng.normal(size=(FRAMES, 16)))
     return query, ref, distance_matrix(query, ref)
+
+
+@pytest.fixture(scope="module")
+def square_series():
+    return DescriptorSeries(np.random.default_rng(3).normal(size=(FRAMES, FRAMES)))
+
+
+@pytest.mark.parametrize("padding", ["edge-replicate", VALID_ONLY])
+def test_delta_holds_the_padded_copy_and_its_output(square_series, padding):
+    assert peak_matrices(delta, square_series, DeltaConfig(16, padding=padding)) <= 2.1
+
+
+def test_smooth_holds_the_padded_copy_and_its_output(square_series):
+    assert peak_matrices(smooth, square_series, 16) <= 2.1
 
 
 def test_distance_matrix_holds_one_matrix(inputs):

@@ -11,11 +11,15 @@ from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
     delta,
+    evaluate_pr,
     load_pca_model,
+    max_f1,
+    precision_at_full_recall,
     read_descriptors,
     read_ground_truth,
     read_matches_csv,
     write_descriptors,
+    write_pr_csv,
 )
 from deltadesc.cli import main
 
@@ -246,6 +250,31 @@ class TestRunCommand:
         ) == 0
         assert alive_at_pca == [[False, False]]
 
+    def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
+        ref, query, gt = synth_files
+        out = {}
+        for padding in ("edge-replicate", "valid-only"):
+            out[padding] = tmp_path / padding
+            assert run_cli(
+                "run", "--ref", ref, "--query", query, "--gt", gt,
+                "--transform", "delta", "--window", 8, "--padding", padding,
+                "--radius", 2, "--out-dir", out[padding],
+            ) == 0
+        edge, valid = out["edge-replicate"], out["valid-only"]
+        # the same frame-aligned match: one row per query, border references included
+        assert (valid / "matches.csv").read_bytes() == (edge / "matches.csv").read_bytes()
+        # scored over delta's valid range (7, 292) of the 300 queries
+        curve = evaluate_pr(
+            read_matches_csv(edge / "matches.csv"), read_ground_truth(gt, radius=2),
+            query_valid_range=(7, 292),
+        )
+        assert curve.query_count == 285
+        write_pr_csv(tmp_path / "expected_pr.csv", curve)
+        assert (valid / "pr.csv").read_bytes() == (tmp_path / "expected_pr.csv").read_bytes()
+        summary = json.loads((valid / "summary.json").read_text())
+        assert summary["max_f1"] == max_f1(curve)
+        assert summary["precision_at_full_recall"] == precision_at_full_recall(curve)
+
     def test_smooth_transform_runs(self, synth_files, tmp_path):
         ref, query, gt = synth_files
         assert run_cli(
@@ -360,6 +389,25 @@ class TestExitCodes:
         assert code == 2
         assert "--padding" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_valid_only_without_gt_is_config_error_before_loading(self, tmp_path, capsys):
+        missing = tmp_path / "nothere.dvpr"
+        code = run_cli("run", "--ref", missing, "--query", missing, "--transform", "delta",
+                       "--window", 4, "--padding", "valid-only", "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert "--padding" in capsys.readouterr().err
+
+    def test_valid_only_span_beyond_half_the_query_is_config_error(
+        self, synth_files, tmp_path, capsys
+    ):
+        ref, query, gt = synth_files
+        code = run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
+            "--window", 151, "--padding", "valid-only", "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert "[transform] series too short for span" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "matches.csv").exists()
 
     def test_dense_match_over_physical_memory_is_config_error(self, tmp_path, capsys):
         frames = 200_000

@@ -3,6 +3,7 @@ import pytest
 
 import deltadesc.series
 from deltadesc import (
+    VALID_ONLY,
     DeltaConfig,
     DescriptorSeries,
     GroundTruth,
@@ -78,6 +79,7 @@ PRODUCERS = {
     "read_descriptors-binary": lambda s, model, tmp: _read_back(s, tmp / "s.dvpr"),
     "read_descriptors-csv": lambda s, model, tmp: _read_back(s, tmp / "s.csv"),
     "delta": lambda s, model, tmp: delta(s, DeltaConfig(window=3)),
+    "delta-valid-only": lambda s, model, tmp: delta(s, DeltaConfig(3, padding=VALID_ONLY)),
     "smooth": lambda s, model, tmp: smooth(s, 4),
     "pca_transform": lambda s, model, tmp: pca_transform(model, s),
 }

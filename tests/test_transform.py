@@ -12,6 +12,7 @@ from deltadesc import (
     delta_bank,
     smooth,
 )
+from deltadesc.transform import _window_mean
 
 
 def delta_by_direct_means(data: np.ndarray, window: int) -> np.ndarray:
@@ -23,6 +24,74 @@ def delta_by_direct_means(data: np.ndarray, window: int) -> np.ndarray:
         trail = np.mean(data[t - window + 1 : t + 1], axis=0)
         rows.append(lead - trail)
     return np.array(rows)
+
+
+def prefix_sums_by_gathers(data: np.ndarray) -> np.ndarray:
+    csum = np.empty((data.shape[0] + 1, data.shape[1]))
+    csum[0] = 0.0
+    np.cumsum(data, axis=0, out=csum[1:])
+    return csum
+
+
+def window_mean_by_gathers(data: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Oracle: the clipped index-vector window mean the box-sum kernel replaced."""
+    if before == after == 0:
+        return data.copy()
+    t_count = data.shape[0]
+    csum = prefix_sums_by_gathers(data)
+    t = np.arange(t_count)
+    starts = np.clip(t - before, 0, t_count)
+    stops = np.clip(t + after + 1, 0, t_count)
+    return (csum[stops] - csum[starts]) / (stops - starts)[:, None].astype(float)
+
+
+def delta_by_gathers(data: np.ndarray, window: int, padding: str) -> np.ndarray:
+    """Oracle: the four-gather delta over edge-padded prefix sums the kernel replaced."""
+    t_count = data.shape[0]
+    csum = prefix_sums_by_gathers(np.pad(data, ((window, window), (0, 0)), mode="edge"))
+    t = np.arange(t_count) + window
+    out = (
+        (csum[t + window + 1] - csum[t + 1]) - (csum[t + 1] - csum[t - window + 1])
+    ) / window
+    return out[window - 1 : t_count - window] if padding == VALID_ONLY else out
+
+
+class TestBoxSumKernel:
+    """The box-sum kernel reproduces the gather formulas bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(min_value=1, max_value=60),
+        dims=st.integers(min_value=1, max_value=6),
+        window=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_delta_equals_gathers(self, frames, dims, window, seed):
+        data = np.random.default_rng(seed).normal(size=(frames, dims)) * 10.0
+        series = DescriptorSeries(data)
+        out = delta(series, DeltaConfig(window))
+        assert np.array_equal(out.data, delta_by_gathers(data, window, EDGE_REPLICATE))
+        if frames < 2 * window:
+            with pytest.raises(ValueError, match="series too short for span"):
+                delta(series, DeltaConfig(window, padding=VALID_ONLY))
+        else:
+            out = delta(series, DeltaConfig(window, padding=VALID_ONLY))
+            assert np.array_equal(out.data, delta_by_gathers(data, window, VALID_ONLY))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(min_value=1, max_value=60),
+        dims=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+        data=st.data(),
+    )
+    def test_window_mean_equals_gathers(self, frames, dims, seed, data):
+        before = data.draw(st.integers(min_value=0, max_value=frames + 3), label="before")
+        after = data.draw(st.integers(min_value=0, max_value=frames + 3), label="after")
+        rows = np.random.default_rng(seed).normal(size=(frames, dims)) * 10.0
+        assert np.array_equal(
+            _window_mean(rows, before, after), window_mean_by_gathers(rows, before, after)
+        )
 
 
 class TestSmooth:

@@ -44,7 +44,13 @@ class PcaModel:
 
 
 def pca_fit(series: DescriptorSeries, k: int) -> PcaModel:
-    """Fit a k-component PCA model via SVD of the centered rows.
+    """Fit a k-component PCA model from the top eigenpairs of the smaller Gram matrix.
+
+    The Gram matrix of the centered rows is D x D when T >= D, else T x T; then
+    its eigenvectors map back through ``centeredᵀ`` and QR keeps them orthonormal
+    past the centered rank of T - 1. Variances are eigenvalues / (T - 1), clamped
+    at 0: the Gram matrix squares the condition number, so near-null variances
+    carry round-off of about eps * largest variance * max(T, D).
 
     Sign convention is deterministic: each component is flipped so its
     largest-magnitude entry is positive.
@@ -57,11 +63,16 @@ def pca_fit(series: DescriptorSeries, k: int) -> PcaModel:
         raise ValueError(f"k must be in [1, {min(t_count, dim)}], got {k}")
     mean = series.data.mean(axis=0)
     centered = series.data - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:k].T.copy()
+    # eigh sorts ascending: the top k eigenpairs are the last k, reversed
+    if t_count >= dim:
+        eigval, eigvec = np.linalg.eigh(centered.T @ centered)
+        components = eigvec[:, ::-1][:, :k].copy()
+    else:
+        eigval, eigvec = np.linalg.eigh(centered @ centered.T)
+        components = np.linalg.qr(centered.T @ eigvec[:, ::-1][:, :k])[0]
     flip = components[np.argmax(np.abs(components), axis=0), np.arange(k)] < 0
     components[:, flip] *= -1.0
-    variance = singular[:k] ** 2 / (t_count - 1)
+    variance = np.maximum(eigval[::-1][:k], 0.0) / (t_count - 1)
     return PcaModel(_seal(mean), _seal(components), _seal(variance))
 
 

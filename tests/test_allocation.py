@@ -6,8 +6,9 @@ the Q x R distance matrix or the T x D descriptor matrix. The bounds pin the
 memory model: delta and smooth hold one padded copy of the series plus their
 output, distance builds one matrix in place, seq_match allocates only
 its output plus per-block counts, retrieve_best allocates per-query vectors
-only, a sealed array is adopted without a copy, and reading a float32 file
-holds the file's bytes plus the float64 payload.
+only, a sealed array is adopted without a copy, reading a float32 file
+holds the file's bytes plus the float64 payload, and the self-distance
+profile holds its d_max x T products, one GEMM block and a few T-vectors.
 """
 
 import tracemalloc
@@ -24,10 +25,12 @@ from deltadesc import (
     distance_matrix,
     read_descriptors,
     retrieve_best,
+    self_distance_profile,
     seq_match,
     smooth,
     write_descriptors,
 )
+from deltadesc.calibration import PROFILE_BLOCK_ROWS
 
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
@@ -93,3 +96,12 @@ def test_reading_float32_holds_the_file_and_the_payload(tmp_path):
     data = np.random.default_rng(2).normal(size=(FRAMES, FRAMES))
     write_descriptors(path, DescriptorSeries(data))
     assert peak_matrices(read_descriptors, path) <= 1.55
+
+
+def test_self_distance_profile_holds_its_products_and_one_block():
+    frames, d_max = 8000, 512
+    series = DescriptorSeries(np.random.default_rng(4).normal(size=(frames, 64)))
+    products = d_max * frames
+    block = PROFILE_BLOCK_ROWS * (PROFILE_BLOCK_ROWS + d_max - 1)
+    bound = (products + block + 4 * frames) * 8 / MATRIX_BYTES
+    assert peak_matrices(self_distance_profile, series, d_max) <= bound

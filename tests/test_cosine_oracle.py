@@ -3,16 +3,19 @@
 The oracle is written out element by element, so it shares nothing with the
 library's GEMM kernel or with ``cosine_distance``. Rows come in four kinds:
 ordinary rows, rows of exact zeros, dead rows with a norm below 1e-12, and
-tiny rows whose norm is small but above the threshold.
+tiny rows whose norm is small but above the threshold. Profiles long enough to
+cross the profile's GEMM blocks are checked against a per-offset row-dot loop.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltadesc import DescriptorSeries, distance_matrix, multi_delta_distance, self_distance_profile
+from deltadesc.calibration import PROFILE_BLOCK_ROWS as B
 
 # row norm per kind; "dead" sits well below the 1e-12 threshold, "tiny" well above it
 ROW_NORMS = {"live": None, "zero": 0.0, "dead": 3e-14, "tiny": 1e-10}
@@ -110,3 +113,25 @@ def test_self_distance_profile_matches_oracle(row_kinds, dim, data, seed):
         for d in range(1, d_max + 1)
     ]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def rowwise_profile(rows, d_max) -> np.ndarray:
+    """Median cosine distance per offset from one row-wise dot product per offset."""
+    norms = np.linalg.norm(rows, axis=1)
+    scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-12)
+    medians = []
+    for d in range(1, d_max + 1):
+        dots = np.einsum("td,td->t", rows[:-d], rows[d:])
+        medians.append(np.median(np.clip(1.0 - dots * scales[:-d] * scales[d:], 0.0, 2.0)))
+    return np.array(medians)
+
+
+@pytest.mark.parametrize("frames", [B - 1, B, B + 1, 2 * B + 1])
+def test_self_distance_profile_across_gemm_blocks(frames):
+    rng = np.random.default_rng(frames)
+    row_kinds = rng.choice(sorted(ROW_NORMS), size=frames, p=[0.1, 0.7, 0.1, 0.1])
+    rows = make_rows(row_kinds, 5, rng)
+    # offsets that stay inside a block, reach into the next one, and span all rows
+    for d_max in sorted({1, min(B // 2 + 1, frames - 1), min(B + 1, frames - 1), frames - 1}):
+        got = self_distance_profile(DescriptorSeries(rows), d_max).median_distance
+        np.testing.assert_allclose(got, rowwise_profile(rows, d_max), rtol=0, atol=1e-12)

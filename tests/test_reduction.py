@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltadesc import DescriptorSeries, PcaModel, pca_fit, pca_transform
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+EPS = np.finfo(np.float64).eps
+KINDS = ("gaussian", "rank-deficient", "constant-columns", "large-offset")
 
 
 def line_series(n=12, seed=0):
@@ -63,6 +67,83 @@ class TestPcaFit:
             pca_fit(series, 5)
         with pytest.raises(ValueError):
             pca_fit(DescriptorSeries(np.ones((1, 4))), 1)
+
+
+def svd_oracle(data):
+    """Variances and components (as rows) from the thin SVD of the centered rows."""
+    centered = data - data.mean(axis=0)
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    return singular**2 / (len(data) - 1), vt
+
+
+def make_data(kind, t_count, dim, rng):
+    data = rng.normal(size=(t_count, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    if kind == "rank-deficient":
+        rank = int(rng.integers(1, min(t_count, dim) + 1))
+        data = rng.normal(size=(t_count, rank)) @ rng.normal(size=(rank, dim))
+    elif kind == "constant-columns":
+        cols = rng.random(dim) < 0.5
+        data[:, cols] = rng.normal(size=cols.sum())
+    elif kind == "large-offset":
+        data = 1e6 + 1e4 * rng.normal(size=(t_count, dim))
+    return data
+
+
+def check_against_svd(data, k):
+    """pca_fit agrees with the SVD oracle up to the round-off of forming a Gram matrix.
+
+    The Gram matrix squares the condition number, so variances may differ by
+    about eps * lambda_1 * max(T, D); by Davis-Kahan, the top-j projectors then
+    differ by at most that error over the eigengap below j, and are compared
+    only where that bound resolves the subspace.
+    """
+    t_count, dim = data.shape
+    model = pca_fit(DescriptorSeries(data), k)
+    components = model.components
+    np.testing.assert_allclose(components.T @ components, np.eye(k), rtol=0, atol=1e-12)
+    peaks = components[np.argmax(np.abs(components), axis=0), np.arange(k)]
+    assert np.all(peaks > 0)
+    variance, vt = svd_oracle(data)
+    tol = 16 * EPS * variance[0] * max(t_count, dim)
+    np.testing.assert_allclose(model.explained_variance, variance[:k], rtol=0, atol=tol)
+    below = np.append(variance, 0.0)  # past the last singular value the variance is 0
+    for j in range(1, k + 1):
+        gap = below[j - 1] - below[j]
+        if gap > 1e3 * tol:
+            got = components[:, :j] @ components[:, :j].T
+            expected = vt[:j].T @ vt[:j]
+            assert np.linalg.norm(got - expected, 2) <= tol / gap
+
+
+class TestPcaOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shape=st.sampled_from(["tall", "square", "wide"]),
+        small=st.integers(min_value=1, max_value=10),
+        extra=st.integers(min_value=1, max_value=8),
+        kind=st.sampled_from(KINDS),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_svd(self, shape, small, extra, kind, data, seed):
+        t_count, dim = {
+            "tall": (small + extra, small),
+            "square": (max(small, 2), max(small, 2)),
+            "wide": (max(small, 2), max(small, 2) + extra),
+        }[shape]
+        k = data.draw(st.integers(min_value=1, max_value=min(t_count, dim)))
+        check_against_svd(make_data(kind, t_count, dim, np.random.default_rng(seed)), k)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("t_count, dim", [(3, 5), (6, 10), (40, 200)])
+    def test_all_components_below_dim_are_orthonormal(self, t_count, dim, kind):
+        # centering leaves rank <= T - 1, so component T has no direction to map back
+        check_against_svd(make_data(kind, t_count, dim, np.random.default_rng(t_count)), t_count)
+
+    def test_large_offset_tail_is_round_off(self):
+        data = make_data("large-offset", 60, 8, np.random.default_rng(6))
+        data[:, 1] = data[:, 0]  # exact rank deficiency: the last variance is 0
+        check_against_svd(data, 8)
 
 
 class TestPcaTransform:

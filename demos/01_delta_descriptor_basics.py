@@ -11,7 +11,7 @@ change measured across a window of frames, and any constant offset cancels.
 
 import numpy as np
 
-from deltadesc import DeltaConfig, DescriptorSeries, cosine_distance, delta, smooth
+from deltadesc import DeltaConfig, DescriptorSeries, cosine_distance, delta, delta_valid_range
 
 rng = np.random.default_rng(0)
 
@@ -21,16 +21,14 @@ signal = np.cumsum(steps, axis=0) / 4.0
 traverse = DescriptorSeries(signal)
 print(f"traverse: {traverse.frame_count} frames x {traverse.dim} dims")
 
-# The smoothed baseline is a centered moving average. Constant regions stay
-# put; the valid_range marks rows whose window never left the series.
-smoothed = smooth(traverse, 4)
-print(f"smoothed valid_range (half-open): {smoothed.valid_range}")
-
 # The delta descriptor at frame t is the mean of the 'window' frames ahead
 # minus the mean of the 'window' frames up to t: a signed vector of change.
+# Edge replication keeps all T rows; delta_valid_range gives the half-open
+# rows whose window never left the series.
 cfg = DeltaConfig(window=4)
 changed = delta(traverse, cfg)
-print(f"delta series shape: {changed.data.shape}, valid_range {changed.valid_range}")
+valid = delta_valid_range(traverse.frame_count, cfg.window)
+print(f"delta series shape: {changed.data.shape}, valid rows (half-open) {valid}")
 
 # A linear ramp of slope s produces delta = s * window in the interior.
 ramp = DescriptorSeries(np.arange(40, dtype=float)[:, None])

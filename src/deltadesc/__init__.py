@@ -54,6 +54,7 @@ from .transform import (
     DeltaConfig,
     delta,
     delta_bank,
+    delta_valid_range,
     smooth,
 )
 

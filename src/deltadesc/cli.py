@@ -30,7 +30,8 @@ from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_
 from .reduction import pca_fit, pca_transform
 from .series import DescriptorSeries, GroundTruth, _seal, apply_permutation
 from .synth import SynthParams, generate_traverse_pair
-from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, delta, delta_bank, smooth
+from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, delta, delta_bank
+from .transform import delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
@@ -45,8 +46,8 @@ def _stage(name: str):
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
-def _check_unread_flags(transform: str, window, spans, padding: str) -> None:
-    """Reject a transform flag that ``transform`` would silently ignore."""
+def _check_transform_flags(transform: str, window, spans, padding: str) -> None:
+    """Reject a missing window and any transform flag that ``transform`` would silently ignore."""
     if padding not in (EDGE_REPLICATE, VALID_ONLY):
         raise ValueError(f"unknown padding {padding!r}")
     if window is not None and transform not in ("smooth", "delta"):
@@ -55,6 +56,13 @@ def _check_unread_flags(transform: str, window, spans, padding: str) -> None:
         raise ValueError(f"--spans is read only by multi-delta, not by {transform!r}")
     if padding != EDGE_REPLICATE and transform != "delta":
         raise ValueError(f"--padding {padding} is read only by delta, not by {transform!r}")
+    if transform in ("smooth", "delta") and (window is None or int(window) < 1):
+        raise ValueError(f"transform {transform!r} needs --window >= 1")
+
+
+def _check_seqmatch_length(length: int) -> None:
+    if int(length) < 1:
+        raise ValueError("seqmatch length must be >= 1")
 
 
 @dataclass
@@ -79,18 +87,14 @@ class RunConfig:
     def validate(self) -> None:
         if self.transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
-        _check_unread_flags(self.transform, self.window, self.spans, self.padding)
-        if self.transform in ("smooth", "delta"):
-            if self.window is None or int(self.window) < 1:
-                raise ValueError(f"transform {self.transform!r} needs --window >= 1")
+        _check_transform_flags(self.transform, self.window, self.spans, self.padding)
         if self.padding == VALID_ONLY and not self.gt_path:
             raise ValueError("--padding valid-only restricts scoring under run and needs --gt")
         if self.transform == "multi-delta" and not self.spans:
             raise ValueError("multi-delta needs a non-empty --spans list")
         if any(int(s) < 1 for s in self.spans or ()):
             raise ValueError(f"--spans must all be >= 1, got {list(self.spans)}")
-        if int(self.seqmatch_length) < 1:
-            raise ValueError("seqmatch length must be >= 1")
+        _check_seqmatch_length(self.seqmatch_length)
         if self.pca_k is not None and int(self.pca_k) < 1:
             raise ValueError("pca_k must be >= 1")
         if self.pca_fit_on not in FIT_SOURCES:
@@ -216,24 +220,32 @@ def run_pipeline(cfg: RunConfig) -> dict:
     with _stage("load"):
         ref = ddio.read_descriptors(cfg.ref_path)
         query = ddio.read_descriptors(cfg.query_path)
-        gt = (
-            ddio.read_ground_truth(cfg.gt_path, radius_mode=cfg.radius_mode, radius=cfg.radius)
-            if cfg.gt_path
-            else None
-        )
-        ref_positions = ddio.read_positions(cfg.positions_path) if cfg.positions_path else None
+        gt = ref_positions = None
+        if cfg.gt_path:
+            gt = ddio.read_ground_truth(cfg.gt_path, radius_mode=cfg.radius_mode, radius=cfg.radius)
+            try:
+                gt.check_traverses(query.frame_count, ref.frame_count)
+            except ValueError as exc:
+                raise ddio.DataError(f"{cfg.gt_path}: {exc}") from exc
+        if cfg.positions_path:
+            ref_positions = ddio.read_positions(cfg.positions_path)
+            if len(ref_positions) != ref.frame_count:
+                raise ddio.DataError(
+                    f"{cfg.positions_path}: {len(ref_positions)} positions for "
+                    f"{ref.frame_count} reference frames"
+                )
 
     # the one place that orders a span bank: distinct spans, shortest first
     spans = sorted({int(s) for s in cfg.spans or ()})
     with _stage("transform"):
         # frame-aligned members; valid-only restricts scoring to the unpadded queries
+        scored = None
+        if cfg.padding == VALID_ONLY:
+            scored = delta_valid_range(query.frame_count, cfg.window)
         q_members, r_members = (
             _transform_members(series, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
             for series in (query, ref)
         )
-        scored = q_members[0].valid_range if cfg.padding == VALID_ONLY else None
-        if scored is not None and scored[0] >= scored[1]:
-            raise ValueError("series too short for span")
     # the members replace the loaded series: release them before PCA and matching
     del query, ref
     if cfg.pca_k is not None:
@@ -310,7 +322,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    _check_unread_flags(args.transform, args.window, None, args.padding)
+    _check_transform_flags(args.transform, args.window, None, args.padding)
     series = ddio.read_descriptors(args.input)
     with _stage("transform"):
         (out,) = _transform_members(series, args.transform, args.window, args.padding)
@@ -320,6 +332,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    _check_seqmatch_length(args.seqmatch_length)
     queries = [ddio.read_descriptors(p) for p in args.query]
     refs = [ddio.read_descriptors(p) for p in args.ref]
     m, matches = _match(queries, refs, args.seqmatch_length)

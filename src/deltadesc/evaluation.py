@@ -30,8 +30,6 @@ class PrCurve:
     thresholds: np.ndarray
     precisions: np.ndarray
     recalls: np.ndarray
-    radius: float
-    radius_mode: str
     correct_total: int
     query_count: int
 
@@ -105,8 +103,6 @@ def evaluate_pr(
         thresholds=_seal(d_sorted[last]),
         precisions=_seal(precision),
         recalls=_seal(recall),
-        radius=gt.radius,
-        radius_mode=gt.radius_mode,
         correct_total=int(correct.sum()),
         query_count=q_count,
     )
@@ -131,11 +127,7 @@ def median_pair_products(
     """Per-dimension median of element-wise products over true pairs."""
     if ref.dim != query.dim:
         raise ValueError(f"dimension mismatch: reference D={ref.dim}, query D={query.dim}")
-    if gt.query_count != query.frame_count:
-        raise ValueError(
-            f"ground truth covers {gt.query_count} queries, expected {query.frame_count}"
-        )
-    gt.check_reference(ref.frame_count)
+    gt.check_traverses(query.frame_count, ref.frame_count)
     return np.median(query.data * ref.data[gt.pairs], axis=0)
 
 

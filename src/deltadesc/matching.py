@@ -103,11 +103,8 @@ def cosine_distance(a, b) -> float:
 
 
 def distance_matrix(query: DescriptorSeries, ref: DescriptorSeries) -> DistanceMatrix:
-    """All-pairs cosine distances, one row per query frame."""
-    if query.dim != ref.dim:
-        raise ValueError(f"dimension mismatch: query D={query.dim}, reference D={ref.dim}")
-    q, r = query.data, ref.data
-    return DistanceMatrix(_seal(_cosine_block(q, _row_scales(q), r, _row_scales(r))))
+    """All-pairs cosine distances, one row per query frame: a one-member bank each side."""
+    return multi_delta_distance((query,), (ref,))
 
 
 def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:

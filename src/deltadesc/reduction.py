@@ -77,11 +77,8 @@ def pca_fit(series: DescriptorSeries, k: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, series: DescriptorSeries) -> DescriptorSeries:
-    """Project rows onto the model components: (x - mean) @ components.
-
-    Positions and valid_range carry through unchanged.
-    """
+    """Project rows onto the model components: (x - mean) @ components."""
     if series.dim != model.input_dim:
         raise ValueError(f"dimension mismatch: series D={series.dim}, model D={model.input_dim}")
     z = (series.data - model.mean) @ model.components
-    return DescriptorSeries(_seal(z), positions=series.positions, valid_range=series.valid_range)
+    return DescriptorSeries(_seal(z))

@@ -1,15 +1,13 @@
 """Descriptor time-series containers and row-level operations.
 
 A traverse is an ordered stream of global image descriptors held as a T x D
-matrix, one row per observed place, optionally with per-frame planar positions
-(meters). ``valid_range`` is a half-open ``[start, end)`` interval of rows
-that no transform padding touched; ``None`` means no padding information.
+matrix, one row per observed place. Metric positions, where a run needs them,
+travel as their own R x 2 array (``io.read_positions``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,13 +46,11 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 class DescriptorSeries:
     """Immutable T x D descriptor matrix for one traverse.
 
-    ``data`` and ``positions`` follow ``_freeze``'s rule: sealed float64
-    arrays are adopted, anything else is copied.
+    ``data`` follows ``_freeze``'s rule: a sealed float64 array is adopted,
+    anything else is copied.
     """
 
     data: np.ndarray
-    positions: Optional[np.ndarray] = None
-    valid_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         data = _freeze(self.data)
@@ -64,21 +60,6 @@ class DescriptorSeries:
             )
         _check_finite(data, "descriptor")
         object.__setattr__(self, "data", data)
-        if self.positions is not None:
-            pos = _freeze(self.positions)
-            if pos.shape != (data.shape[0], 2):
-                raise ValueError(
-                    f"positions must be {data.shape[0]} x 2, got shape {pos.shape}"
-                )
-            _check_finite(pos, "position")
-            object.__setattr__(self, "positions", pos)
-        if self.valid_range is not None:
-            start, end = int(self.valid_range[0]), int(self.valid_range[1])
-            if not 0 <= start <= end <= data.shape[0]:
-                raise ValueError(
-                    f"valid_range {(start, end)} out of bounds for {data.shape[0]} frames"
-                )
-            object.__setattr__(self, "valid_range", (start, end))
 
     @property
     def frame_count(self) -> int:
@@ -127,6 +108,12 @@ class GroundTruth:
                 f"{ref_count} reference frames"
             )
 
+    def check_traverses(self, q_count: int, r_count: int) -> None:
+        """Raise unless there is one true index per query frame, each in [0, r_count)."""
+        if self.query_count != q_count:
+            raise ValueError(f"ground truth covers {self.query_count} queries, expected {q_count}")
+        self.check_reference(r_count)
+
 
 def apply_permutation(
     ref: DescriptorSeries,
@@ -138,26 +125,20 @@ def apply_permutation(
 
     The same permutation is applied to reference and query, so cross-traverse
     correspondence is preserved while within-traverse adjacency is destroyed.
-    ``valid_range`` is dropped: it cannot describe a non-contiguous row set.
     """
     if ref.frame_count != query.frame_count:
         raise ValueError(
             f"reference and query must have equal frame counts, "
             f"got {ref.frame_count} and {query.frame_count}"
         )
-    if gt.query_count != query.frame_count:
-        raise ValueError(
-            f"ground truth covers {gt.query_count} queries, expected {query.frame_count}"
-        )
-    gt.check_reference(ref.frame_count)
+    gt.check_traverses(query.frame_count, ref.frame_count)
 
     perm = np.random.default_rng(seed).permutation(ref.frame_count)
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(perm.size)
 
     def shuffle(series: DescriptorSeries) -> DescriptorSeries:
-        pos = _seal(series.positions[perm]) if series.positions is not None else None
-        return DescriptorSeries(_seal(series.data[perm]), positions=pos)
+        return DescriptorSeries(_seal(series.data[perm]))
 
     # new query q' holds old query perm[q'], whose true match (old ref index)
     # now sits at new ref index inverse[...]

@@ -86,12 +86,11 @@ def time_warp(series: DescriptorSeries, control_points: WarpPoints) -> Descripto
     """Resample rows by linear interpolation at warped time positions.
 
     Control points are (source_fraction, target_fraction) pairs; output length
-    equals input length and positions, if present, are warped identically.
+    equals input length.
     """
     pts = _validated_warp(control_points)
     sources = _warped_source_positions(series.frame_count, pts)
-    pos = _seal(_interp_rows(series.positions, sources)) if series.positions is not None else None
-    return DescriptorSeries(_seal(_interp_rows(series.data, sources)), positions=pos)
+    return DescriptorSeries(_seal(_interp_rows(series.data, sources)))
 
 
 def generate_traverse_pair(

@@ -76,14 +76,23 @@ def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
     window = int(window)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    t_count = series.frame_count
-    if window > t_count:
+    if window > series.frame_count:
         raise ValueError("window exceeds series")
     lo = window // 2
     hi = window - lo
     out = _window_mean(series.data, lo, hi)
-    valid = (lo, t_count - hi) if lo <= t_count - hi else (0, 0)
-    return DescriptorSeries(_seal(out), positions=series.positions, valid_range=valid)
+    return DescriptorSeries(_seal(out))
+
+
+def delta_valid_range(t_count: int, span: int) -> tuple[int, int]:
+    """Half-open rows ``[span - 1, T - span)`` of a span-``span`` delta untouched by padding.
+
+    These are the T - 2*span + 1 frames whose window of 2*span rows lies
+    fully inside a series of ``t_count`` frames.
+    """
+    if t_count < 2 * span:
+        raise ValueError("series too short for span")
+    return span - 1, t_count - span
 
 
 def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
@@ -92,22 +101,16 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     At frame t the leading half covers rows t+1 .. t+l and the trailing half
     rows t-l+1 .. t, matching a sliding dot product with the step filter of
     length 2l described in the module docstring. The valid-only output is the
-    edge-replicate output restricted to its ``valid_range``.
+    edge-replicate output restricted to the rows of ``delta_valid_range``.
     """
     l = cfg.window
     t_count = series.frame_count
-    valid = (l - 1, t_count - l) if l - 1 <= t_count - l else (0, 0)
-    if cfg.padding == VALID_ONLY and t_count < 2 * l:
-        raise ValueError("series too short for span")
-    start, end = valid if cfg.padding == VALID_ONLY else (0, t_count)
+    start, end = delta_valid_range(t_count, l) if cfg.padding == VALID_ONLY else (0, t_count)
     # sums[t + l] is the window ahead of output row t, sums[t] the window up to it
     sums = _box_sums(np.pad(series.data, ((l, l), (0, 0)), mode="edge"), l)
     out = sums[l + start : l + end] - sums[start:end]
     out /= l
-    if cfg.padding == VALID_ONLY:
-        pos = series.positions[start:end] if series.positions is not None else None
-        return DescriptorSeries(_seal(out), positions=pos, valid_range=None)
-    return DescriptorSeries(_seal(out), positions=series.positions, valid_range=valid)
+    return DescriptorSeries(_seal(out))
 
 
 def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> tuple[DescriptorSeries, ...]:

@@ -263,3 +263,42 @@ def test_criterion_09_format_fidelity_and_determinism(scenario, tmp_path):
 )
 def test_criterion_10_real_data_reproduction_path():
     pass
+
+
+# frozen from the first oracle run of the criterion-11 scenario, per seed
+FROZEN_BANK_MAX_F1 = {1: 0.9727295471603704, 2: 0.9695, 7: 0.9742177722152691}
+VELOCITY_WARP = ((0.0, 0.0), (0.2, 0.2), (0.24, 0.36), (0.5, 0.5), (0.7, 0.55), (1.0, 1.0))
+VELOCITY_BANK = (4, 8, 16)
+VELOCITY_SINGLE_SPANS = (2, 3, 4, 6, 8, 12, 16, 32)
+
+
+def test_criterion_11_span_bank_robust_to_velocity_change():
+    # the query speeds up to 3x, then slows to 1/4 speed: no single span fits
+    # the whole route, and the minimum over a bank of spans beats each of them
+    start = time.perf_counter()
+    lines = []
+    for seed, frozen in FROZEN_BANK_MAX_F1.items():
+        params = dd.SynthParams(
+            frames=2000, dims=128, latent_smooth_window=20, offset_scale=0.5,
+            noise_scale=0.8, warp=VELOCITY_WARP, seed=seed,
+        )
+        ref, query, gt = dd.generate_traverse_pair(params)
+        gt = replace(gt, radius=2.0)
+
+        def f1(m):
+            return dd.max_f1(dd.evaluate_pr(dd.retrieve_best(m), gt))
+
+        bank_f1 = f1(dd.multi_delta_distance(
+            dd.delta_bank(query, VELOCITY_BANK), dd.delta_bank(ref, VELOCITY_BANK)
+        ))
+        best_single = max(
+            f1(dd.distance_matrix(dd.delta(query, cfg), dd.delta(ref, cfg)))
+            for cfg in map(dd.DeltaConfig, VELOCITY_SINGLE_SPANS)
+        )
+        assert bank_f1 > best_single, f"seed {seed}: bank {bank_f1} vs single {best_single}"
+        assert bank_f1 == pytest.approx(frozen, abs=REGRESSION_TOL)
+        lines.append(f"seed {seed} bank={bank_f1:.4f} > single={best_single:.4f}")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0, f"velocity scenario took {elapsed:.1f}s, budget 30s"
+    report(11, f"span bank {VELOCITY_BANK} beats every single span under a velocity "
+               f"change: {'; '.join(lines)} in {elapsed:.1f}s")

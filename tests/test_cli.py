@@ -498,6 +498,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ref.csv" in err and "row 5, column 3" in err
 
+    @pytest.mark.parametrize("case", ["short-gt", "gt-index", "positions-rows"])
+    def test_inputs_that_disagree_are_data_errors_before_transform(
+        self, synth_files, tmp_path, capsys, monkeypatch, case
+    ):
+        ref, query, gt = synth_files
+        lines = gt.read_text().splitlines()
+        bad = tmp_path / ("bad.dvpr" if case == "positions-rows" else "bad.csv")
+        if case == "short-gt":
+            bad.write_text("\n".join(lines[:-1]) + "\n")
+            extra = ["--gt", bad]
+        elif case == "gt-index":
+            bad.write_text("\n".join([lines[0], "0,99999", *lines[2:]]) + "\n")
+            extra = ["--gt", bad]
+        else:
+            write_descriptors(bad, DescriptorSeries(np.zeros((301, 2))))
+            extra = ["--gt", gt, "--ref-positions", bad, "--radius-mode", "meters"]
+        calls = []
+        monkeypatch.setattr(deltadesc.cli, "delta", lambda *a: calls.append(a))
+        code = run_cli("run", "--ref", ref, "--query", query, *extra, "--transform", "delta",
+                       "--window", 4, "--out-dir", tmp_path / "o")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "[load]" in err and bad.name in err
+        assert calls == []
+        assert not (tmp_path / "o" / "matches.csv").exists()
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_match_rejects_non_positive_seqmatch_length_before_loading(
+        self, tmp_path, capsys, length
+    ):
+        missing = tmp_path / "nothere.dvpr"
+        code = run_cli("match", "--query", missing, "--ref", missing,
+                       "--seqmatch-length", length, "--out-matches", tmp_path / "m.csv")
+        assert code == 2
+        assert "seqmatch length must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_transform_command_rejects_zero_window_before_loading(self, tmp_path, capsys):
+        code = run_cli("transform", "--input", tmp_path / "nothere.dvpr",
+                       "--output", tmp_path / "out.dvpr", "--transform", "delta",
+                       "--window", 0)
+        assert code == 2
+        assert "--window >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.dvpr").exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--bogus")

@@ -116,8 +116,6 @@ class TestSummaries:
             thresholds=np.array([0.5]),
             precisions=np.array([1.0]),
             recalls=np.array([0.5]),
-            radius=0.0,
-            radius_mode="frames",
             correct_total=1,
             query_count=2,
         )
@@ -128,8 +126,6 @@ class TestSummaries:
             thresholds=np.array([0.5]),
             precisions=np.array([0.0]),
             recalls=np.array([0.0]),
-            radius=0.0,
-            radius_mode="frames",
             correct_total=0,
             query_count=3,
         )

@@ -186,8 +186,6 @@ class TestCurveAndProfileCsv:
             thresholds=np.array([0.1, 0.2]),
             precisions=np.array([1.0, 0.5]),
             recalls=np.array([0.5, 0.5]),
-            radius=2.0,
-            radius_mode="frames",
             correct_total=1,
             query_count=2,
         )

@@ -189,16 +189,6 @@ class TestPcaTransform:
         z_again = pca_transform(model, reconstructed).data
         np.testing.assert_allclose(z_again, z, atol=1e-9)
 
-    def test_metadata_carried_through(self):
-        rng = np.random.default_rng(11)
-        pos = rng.normal(size=(12, 2))
-        series = DescriptorSeries(rng.normal(size=(12, 5)), positions=pos, valid_range=(2, 10))
-        model = pca_fit(series, 2)
-        out = pca_transform(model, series)
-        assert out.dim == 2
-        np.testing.assert_array_equal(out.positions, pos)
-        assert out.valid_range == (2, 10)
-
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         model = pca_fit(DescriptorSeries(rng.normal(size=(10, 4))), 2)

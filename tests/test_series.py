@@ -51,16 +51,6 @@ class TestDescriptorSeries:
         with pytest.raises(ValueError, match="row 2, column 0"):
             DescriptorSeries(data)
 
-    def test_rejects_position_mismatch(self):
-        with pytest.raises(ValueError):
-            DescriptorSeries(np.ones((3, 2)), positions=np.zeros((2, 2)))
-
-    def test_rejects_bad_valid_range(self):
-        with pytest.raises(ValueError):
-            DescriptorSeries(np.ones((3, 2)), valid_range=(2, 1))
-        with pytest.raises(ValueError):
-            DescriptorSeries(np.ones((3, 2)), valid_range=(0, 4))
-
     def test_data_is_immutable(self):
         series = DescriptorSeries(np.ones((2, 2)))
         with pytest.raises(ValueError):

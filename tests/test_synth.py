@@ -33,13 +33,6 @@ class TestTimeWarp:
         out = time_warp(series, [(0.0, 0.0), (0.3, 0.6), (1.0, 1.0)])
         np.testing.assert_allclose(out.data, 1.5, atol=1e-12)
 
-    def test_positions_warped_identically(self):
-        pos = np.arange(8, dtype=float).repeat(2).reshape(8, 2)
-        series = DescriptorSeries(np.arange(8, dtype=float)[:, None], positions=pos)
-        pts = [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
-        out = time_warp(series, pts)
-        np.testing.assert_allclose(out.positions[:, 0], out.data.ravel(), atol=1e-12)
-
     def test_length_preserved(self):
         series = DescriptorSeries(np.random.default_rng(1).normal(size=(17, 3)))
         out = time_warp(series, [(0.0, 0.0), (0.6, 0.4), (1.0, 1.0)])

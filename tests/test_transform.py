@@ -10,6 +10,7 @@ from deltadesc import (
     DescriptorSeries,
     delta,
     delta_bank,
+    delta_valid_range,
     smooth,
 )
 from deltadesc.transform import _window_mean
@@ -103,7 +104,6 @@ class TestSmooth:
     def test_three_point_hand_case(self):
         out = smooth(DescriptorSeries(np.array([[0.0], [3.0], [6.0]])), 2)
         np.testing.assert_allclose(out.data.ravel(), [1.5, 3.0, 4.5])
-        assert out.valid_range == (1, 2)
 
     def test_window_one_hand_case(self):
         # window 1 averages rows [t, t+1]
@@ -159,7 +159,7 @@ class TestDelta:
         np.testing.assert_allclose(out.data.ravel(), [1.0, 1.0, 1.0])
         out = delta(series, DeltaConfig(1))
         np.testing.assert_allclose(out.data.ravel(), [1.0, 1.0, 1.0, 0.0])
-        assert out.valid_range == (0, 3)
+        assert delta_valid_range(4, 1) == (0, 3)
 
     def test_direct_mean_oracle_both_modes(self):
         rng = np.random.default_rng(3)
@@ -170,17 +170,33 @@ class TestDelta:
             valid = delta(series, DeltaConfig(window, padding=VALID_ONLY))
             np.testing.assert_allclose(valid.data, expected, atol=1e-9)
             padded = delta(series, DeltaConfig(window))
-            start, end = padded.valid_range
+            start, end = delta_valid_range(40, window)
             assert (start, end) == (window - 1, 40 - window)
             np.testing.assert_allclose(padded.data[start:end], expected, atol=1e-9)
 
     def test_valid_only_shapes_and_positions(self):
-        rng = np.random.default_rng(4)
-        pos = rng.normal(size=(20, 2))
-        series = DescriptorSeries(rng.normal(size=(20, 3)), positions=pos)
+        series = DescriptorSeries(np.random.default_rng(4).normal(size=(20, 3)))
         out = delta(series, DeltaConfig(4, padding=VALID_ONLY))
         assert out.frame_count == 20 - 8 + 1
-        np.testing.assert_array_equal(out.positions, pos[3:16])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(min_value=1, max_value=60),
+        dims=st.integers(min_value=1, max_value=6),
+        window=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_valid_only_is_edge_replicate_sliced(self, frames, dims, window, seed):
+        series = DescriptorSeries(np.random.default_rng(seed).normal(size=(frames, dims)) * 10.0)
+        if frames < 2 * window:
+            with pytest.raises(ValueError, match="series too short for span"):
+                delta_valid_range(frames, window)
+            return
+        start, end = delta_valid_range(frames, window)
+        assert end - start == frames - 2 * window + 1
+        padded = delta(series, DeltaConfig(window)).data
+        valid = delta(series, DeltaConfig(window, padding=VALID_ONLY)).data
+        assert np.array_equal(valid, padded[start:end])
 
     def test_too_short_series_rejected(self):
         series = DescriptorSeries(np.ones((7, 2)))

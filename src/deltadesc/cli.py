@@ -35,6 +35,8 @@ from .transform import delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
+# bytes of distances per query tile; seq_match's output or a bank's running minimum is a second
+MATCH_TILE_BYTES = 64 * 2**20
 
 
 @contextmanager
@@ -130,6 +132,16 @@ def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> 
     return tr if fit_on == "ref" else tq
 
 
+def _check_ground_truth(
+    gt: GroundTruth, path: str, q_count: int, r_count: Optional[int] = None
+) -> None:
+    """Raise a data error naming ``path`` unless ``gt`` fits the traverses."""
+    try:
+        gt.check_traverses(q_count, r_count)
+    except ValueError as exc:
+        raise ddio.DataError(f"{path}: {exc}") from exc
+
+
 def _check_dense_fits(q_count: int, r_count: int, matrices: int) -> None:
     """Refuse a dense match whose Q x R float64 matrices exceed physical memory."""
     need = matrices * q_count * r_count * 8
@@ -147,23 +159,51 @@ def _check_dense_fits(q_count: int, r_count: int, matrices: int) -> None:
 
 
 def _match(
-    q_members: list[DescriptorSeries], r_members: list[DescriptorSeries], seqmatch_length: int
-) -> tuple[DistanceMatrix, MatchSet]:
-    """Distances (min over pairings for banks), optional seqmatch, best reference per query."""
+    q_members: list[DescriptorSeries],
+    r_members: list[DescriptorSeries],
+    seqmatch_length: int,
+    dense: bool = False,
+) -> tuple[Optional[DistanceMatrix], MatchSet]:
+    """Distances (min over pairings for banks), optional seqmatch, best reference per query.
+
+    Query rows are matched in tiles of ``MATCH_TILE_BYTES`` of distances. Each
+    tile is widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1
+    after, so every kept row sums the same in-bounds shifts as the dense
+    matrix would. ``dense`` asks for one tile of all Q rows and returns its
+    matrix; otherwise the matrix returned is None.
+    """
+    q_count, r_count = q_members[0].frame_count, r_members[0].frame_count
+    length = int(seqmatch_length)
     pairings = len(q_members) * len(r_members)
     with _stage("distance"):
-        # a second matrix: seq_match's output, or the running minimum over pairings
-        matrices = 2 if seqmatch_length > 1 or pairings > 1 else 1
-        _check_dense_fits(q_members[0].frame_count, r_members[0].frame_count, matrices)
-        if pairings == 1:
-            m = distance_matrix(q_members[0], r_members[0])
-        else:
-            m = multi_delta_distance(q_members, r_members)
-    if seqmatch_length > 1:
-        with _stage("seqmatch"):
-            m = seq_match(m, seqmatch_length)
-    with _stage("retrieve"):
-        return m, retrieve_best(m)
+        # tiles slice every query member alike, so their frame counts must agree up front
+        if any(q.frame_count != q_count for q in q_members):
+            raise ValueError("bank members must share frame count and dimension")
+        if dense:
+            # a second matrix: seq_match's output, or the running minimum over pairings
+            _check_dense_fits(q_count, r_count, 2 if length > 1 or pairings > 1 else 1)
+    rows = q_count if dense else max(1, MATCH_TILE_BYTES // (8 * r_count))
+    idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
+    for b0 in range(0, q_count, rows):
+        b1 = min(b0 + rows, q_count)
+        a0, a1 = max(0, b0 - length // 2), min(q_count, b1 + (length + 1) // 2 - 1)
+        tile = q_members
+        if (a0, a1) != (0, q_count):
+            tile = [DescriptorSeries(q.data[a0:a1]) for q in q_members]
+        m = None  # release the last tile's matrix before this one is built
+        with _stage("distance"):
+            if pairings == 1:
+                m = distance_matrix(tile[0], r_members[0])
+            else:
+                m = multi_delta_distance(tile, r_members)
+        if length > 1:
+            with _stage("seqmatch"):
+                m = seq_match(m, length)
+        with _stage("retrieve"):
+            best = retrieve_best(m)
+        keep = slice(b0 - a0, b1 - a0)
+        idx[b0:b1], dist[b0:b1] = best.ref_indices[keep], best.distances[keep]
+    return (m if dense else None), MatchSet(_seal(idx), _seal(dist))
 
 
 def _score(
@@ -223,10 +263,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         gt = ref_positions = None
         if cfg.gt_path:
             gt = ddio.read_ground_truth(cfg.gt_path, radius_mode=cfg.radius_mode, radius=cfg.radius)
-            try:
-                gt.check_traverses(query.frame_count, ref.frame_count)
-            except ValueError as exc:
-                raise ddio.DataError(f"{cfg.gt_path}: {exc}") from exc
+            _check_ground_truth(gt, cfg.gt_path, query.frame_count, ref.frame_count)
         if cfg.positions_path:
             ref_positions = ddio.read_positions(cfg.positions_path)
             if len(ref_positions) != ref.frame_count:
@@ -335,7 +372,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     _check_seqmatch_length(args.seqmatch_length)
     queries = [ddio.read_descriptors(p) for p in args.query]
     refs = [ddio.read_descriptors(p) for p in args.ref]
-    m, matches = _match(queries, refs, args.seqmatch_length)
+    m, matches = _match(queries, refs, args.seqmatch_length, dense=bool(args.out_distances))
     ddio.write_matches_csv(args.out_matches, matches)
     if args.out_distances:
         ddio.write_distance_matrix(args.out_distances, m)
@@ -360,6 +397,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     matches = ddio.read_matches_csv(args.matches)
     gt = ddio.read_ground_truth(args.gt, radius_mode=args.radius_mode, radius=args.radius)
+    _check_ground_truth(gt, args.gt, matches.query_count)
     ref_positions = ddio.read_positions(args.ref_positions) if args.ref_positions else None
     curve = _score(matches, gt, ref_positions, args.out_matches, args.out_pr)
     summary = _summary(curve, gt, args.transform, args.window, args.seqmatch_length, args.pca_k)
@@ -376,6 +414,7 @@ def cmd_rank_dims(args: argparse.Namespace) -> int:
     ref = ddio.read_descriptors(args.ref)
     query = ddio.read_descriptors(args.query)
     gt = ddio.read_ground_truth(args.gt)
+    _check_ground_truth(gt, args.gt, query.frame_count, ref.frame_count)
     with _stage("rank-dims"):
         medians = median_pair_products(ref, query, gt)
         order = rank_dimensions(medians, args.top_k)
@@ -389,6 +428,7 @@ def cmd_shuffle(args: argparse.Namespace) -> int:
     ref = ddio.read_descriptors(args.ref)
     query = ddio.read_descriptors(args.query)
     gt = ddio.read_ground_truth(args.gt)
+    _check_ground_truth(gt, args.gt, query.frame_count, ref.frame_count)
     with _stage("shuffle"):
         shuffled = apply_permutation(ref, query, gt, args.seed)
     return _write_traverse_pair(args, *shuffled)

@@ -8,6 +8,7 @@ travel as their own R x 2 array (``io.read_positions``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -108,11 +109,12 @@ class GroundTruth:
                 f"{ref_count} reference frames"
             )
 
-    def check_traverses(self, q_count: int, r_count: int) -> None:
-        """Raise unless there is one true index per query frame, each in [0, r_count)."""
+    def check_traverses(self, q_count: int, r_count: Optional[int] = None) -> None:
+        """Raise unless there is one true index per query frame, each in [0, r_count) if given."""
         if self.query_count != q_count:
             raise ValueError(f"ground truth covers {self.query_count} queries, expected {q_count}")
-        self.check_reference(r_count)
+        if r_count is not None:
+            self.check_reference(r_count)
 
 
 def apply_permutation(

@@ -9,12 +9,16 @@ its output plus per-block counts, retrieve_best allocates per-query vectors
 only, a sealed array is adopted without a copy, reading a float32 file
 holds the file's bytes plus the float64 payload, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
+The tiled match holds two tiles, a distance tile and seq_match's output,
+where the dense match holds two Q x R matrices.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+
+import deltadesc.cli
 
 from deltadesc import (
     VALID_ONLY,
@@ -31,6 +35,7 @@ from deltadesc import (
     write_descriptors,
 )
 from deltadesc.calibration import PROFILE_BLOCK_ROWS
+from deltadesc.matching import SEQ_BLOCK_ROWS
 
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
@@ -105,3 +110,14 @@ def test_self_distance_profile_holds_its_products_and_one_block():
     block = PROFILE_BLOCK_ROWS * (PROFILE_BLOCK_ROWS + d_max - 1)
     bound = (products + block + 4 * frames) * 8 / MATRIX_BYTES
     assert peak_matrices(self_distance_profile, series, d_max) <= bound
+
+
+def test_tiled_match_holds_two_tiles(inputs, monkeypatch):
+    query, ref, _ = inputs
+    rows, length = 100, 8
+    monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * FRAMES * 8)
+    tile = (rows + length - 1) * FRAMES  # kept rows plus seqmatch's halo
+    counts = 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's per-block count and its temporary
+    # measured 0.364 matrices; 0.05 covers the norms and the per-query vectors
+    bound = (2 * tile + counts) * 8 / MATRIX_BYTES + 0.05
+    assert peak_matrices(deltadesc.cli._match, [query], [ref], length) <= bound

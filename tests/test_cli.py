@@ -1,9 +1,12 @@
 import json
 import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deltadesc.cli
 import deltadesc.io
@@ -351,6 +354,92 @@ class TestMatchCommand:
         assert matches.query_count == 300
 
 
+@pytest.fixture(scope="module")
+def long_pair(tmp_path_factory):
+    """A 3000-frame pair: two query tiles at the default budget, a 137 MiB dense match."""
+    d = tmp_path_factory.mktemp("long")
+    ref, query, gt = d / "ref.dvpr", d / "query.dvpr", d / "gt.csv"
+    assert run_cli(
+        "synth", "--frames", 3000, "--dims", 8, "--latent-smooth-window", 10,
+        "--offset-scale", 0.5, "--noise-scale", 0.1, "--seed", 4,
+        "--out-ref", ref, "--out-query", query, "--out-gt", gt,
+    ) == 0
+    return ref, query, gt
+
+
+@pytest.fixture()
+def ram_64_mib(monkeypatch):
+    pages = {"SC_PHYS_PAGES": 16384, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(deltadesc.cli.os, "sysconf", pages.__getitem__)
+
+
+class TestTiledMatch:
+    def test_run_with_seqmatch_fits_where_the_dense_matrices_would_not(
+        self, long_pair, tmp_path, ram_64_mib
+    ):
+        ref, query, gt = long_pair
+        assert run_cli("run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
+                       "--window", 8, "--seqmatch-length", 8, "--radius", 2,
+                       "--out-dir", tmp_path / "o") == 0
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["max_f1"] > 0.9
+
+    def test_out_distances_keeps_the_dense_guard(self, long_pair, tmp_path, capsys, ram_64_mib):
+        ref, query, _ = long_pair
+        code = run_cli("match", "--query", query, "--ref", ref, "--seqmatch-length", 8,
+                       "--out-matches", tmp_path / "m.csv", "--out-distances", tmp_path / "d")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3000 query x 3000 reference frames holds 2 dense float64 matrices, 0.1 GiB" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_tiled_and_dense_match_write_the_same_csv(self, long_pair, tmp_path):
+        ref, query, _ = long_pair
+        common = ("match", "--query", query, "--ref", ref, "--seqmatch-length", 8)
+        assert run_cli(*common, "--out-matches", tmp_path / "tiled.csv") == 0
+        assert run_cli(*common, "--out-matches", tmp_path / "dense.csv",
+                       "--out-distances", tmp_path / "d") == 0
+        assert (tmp_path / "tiled.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    def test_query_bank_of_unequal_lengths_is_rejected_before_tiling(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        short, long = (DescriptorSeries(rng.normal(size=(t, 4))) for t in (40, 50))
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 10 * 8 * 40)
+        # 10-row tiles of the first member would slice the longer one without a complaint
+        with pytest.raises(ValueError, match="bank members must share frame count"):
+            deltadesc.cli._match([short, long], [short], 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q_count=st.integers(1, 80),
+        r_count=st.integers(1, 80),
+        dim=st.integers(1, 40),
+        banks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        length=st.integers(1, 20),
+        data=st.data(),
+    )
+    def test_tiled_match_equals_the_dense_match(
+        self, q_count, r_count, dim, banks, length, data
+    ):
+        rows = data.draw(st.integers(1, q_count + 1), label="tile rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+
+        def bank(frames, members):
+            dead = rng.random(frames) < 0.2  # zero rows compare at exactly 1.0
+            return [DescriptorSeries(rng.normal(size=(frames, dim)) * ~dead[:, None])
+                    for _ in range(members)]
+
+        q_members, r_members = bank(q_count, banks[0]), bank(r_count, banks[1])
+        dense, want = deltadesc.cli._match(q_members, r_members, length, dense=True)
+        with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * r_count):
+            none, got = deltadesc.cli._match(q_members, r_members, length)
+        assert none is None
+        np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=1e-12)
+        # a different argmin is a tie: its dense distance equals the best within 1e-12
+        q = np.arange(q_count)
+        assert np.all(dense.values[q, got.ref_indices] - want.distances <= 1e-12)
+
+
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         assert run_cli("calibrate", "--input", tmp_path / "nothere.dvpr") == 3
@@ -416,14 +505,14 @@ class TestExitCodes:
             pytest.skip("physical memory holds a 200000 x 200000 float64 matrix")
         path = tmp_path / "long.dvpr"
         write_descriptors(path, DescriptorSeries(np.ones((frames, 1))))
-        code = run_cli("run", "--ref", path, "--query", path, "--transform", "raw",
-                       "--out-dir", tmp_path / "o")
+        # only --out-distances builds the dense matrix; run and match alone are tiled
+        code = run_cli("match", "--query", path, "--ref", path, "--out-matches", tmp_path / "m.csv",
+                       "--out-distances", tmp_path / "d.bin")
         assert code == 2
         err = capsys.readouterr().err
         assert "200000" in err and "298.0 GiB" in err
-        assert not (tmp_path / "o" / "matches.csv").exists()
         code = run_cli("match", "--query", path, "--ref", path, "--seqmatch-length", 4,
-                       "--out-matches", tmp_path / "m.csv")
+                       "--out-matches", tmp_path / "m.csv", "--out-distances", tmp_path / "d.bin")
         assert code == 2
         assert "596.0 GiB" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
@@ -523,6 +612,28 @@ class TestExitCodes:
         assert "[load]" in err and bad.name in err
         assert calls == []
         assert not (tmp_path / "o" / "matches.csv").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "shuffle", "rank-dims"])
+    def test_staged_ground_truth_that_does_not_fit_is_data_error(
+        self, synth_files, tmp_path, capsys, command
+    ):
+        ref, query, gt = synth_files
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(gt.read_text().splitlines()[:200]) + "\n")
+        if command == "evaluate":
+            matches = tmp_path / "m.csv"
+            assert run_cli("match", "--query", query, "--ref", ref, "--out-matches", matches) == 0
+            args = ["--matches", matches, "--gt", short]
+        elif command == "shuffle":
+            args = ["--ref", ref, "--query", query, "--gt", short, "--seed", 1,
+                    "--out-ref", tmp_path / "r", "--out-query", tmp_path / "q",
+                    "--out-gt", tmp_path / "g"]
+        else:
+            args = ["--ref", ref, "--query", query, "--gt", short, "--top-k", 3]
+        capsys.readouterr()
+        assert run_cli(command, *args) == 3
+        err = capsys.readouterr().err
+        assert "short.csv" in err and "ground truth covers 199 queries, expected 300" in err
 
     @pytest.mark.parametrize("length", [0, -3])
     def test_match_rejects_non_positive_seqmatch_length_before_loading(

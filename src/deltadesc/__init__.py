@@ -52,6 +52,7 @@ from .transform import (
     EDGE_REPLICATE,
     VALID_ONLY,
     DeltaConfig,
+    SpanBank,
     delta,
     delta_bank,
     delta_valid_range,

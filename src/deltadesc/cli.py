@@ -4,7 +4,9 @@ One subcommand per procedure: ``synth``, ``transform``, ``match``,
 ``calibrate``, ``evaluate``, ``rank-dims``, ``shuffle``, plus ``run`` which
 chains transform -> (PCA) -> distance matrix -> (seqmatch) -> retrieve ->
 evaluate in a single invocation. Staged invocations with float64 intermediate
-files reproduce the single-invocation outputs byte for byte.
+files reproduce the single-invocation outputs byte for byte, except for span
+banks of at least ``matching.BANK_FACTOR_MIN_DIM`` dimensions: ``run`` matches
+those through Gram matrices, and the distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -115,10 +117,10 @@ def _transform_members(
     window: Optional[int],
     padding: str,
     spans: Optional[Sequence[int]] = None,
-) -> list[DescriptorSeries]:
-    """The series to match: one per span for multi-delta, otherwise one."""
+) -> Sequence[DescriptorSeries]:
+    """The series to match: a ``delta_bank`` for multi-delta, otherwise a one-member list."""
     if transform == "multi-delta":
-        return list(delta_bank(series, spans))
+        return delta_bank(series, spans)
     if transform == "smooth":
         return [smooth(series, window)]
     if transform == "delta":
@@ -159,8 +161,8 @@ def _check_dense_fits(q_count: int, r_count: int, matrices: int) -> None:
 
 
 def _match(
-    q_members: list[DescriptorSeries],
-    r_members: list[DescriptorSeries],
+    q_members: Sequence[DescriptorSeries],
+    r_members: Sequence[DescriptorSeries],
     seqmatch_length: int,
     dense: bool = False,
 ) -> tuple[Optional[DistanceMatrix], MatchSet]:
@@ -283,9 +285,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
             _transform_members(series, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
             for series in (query, ref)
         )
-    # the members replace the loaded series: release them before PCA and matching
+    # the members replace the loaded series: release them before PCA and matching. A
+    # reference bank keeps its source, which multi_delta_distance may match it through;
+    # query members are matched as they are, so the query bank becomes a plain list.
+    q_members = list(q_members)
     del query, ref
     if cfg.pca_k is not None:
+        # projected members are no longer deltas of the source: drop the bank and its source
+        r_members = list(r_members)
         with _stage("pca"):
             # one model per bank member, named by its span
             names = (

@@ -14,10 +14,17 @@ from typing import Sequence
 import numpy as np
 
 from .series import DescriptorSeries, _freeze, _seal
+from .transform import SpanBank, _delta_rows
 
 ZERO_NORM = 1e-12
 # query rows per seq_match block: the block's sums stay in cache across the L shifts
 SEQ_BLOCK_ROWS = 64
+# query columns of a span bank's Gram matrix filtered at a time, so the filter's buffers stay small
+GRAM_COLS = 1024
+# narrowest descriptor matched through a span bank's Gram matrix: below it, filtering that matrix
+# once per span can cost more than the GEMMs it saves (at 2000 x 2000 on 2 cores the two break
+# even near D = 700 for three spans and D = 1200 for two)
+BANK_FACTOR_MIN_DIM = 1536
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,11 @@ def multi_delta_distance(
     share frame count and dimension, which is checked before any GEMM. With n
     query and m reference members every cell takes the minimum of n*m
     distances. ``np.minimum`` is exact, so the member order does not change a bit.
+
+    A reference ``SpanBank`` of two or more spans and at least
+    ``BANK_FACTOR_MIN_DIM`` dimensions is matched by ``_bank_distances``, with
+    n GEMMs instead of n*m. Anything else takes one GEMM per pairing, which is
+    the factored path's oracle.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")
@@ -164,6 +176,9 @@ def multi_delta_distance(
             f"dimension mismatch: query D={q_members[0].dim}, reference D={r_members[0].dim}"
         )
     r_scales = [_row_scales(rs.data) for rs in r_members]
+    factor = isinstance(r_members, SpanBank) and len(r_members) > 1
+    if factor and r_members.source.dim >= BANK_FACTOR_MIN_DIM:
+        return DistanceMatrix(_seal(_bank_distances(q_members, r_members, r_scales)))
     best = None
     for qs in q_members:
         q_scale = _row_scales(qs.data)
@@ -171,6 +186,44 @@ def multi_delta_distance(
             vals = _cosine_block(qs.data, q_scale, rs.data, r_scale)
             best = vals if best is None else np.minimum(best, vals, out=best)
     return DistanceMatrix(_seal(best))
+
+
+def _bank_distances(
+    q_members: Sequence[DescriptorSeries], bank: SpanBank, r_scales: list[np.ndarray]
+) -> np.ndarray:
+    """Q x R minimum over pairings with one GEMM per query member.
+
+    A delta is a linear filter along time, so the dot products of the span-l
+    member with query rows q are the span-l delta, taken along the reference
+    axis, of the source's dot products with q. Each query member takes one
+    GEMM with the source, and each span filters that R x Q Gram matrix with
+    ``transform``'s kernel. The Gram matrix is centred by the source's column
+    mean first: a delta's weights sum to zero, so the result is unchanged in
+    exact arithmetic, and the filter's running sums stay small. The scales are
+    the members' own ``_row_scales``, so rows below ``ZERO_NORM`` still compare
+    at exactly 1.0. The result is within rounding of the direct path.
+    """
+    source = bank.source.data
+    r_count = len(source)
+    mean = source.mean(axis=0)
+    # before any Gram matrix exists: each norm takes a temporary copy of a member
+    q_scales = [_row_scales(qs.data) for qs in q_members]
+    # R x Q, so the filters run down contiguous rows. 1 - x is monotone, so the
+    # largest scaled dot product gives the smallest distance, bit for bit.
+    sims = np.full((r_count, q_members[0].frame_count), -np.inf)
+    for qs, q_scale in zip(q_members, q_scales):
+        gram = source @ qs.data.T
+        gram -= mean @ qs.data.T  # the product of the centred source, with no centred copy
+        gram *= q_scale  # scaling columns commutes with the filter
+        for c0 in range(0, gram.shape[1], GRAM_COLS):
+            cols = slice(c0, c0 + GRAM_COLS)
+            for span, r_scale in zip(bank.spans, r_scales):
+                vals = _delta_rows(gram[:, cols], span, 0, r_count)
+                vals *= r_scale[:, None]
+                np.maximum(sims[:, cols], vals, out=sims[:, cols])
+        del gram  # before the next product or the Q x R result is allocated
+    dist = np.subtract(1.0, sims.T, order="C")
+    return np.clip(dist, 0.0, 2.0, out=dist)
 
 
 def retrieve_best(m: DistanceMatrix) -> MatchSet:

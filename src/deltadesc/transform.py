@@ -22,6 +22,7 @@ padded copy of the series (``_box_sums``), so a call holds that and its output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +52,15 @@ class DeltaConfig:
 
 
 def _box_sums(padded: np.ndarray, width: int) -> np.ndarray:
-    """Row i is the sum of ``padded`` rows i+1 .. i+width; ``padded`` becomes its running sums."""
-    csum = np.cumsum(padded, axis=0, out=padded)
-    return csum[width:] - csum[:-width]
+    """Row i is the sum of ``padded`` rows i+1 .. i+width; ``padded`` becomes its running sums.
+
+    The running sums are a loop over rows: each step adds two contiguous rows,
+    where ``np.cumsum(axis=0)`` strides down every column. Both add left to
+    right, so the bits are the same.
+    """
+    for prev, row in pairwise(padded):
+        np.add(prev, row, out=row)
+    return padded[width:] - padded[:-width]
 
 
 def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -106,20 +113,48 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     l = cfg.window
     t_count = series.frame_count
     start, end = delta_valid_range(t_count, l) if cfg.padding == VALID_ONLY else (0, t_count)
-    # sums[t + l] is the window ahead of output row t, sums[t] the window up to it
-    sums = _box_sums(np.pad(series.data, ((l, l), (0, 0)), mode="edge"), l)
-    out = sums[l + start : l + end] - sums[start:end]
-    out /= l
-    return DescriptorSeries(_seal(out))
+    return DescriptorSeries(_seal(_delta_rows(series.data, l, start, end)))
 
 
-def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> tuple[DescriptorSeries, ...]:
+def _delta_rows(data: np.ndarray, span: int, start: int, end: int) -> np.ndarray:
+    """Rows [start, end) of the edge-replicate span-``span`` delta of ``data`` along its rows."""
+    # sums[t + span] is the window ahead of output row t, sums[t] the window up to it
+    sums = _box_sums(np.pad(data, ((span, span), (0, 0)), mode="edge"), span)
+    out = sums[span + start : span + end] - sums[start:end]
+    out /= span
+    return out
+
+
+class SpanBank(tuple):
+    """A tuple of edge-replicate deltas of ``source``, one per span of ``spans``.
+
+    It is built only from its source and spans, so the members are always
+    ``delta(source, DeltaConfig(span))``. ``multi_delta_distance`` relies on
+    that to match a reference bank through products with the source. A slice
+    or a ``list`` of the bank is a plain sequence of its members.
+    """
+
+    source: DescriptorSeries
+    spans: tuple[int, ...]
+
+    def __new__(cls, source: DescriptorSeries, spans: Sequence[int]) -> SpanBank:
+        if not spans:
+            raise ValueError("delta bank needs a non-empty span set")
+        spans = tuple(int(s) for s in spans)
+        bank = super().__new__(cls, (delta(source, DeltaConfig(window=s)) for s in spans))
+        object.__setattr__(bank, "source", source)
+        object.__setattr__(bank, "spans", spans)
+        return bank
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a span bank is immutable")
+
+
+def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> SpanBank:
     """One edge-replicate delta per span, in the order given.
 
     Edge replication keeps every member frame-aligned with the source series
     and with each other. The order is the caller's: ``multi_delta_distance``
     does not depend on it.
     """
-    if not spans:
-        raise ValueError("delta bank needs a non-empty span set")
-    return tuple(delta(series, DeltaConfig(window=span)) for span in spans)
+    return SpanBank(series, spans)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import deltadesc.cli
 import deltadesc.io
+import deltadesc.matching
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -139,6 +140,49 @@ class TestStagedPipelineComposability:
         for name in ("matches.csv", "pr.csv"):
             assert (staged / name).read_bytes() == (single / name).read_bytes(), name
 
+    def test_factored_run_equals_staged_match_within_bound(self, synth_files, tmp_path):
+        # run matches a wide reference bank through its Gram matrix, staged match
+        # takes member files and one GEMM per pairing: they agree within a bound
+        ref, query, gt = synth_files
+        single = tmp_path / "single"
+        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
+        with mock.patch.multiple(
+            deltadesc.matching, BANK_FACTOR_MIN_DIM=1, _bank_distances=spy
+        ):
+            assert run_cli(
+                "run", "--ref", ref, "--query", query, "--gt", gt,
+                "--transform", "multi-delta", "--spans", 4, 8, "--radius", 2,
+                "--out-dir", single,
+            ) == 0
+        assert spy.call_count == 1
+
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        members = {"ref": [], "query": []}
+        for span in (4, 8):
+            for tag, src in (("ref", ref), ("query", query)):
+                out = staged / f"{tag}_span{span}.dvpr"
+                assert run_cli("transform", "--input", src, "--output", out,
+                               "--transform", "delta", "--window", span) == 0
+                members[tag].append(out)
+        assert run_cli(
+            "match", "--query", *members["query"], "--ref", *members["ref"],
+            "--out-matches", staged / "raw_matches.csv",
+        ) == 0
+        assert run_cli(
+            "evaluate", "--matches", staged / "raw_matches.csv", "--gt", gt,
+            "--radius", 2, "--out-matches", staged / "matches.csv",
+            "--out-pr", staged / "pr.csv",
+        ) == 0
+        # the bound of test_matching.py's factored-path oracle
+        bound = 1e-11
+        for name, exact, bounded in (("matches.csv", [0, 1, 3], [2]), ("pr.csv", [1, 2], [0])):
+            want = np.loadtxt(single / name, delimiter=",", skiprows=1, ndmin=2)
+            got = np.loadtxt(staged / name, delimiter=",", skiprows=1, ndmin=2)
+            assert got.shape == want.shape, name
+            assert np.array_equal(got[:, exact], want[:, exact]), name
+            np.testing.assert_allclose(got[:, bounded], want[:, bounded], rtol=0, atol=bound)
+
 
 class TestRunCommand:
     def test_deterministic_outputs(self, synth_files, tmp_path):
@@ -252,6 +296,30 @@ class TestRunCommand:
             "--transform", "delta", "--window", 8, "--pca-k", 6, "--out-dir", tmp_path / "o",
         ) == 0
         assert alive_at_pca == [[False, False]]
+
+    def test_only_the_reference_bank_keeps_its_source(self, synth_files, tmp_path, monkeypatch):
+        ref, query, gt = synth_files
+        loaded, alive_at_match = [], []
+        read, match = deltadesc.io.read_descriptors, deltadesc.cli.multi_delta_distance
+
+        def read_and_watch(path):
+            series = read(path)
+            loaded.append(weakref.ref(series))
+            return series
+
+        def match_and_check(q_members, r_members):
+            alive_at_match.append([w() is not None for w in loaded])
+            assert type(q_members) is list and r_members.source is loaded[0]()
+            return match(q_members, r_members)
+
+        monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
+        monkeypatch.setattr(deltadesc.cli, "multi_delta_distance", match_and_check)
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", 4, 8, "--out-dir", tmp_path / "o",
+        ) == 0
+        # the reference is read first: the bank holds it, the query's source is gone
+        assert alive_at_match == [[True, False]]
 
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltadesc.matching
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -279,7 +282,7 @@ class TestMultiDelta:
         query = DescriptorSeries(rng.normal(size=(120, 6)))
         spans = (30, 40, 50, 60)
         qb, rb = delta_bank(query, spans), delta_bank(ref, spans)
-        out = multi_delta_distance(qb, rb).values
+        out = multi_delta_distance(qb, list(rb)).values
         combos = [distance_matrix(qs, rs).values for qs in qb for rs in rb]
         assert len(combos) == 16
         np.testing.assert_array_equal(out, np.minimum.reduce(combos))
@@ -322,7 +325,7 @@ class TestMultiDelta:
         q_order = data.draw(st.permutations(range(len(qb))))
         r_order = data.draw(st.permutations(range(len(rb))))
         permuted = multi_delta_distance([qb[i] for i in q_order], [rb[i] for i in r_order])
-        assert np.array_equal(permuted.values, multi_delta_distance(qb, rb).values)
+        assert np.array_equal(permuted.values, multi_delta_distance(qb, list(rb)).values)
 
     def test_offset_robustness_in_delta_space(self):
         # constant descriptor offsets leave delta-space distances untouched
@@ -337,6 +340,125 @@ class TestMultiDelta:
         np.testing.assert_allclose(shifted, base, atol=1e-6)
         raw_diag = np.diag(distance_matrix(x, y).values)
         assert np.all(raw_diag > 0.0)
+
+
+# Largest |factored - direct| distance this strategy may show. The worst seen over 3000
+# random cases was 3.9e-12, at reference rows whose delta norm is ~1e-3 of the source's.
+# It needs offsets well below ~100: there the direct path's rounding noise in a delta that
+# is exactly zero can exceed ZERO_NORM, and such a row compares at an arbitrary distance.
+FACTORED_BOUND = 1e-11
+
+
+def stationary_walk(rng, frames, dims, offset):
+    """A random walk plus a per-traverse offset, with one stationary stretch (zero deltas)."""
+    walk = np.cumsum(rng.normal(size=(frames, dims)), axis=0) * 0.3
+    walk += rng.normal(size=(frames, dims)) * 0.1 + rng.normal(size=dims) * offset
+    start = int(rng.integers(0, frames - 4))
+    walk[start : start + int(rng.integers(4, 20))] = walk[start]
+    return DescriptorSeries(walk)
+
+
+class TestFactoredBank:
+    """A reference span bank matched through its Gram matrix, against the direct n*m path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q_count=st.integers(20, 60),
+        r_count=st.integers(20, 60),
+        dim=st.integers(2, 8),
+        q_spans=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+        r_spans=st.lists(st.integers(2, 8), min_size=1, max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_factored_equals_direct_within_bound(
+        self, q_count, r_count, dim, q_spans, r_spans, data
+    ):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        gram_cols = data.draw(st.integers(1, q_count + 1), label="filtered columns per block")
+        rng = np.random.default_rng(seed)
+        ref = stationary_walk(rng, r_count, dim, offset=5.0)
+        query = stationary_walk(rng, q_count, dim, offset=5.0)
+        qb, rb = list(delta_bank(query, q_spans)), delta_bank(ref, [1, *r_spans])
+        direct = multi_delta_distance(qb, list(rb)).values
+        with mock.patch.multiple(deltadesc.matching, BANK_FACTOR_MIN_DIM=1, GRAM_COLS=gram_cols):
+            got = multi_delta_distance(qb, rb).values
+        np.testing.assert_allclose(got, direct, rtol=0, atol=FACTORED_BOUND)
+
+        # where every pairing has a row below ZERO_NORM, the cell is exactly 1.0
+        def dead(members):
+            return np.array([np.linalg.norm(m.data, axis=1) < deltadesc.matching.ZERO_NORM
+                             for m in members])
+
+        q_dead, r_dead = dead(qb), dead(rb)
+        all_dead = np.all(q_dead[:, None, :, None] | r_dead[None, :, None, :], axis=(0, 1))
+        assert np.all(got[all_dead] == 1.0)
+        assert np.all(got[:, np.all(r_dead, axis=0)] == 1.0)
+
+        # argmins agree except where the direct best is a near-tie
+        q = np.arange(q_count)
+        ranked = np.sort(direct, axis=1)
+        clear = ranked[:, 1] - ranked[:, 0] > 2 * FACTORED_BOUND if r_count > 1 else True
+        assert np.array_equal(got.argmin(axis=1)[clear], direct.argmin(axis=1)[clear])
+        assert np.all(direct[q, got.argmin(axis=1)] - ranked[:, 0] <= 2 * FACTORED_BOUND)
+
+    def test_stationary_reference_rows_compare_at_exactly_one(self):
+        rng = np.random.default_rng(12)
+        ref_data = rng.normal(size=(80, 6)) + 5.0
+        ref_data[20:60] = ref_data[20]  # spans up to 8 see only this row at t = 27 .. 51
+        ref, query = DescriptorSeries(ref_data), DescriptorSeries(rng.normal(size=(50, 6)))
+        rb = delta_bank(ref, (1, 4, 8))
+        with mock.patch.object(deltadesc.matching, "BANK_FACTOR_MIN_DIM", 1):
+            got = multi_delta_distance(list(delta_bank(query, (2, 4))), rb).values
+        assert all(np.linalg.norm(m.data[27:52], axis=1).max() < 1e-12 for m in rb)
+        assert np.all(got[:, 27:52] == 1.0)
+        assert np.all(got[:, :19] != 1.0)
+
+    def test_centring_keeps_a_large_offset_out_of_the_running_sums(self):
+        # the oracle matches deltas of the walk without its offset: equal in exact arithmetic
+        rng = np.random.default_rng(5)
+        walk = np.cumsum(rng.normal(size=(400, 32)), axis=0) * 0.3
+        ref = DescriptorSeries(walk + rng.normal(size=32) * 1000.0)
+        query = [DescriptorSeries(rng.normal(size=(100, 32)))]
+        oracle = multi_delta_distance(query, list(delta_bank(DescriptorSeries(walk), (2, 8))))
+        with mock.patch.object(deltadesc.matching, "BANK_FACTOR_MIN_DIM", 1):
+            got = multi_delta_distance(query, delta_bank(ref, (2, 8)))
+        # centred: 1.2e-11, from the members' own norms; uncentred: 1.1e-10
+        np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=3e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q_spans=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+        r_spans=st.lists(st.integers(1, 8), min_size=2, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_span_order_changes_no_bit(self, seed, q_spans, r_spans, data):
+        rng = np.random.default_rng(seed)
+        ref = stationary_walk(rng, 40, 5, offset=5.0)
+        query = stationary_walk(rng, 30, 5, offset=5.0)
+        q_order = data.draw(st.permutations(q_spans))
+        r_order = data.draw(st.permutations(r_spans))
+        with mock.patch.object(deltadesc.matching, "BANK_FACTOR_MIN_DIM", 1):
+            want = multi_delta_distance(list(delta_bank(query, q_spans)), delta_bank(ref, r_spans))
+            got = multi_delta_distance(list(delta_bank(query, q_order)), delta_bank(ref, r_order))
+        assert np.array_equal(got.values, want.values)
+
+    def test_narrow_banks_singletons_and_lists_take_the_direct_path(self, monkeypatch):
+        def no_factoring(*args):
+            raise AssertionError("factored path ran")
+
+        monkeypatch.setattr(deltadesc.matching, "_bank_distances", no_factoring)
+        rng = np.random.default_rng(11)
+        narrow = DescriptorSeries(rng.normal(size=(30, 8)))
+        wide = DescriptorSeries(rng.normal(size=(30, deltadesc.matching.BANK_FACTOR_MIN_DIM)))
+        multi_delta_distance(list(delta_bank(narrow, (2, 4))), delta_bank(narrow, (2, 4)))
+        multi_delta_distance(list(delta_bank(wide, (2, 4))), delta_bank(wide, (4,)))
+        multi_delta_distance(list(delta_bank(wide, (2, 4))), list(delta_bank(wide, (2, 4))))
+        monkeypatch.undo()
+        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
+        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
+        multi_delta_distance(list(delta_bank(wide, (2, 4))), delta_bank(wide, (2, 4)))
+        assert spy.call_count == 1
 
 
 class TestRetrieveBest:

@@ -13,7 +13,7 @@ from deltadesc import (
     delta_valid_range,
     smooth,
 )
-from deltadesc.transform import _window_mean
+from deltadesc.transform import SpanBank, _box_sums, _window_mean
 
 
 def delta_by_direct_means(data: np.ndarray, window: int) -> np.ndarray:
@@ -93,6 +93,25 @@ class TestBoxSumKernel:
         assert np.array_equal(
             _window_mean(rows, before, after), window_mean_by_gathers(rows, before, after)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.integers(min_value=1, max_value=300),
+        # narrow and wide rows: the row loop replaced np.cumsum on both sides of D = 128-512
+        dims=st.one_of(st.integers(min_value=1, max_value=127), st.integers(513, 1100)),
+        seed=st.integers(min_value=0, max_value=10_000),
+        data=st.data(),
+    )
+    def test_running_and_box_sums_equal_cumsum(self, frames, dims, seed, data):
+        width = data.draw(st.integers(min_value=1, max_value=frames), label="width")
+        rng = np.random.default_rng(seed)
+        # magnitudes from 1e-8 to 1e8, so any change in the order of the additions shows
+        rows = rng.normal(size=(frames, dims)) * 10.0 ** rng.integers(-8, 9, size=(frames, 1))
+        padded = rows.copy()
+        sums = _box_sums(padded, width)
+        csum = np.cumsum(rows, axis=0)
+        assert np.array_equal(padded, csum)
+        assert np.array_equal(sums, csum[width:] - csum[:-width])
 
 
 class TestSmooth:
@@ -278,6 +297,19 @@ class TestDeltaBank:
         bank = delta_bank(series, (2, 4))
         for member in bank:
             np.testing.assert_allclose(member.data, 0.0, atol=1e-12)
+
+    def test_bank_carries_its_source_and_spans(self):
+        series = DescriptorSeries(np.random.default_rng(10).normal(size=(40, 3)))
+        bank = delta_bank(series, [np.int64(8), 2, 4])
+        assert isinstance(bank, SpanBank) and isinstance(bank, tuple)
+        assert bank.source is series
+        assert bank.spans == (8, 2, 4) and all(type(s) is int for s in bank.spans)
+        for member, span in zip(bank, bank.spans):
+            assert np.array_equal(member.data, delta(series, DeltaConfig(span)).data)
+        # a slice or a list is a plain sequence of members, without the source
+        assert type(bank[1:]) is tuple and type(list(bank)) is list
+        with pytest.raises(AttributeError, match="immutable"):
+            bank.spans = (1, 2, 3)
 
     def test_empty_spans_rejected(self):
         series = DescriptorSeries(np.ones((10, 2)))

@@ -5,8 +5,8 @@ One subcommand per procedure: ``synth``, ``transform``, ``match``,
 chains transform -> (PCA) -> distance matrix -> (seqmatch) -> retrieve ->
 evaluate in a single invocation. Staged invocations with float64 intermediate
 files reproduce the single-invocation outputs byte for byte, except for span
-banks of at least ``matching.BANK_FACTOR_MIN_DIM`` dimensions: ``run`` matches
-those through Gram matrices, and the distances agree only within rounding.
+banks of two or more spans without PCA: ``run`` matches those through Gram
+matrices, and the distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -286,7 +286,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             for series in (query, ref)
         )
     # the members replace the loaded series: release them before PCA and matching. A
-    # reference bank keeps its source, which multi_delta_distance may match it through;
+    # reference bank keeps its source, which multi_delta_distance matches it through;
     # query members are matched as they are, so the query bank becomes a plain list.
     q_members = list(q_members)
     del query, ref

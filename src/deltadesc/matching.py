@@ -19,12 +19,6 @@ from .transform import SpanBank, _delta_rows
 ZERO_NORM = 1e-12
 # query rows per seq_match block: the block's sums stay in cache across the L shifts
 SEQ_BLOCK_ROWS = 64
-# query columns of a span bank's Gram matrix filtered at a time, so the filter's buffers stay small
-GRAM_COLS = 1024
-# narrowest descriptor matched through a span bank's Gram matrix: below it, filtering that matrix
-# once per span can cost more than the GEMMs it saves (at 2000 x 2000 on 2 cores the two break
-# even near D = 700 for three spans and D = 1200 for two)
-BANK_FACTOR_MIN_DIM = 1536
 
 
 @dataclass(frozen=True)
@@ -160,10 +154,9 @@ def multi_delta_distance(
     query and m reference members every cell takes the minimum of n*m
     distances. ``np.minimum`` is exact, so the member order does not change a bit.
 
-    A reference ``SpanBank`` of two or more spans and at least
-    ``BANK_FACTOR_MIN_DIM`` dimensions is matched by ``_bank_distances``, with
-    n GEMMs instead of n*m. Anything else takes one GEMM per pairing, which is
-    the factored path's oracle.
+    A reference ``SpanBank`` of two or more spans is matched by
+    ``_bank_distances``, with n GEMMs instead of n*m. Anything else takes one
+    GEMM per pairing, which is the factored path's oracle.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")
@@ -176,8 +169,7 @@ def multi_delta_distance(
             f"dimension mismatch: query D={q_members[0].dim}, reference D={r_members[0].dim}"
         )
     r_scales = [_row_scales(rs.data) for rs in r_members]
-    factor = isinstance(r_members, SpanBank) and len(r_members) > 1
-    if factor and r_members.source.dim >= BANK_FACTOR_MIN_DIM:
+    if isinstance(r_members, SpanBank) and len(r_members) > 1:
         return DistanceMatrix(_seal(_bank_distances(q_members, r_members, r_scales)))
     best = None
     for qs in q_members:
@@ -215,12 +207,11 @@ def _bank_distances(
         gram = source @ qs.data.T
         gram -= mean @ qs.data.T  # the product of the centred source, with no centred copy
         gram *= q_scale  # scaling columns commutes with the filter
-        for c0 in range(0, gram.shape[1], GRAM_COLS):
-            cols = slice(c0, c0 + GRAM_COLS)
-            for span, r_scale in zip(bank.spans, r_scales):
-                vals = _delta_rows(gram[:, cols], span, 0, r_count)
-                vals *= r_scale[:, None]
-                np.maximum(sims[:, cols], vals, out=sims[:, cols])
+        for span, r_scale in zip(bank.spans, r_scales):
+            vals = _delta_rows(gram, span, 0, r_count)
+            vals *= r_scale[:, None]
+            np.maximum(sims, vals, out=sims)
+            del vals  # before the next span's filter allocates its buffers
         del gram  # before the next product or the Q x R result is allocated
     dist = np.subtract(1.0, sims.T, order="C")
     return np.clip(dist, 0.0, 2.0, out=dist)

@@ -15,6 +15,7 @@ from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
     delta,
+    delta_bank,
     evaluate_pr,
     load_pca_model,
     max_f1,
@@ -109,46 +110,13 @@ class TestStagedPipelineComposability:
             assert (staged / name).read_bytes() == (single / name).read_bytes(), name
 
     def test_multi_delta_staged_equals_single(self, synth_files, tmp_path):
-        ref, query, gt = synth_files
-        single = tmp_path / "single"
-        assert run_cli(
-            "run", "--ref", ref, "--query", query, "--gt", gt,
-            "--transform", "multi-delta", "--spans", 4, 8, "--radius", 2,
-            "--out-dir", single,
-        ) == 0
-
-        staged = tmp_path / "staged"
-        staged.mkdir()
-        bank = {}
-        for span in (4, 8):
-            for tag, src in (("ref", ref), ("query", query)):
-                out = staged / f"{tag}_span{span}.dvpr"
-                assert run_cli("transform", "--input", src, "--output", out,
-                               "--transform", "delta", "--window", span) == 0
-                bank[(tag, span)] = out
-        assert run_cli(
-            "match",
-            "--query", bank[("query", 4)], bank[("query", 8)],
-            "--ref", bank[("ref", 4)], bank[("ref", 8)],
-            "--out-matches", staged / "raw_matches.csv",
-        ) == 0
-        assert run_cli(
-            "evaluate", "--matches", staged / "raw_matches.csv", "--gt", gt,
-            "--radius", 2, "--out-matches", staged / "matches.csv",
-            "--out-pr", staged / "pr.csv",
-        ) == 0
-        for name in ("matches.csv", "pr.csv"):
-            assert (staged / name).read_bytes() == (single / name).read_bytes(), name
-
-    def test_factored_run_equals_staged_match_within_bound(self, synth_files, tmp_path):
-        # run matches a wide reference bank through its Gram matrix, staged match
-        # takes member files and one GEMM per pairing: they agree within a bound
+        # run matches the reference bank through its Gram matrix, staged match takes
+        # member files and one GEMM per pairing: the matches and the curve's precision
+        # and recall are byte-equal, distances and thresholds agree within a bound
         ref, query, gt = synth_files
         single = tmp_path / "single"
         spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
-        with mock.patch.multiple(
-            deltadesc.matching, BANK_FACTOR_MIN_DIM=1, _bank_distances=spy
-        ):
+        with mock.patch.object(deltadesc.matching, "_bank_distances", spy):
             assert run_cli(
                 "run", "--ref", ref, "--query", query, "--gt", gt,
                 "--transform", "multi-delta", "--spans", 4, 8, "--radius", 2,
@@ -498,6 +466,9 @@ class TestTiledMatch:
                     for _ in range(members)]
 
         q_members, r_members = bank(q_count, banks[0]), bank(r_count, banks[1])
+        if data.draw(st.booleans(), label="reference as a span bank"):
+            # matched through its Gram matrix when it has two or more spans
+            r_members = delta_bank(r_members[0], range(1, banks[1] + 1))
         dense, want = deltadesc.cli._match(q_members, r_members, length, dense=True)
         with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * r_count):
             none, got = deltadesc.cli._match(q_members, r_members, length)

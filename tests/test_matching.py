@@ -374,14 +374,12 @@ class TestFactoredBank:
         self, q_count, r_count, dim, q_spans, r_spans, data
     ):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        gram_cols = data.draw(st.integers(1, q_count + 1), label="filtered columns per block")
         rng = np.random.default_rng(seed)
         ref = stationary_walk(rng, r_count, dim, offset=5.0)
         query = stationary_walk(rng, q_count, dim, offset=5.0)
         qb, rb = list(delta_bank(query, q_spans)), delta_bank(ref, [1, *r_spans])
         direct = multi_delta_distance(qb, list(rb)).values
-        with mock.patch.multiple(deltadesc.matching, BANK_FACTOR_MIN_DIM=1, GRAM_COLS=gram_cols):
-            got = multi_delta_distance(qb, rb).values
+        got = multi_delta_distance(qb, rb).values
         np.testing.assert_allclose(got, direct, rtol=0, atol=FACTORED_BOUND)
 
         # where every pairing has a row below ZERO_NORM, the cell is exactly 1.0
@@ -407,8 +405,7 @@ class TestFactoredBank:
         ref_data[20:60] = ref_data[20]  # spans up to 8 see only this row at t = 27 .. 51
         ref, query = DescriptorSeries(ref_data), DescriptorSeries(rng.normal(size=(50, 6)))
         rb = delta_bank(ref, (1, 4, 8))
-        with mock.patch.object(deltadesc.matching, "BANK_FACTOR_MIN_DIM", 1):
-            got = multi_delta_distance(list(delta_bank(query, (2, 4))), rb).values
+        got = multi_delta_distance(list(delta_bank(query, (2, 4))), rb).values
         assert all(np.linalg.norm(m.data[27:52], axis=1).max() < 1e-12 for m in rb)
         assert np.all(got[:, 27:52] == 1.0)
         assert np.all(got[:, :19] != 1.0)
@@ -420,8 +417,7 @@ class TestFactoredBank:
         ref = DescriptorSeries(walk + rng.normal(size=32) * 1000.0)
         query = [DescriptorSeries(rng.normal(size=(100, 32)))]
         oracle = multi_delta_distance(query, list(delta_bank(DescriptorSeries(walk), (2, 8))))
-        with mock.patch.object(deltadesc.matching, "BANK_FACTOR_MIN_DIM", 1):
-            got = multi_delta_distance(query, delta_bank(ref, (2, 8)))
+        got = multi_delta_distance(query, delta_bank(ref, (2, 8)))
         # centred: 1.2e-11, from the members' own norms; uncentred: 1.1e-10
         np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=3e-11)
 
@@ -438,26 +434,22 @@ class TestFactoredBank:
         query = stationary_walk(rng, 30, 5, offset=5.0)
         q_order = data.draw(st.permutations(q_spans))
         r_order = data.draw(st.permutations(r_spans))
-        with mock.patch.object(deltadesc.matching, "BANK_FACTOR_MIN_DIM", 1):
-            want = multi_delta_distance(list(delta_bank(query, q_spans)), delta_bank(ref, r_spans))
-            got = multi_delta_distance(list(delta_bank(query, q_order)), delta_bank(ref, r_order))
+        want = multi_delta_distance(list(delta_bank(query, q_spans)), delta_bank(ref, r_spans))
+        got = multi_delta_distance(list(delta_bank(query, q_order)), delta_bank(ref, r_order))
         assert np.array_equal(got.values, want.values)
 
-    def test_narrow_banks_singletons_and_lists_take_the_direct_path(self, monkeypatch):
+    def test_singletons_and_lists_take_the_direct_path(self, monkeypatch):
         def no_factoring(*args):
             raise AssertionError("factored path ran")
 
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", no_factoring)
-        rng = np.random.default_rng(11)
-        narrow = DescriptorSeries(rng.normal(size=(30, 8)))
-        wide = DescriptorSeries(rng.normal(size=(30, deltadesc.matching.BANK_FACTOR_MIN_DIM)))
-        multi_delta_distance(list(delta_bank(narrow, (2, 4))), delta_bank(narrow, (2, 4)))
-        multi_delta_distance(list(delta_bank(wide, (2, 4))), delta_bank(wide, (4,)))
-        multi_delta_distance(list(delta_bank(wide, (2, 4))), list(delta_bank(wide, (2, 4))))
+        series = DescriptorSeries(np.random.default_rng(11).normal(size=(30, 8)))
+        multi_delta_distance(list(delta_bank(series, (2, 4))), delta_bank(series, (4,)))
+        multi_delta_distance(list(delta_bank(series, (2, 4))), list(delta_bank(series, (2, 4))))
         monkeypatch.undo()
         spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
-        multi_delta_distance(list(delta_bank(wide, (2, 4))), delta_bank(wide, (2, 4)))
+        multi_delta_distance(list(delta_bank(series, (2, 4))), delta_bank(series, (2, 4)))
         assert spy.call_count == 1
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import _row_scales
-from .series import DescriptorSeries, _freeze, _seal
+from .series import DescriptorSeries, _freeze, _row_scales, _seal
 
 # rows per profile GEMM block: 128 to 512 rows ran within 10% of each other at
 # 3000 x 2048, d_max 512, on 2 cores with OpenBLAS

@@ -37,8 +37,10 @@ from .transform import delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
-# bytes of distances per query tile; seq_match's output or a bank's running minimum is a second
-MATCH_TILE_BYTES = 64 * 2**20
+# bytes of distances per query tile; seq_match's output or a bank's running minimum is a
+# second. 32 MiB still holds a 2000 x 2000 match in one tile: halving it again split such
+# a span bank in two, each tile copying the query members, and cost more than it saved.
+MATCH_TILE_BYTES = 32 * 2**20
 
 
 @contextmanager
@@ -281,15 +283,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
         scored = None
         if cfg.padding == VALID_ONLY:
             scored = delta_valid_range(query.frame_count, cfg.window)
-        q_members, r_members = (
-            _transform_members(series, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
-            for series in (query, ref)
+        # the members replace the loaded series, which are released as soon as they
+        # exist: the query's before the reference is transformed. Query members are
+        # matched as they are, so the query bank becomes a plain list; a reference bank
+        # keeps its source, which multi_delta_distance matches it through.
+        q_members = list(
+            _transform_members(query, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
         )
-    # the members replace the loaded series: release them before PCA and matching. A
-    # reference bank keeps its source, which multi_delta_distance matches it through;
-    # query members are matched as they are, so the query bank becomes a plain list.
-    q_members = list(q_members)
-    del query, ref
+        del query
+        r_members = _transform_members(ref, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
+        del ref
     if cfg.pca_k is not None:
         # projected members are no longer deltas of the source: drop the bank and its source
         r_members = list(r_members)

@@ -13,12 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import DescriptorSeries, _freeze, _seal
+# ZERO_NORM stays importable here, beside the dead-row rule in this module's docstring
+from .series import ZERO_NORM, DescriptorSeries, _freeze, _row_scales, _seal  # noqa: F401
 from .transform import SpanBank, _delta_rows
 
-ZERO_NORM = 1e-12
-# query rows per seq_match block: the block's sums stay in cache across the L shifts
-SEQ_BLOCK_ROWS = 64
+# rows per pass over a Q x R matrix, in seq_match and _cosine_block: at R = 8000 a
+# block is 1 MiB, so it stays in a 2 MiB L2 cache across all the passes over it
+SEQ_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -77,21 +78,22 @@ class MatchSet:
         return self.ref_indices.size
 
 
-def _row_scales(data: np.ndarray) -> np.ndarray:
-    """1/|row|, or 0 for rows with norm below ``ZERO_NORM`` so that they compare at exactly 1.0."""
-    norms = np.linalg.norm(data, axis=1)
-    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM)
-
-
 def _cosine_block(
     q: np.ndarray, q_scale: np.ndarray, r: np.ndarray, r_scale: np.ndarray
 ) -> np.ndarray:
-    """Q x R cosine distances from one GEMM, given each side's ``_row_scales``."""
+    """Q x R cosine distances from one GEMM, given each side's ``_row_scales``.
+
+    The scales, ``1 - x`` and the clip run over ``SEQ_BLOCK_ROWS`` rows of the
+    product at a time, so their four passes find the block in cache.
+    """
     vals = q @ r.T
-    vals *= q_scale[:, None]
-    vals *= r_scale[None, :]
-    np.subtract(1.0, vals, out=vals)
-    return np.clip(vals, 0.0, 2.0, out=vals)
+    for b0 in range(0, len(vals), SEQ_BLOCK_ROWS):
+        block = vals[b0 : b0 + SEQ_BLOCK_ROWS]
+        block *= q_scale[b0 : b0 + SEQ_BLOCK_ROWS, None]
+        block *= r_scale
+        np.subtract(1.0, block, out=block)
+        np.clip(block, 0.0, 2.0, out=block)
+    return vals
 
 
 def cosine_distance(a, b) -> float:
@@ -117,9 +119,12 @@ def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
     slope exactly one.
 
     The output is the only Q x R array allocated. It is filled in blocks of
-    ``SEQ_BLOCK_ROWS`` query rows: each block sums the shifts in increasing k,
-    then divides by its closed-form in-bounds count
-    ``min(ceil(L/2), Q-q, R-r) + min(floor(L/2), q, r)``.
+    ``SEQ_BLOCK_ROWS`` query rows, small enough to stay in cache: each block
+    sums the shifts in increasing k, then divides by its in-bounds count
+    ``min(ceil(L/2), Q-q, R-r) + min(floor(L/2), q, r)``. Away from the first
+    floor(L/2) and the last ceil(L/2) - 1 columns, the count is
+    ``min(ceil(L/2), Q-q) + min(floor(L/2), q)``, one integer per row; only the
+    edge columns take the full count. The divisors are the same either way.
     """
     length = int(length)
     if length < 1:
@@ -128,7 +133,9 @@ def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
     q_count, r_count = values.shape
     lo, hi = length // 2, (length + 1) // 2
     out = np.zeros((q_count, r_count))
-    r = np.arange(r_count)
+    # interior columns [c0, c1); the edges are [0, c0) and [c1, R)
+    c0 = min(lo, r_count)
+    c1 = max(c0, r_count - hi + 1)
     for b0 in range(0, q_count, SEQ_BLOCK_ROWS):
         b1 = min(b0 + SEQ_BLOCK_ROWS, q_count)
         for k in range(-lo, hi):
@@ -138,9 +145,13 @@ def seq_match(m: DistanceMatrix, length: int) -> DistanceMatrix:
                 continue
             out[q0:q1, r0:r1] += values[q0 + k : q1 + k, r0 + k : r1 + k]
         q = np.arange(b0, b1)[:, None]
-        cnt = np.minimum(np.minimum(hi, q_count - q), r_count - r)
-        cnt += np.minimum(np.minimum(lo, q), r)
-        out[b0:b1] /= cnt
+        out[b0:b1, c0:c1] /= np.minimum(hi, q_count - q) + np.minimum(lo, q)
+        for e0, e1 in ((0, c0), (c1, r_count)):
+            if e0 < e1:
+                r = np.arange(e0, e1)
+                cnt = np.minimum(np.minimum(hi, q_count - q), r_count - r)
+                cnt += np.minimum(np.minimum(lo, q), r)
+                out[b0:b1, e0:e1] /= cnt
     return DistanceMatrix(_seal(out))
 
 
@@ -168,21 +179,17 @@ def multi_delta_distance(
         raise ValueError(
             f"dimension mismatch: query D={q_members[0].dim}, reference D={r_members[0].dim}"
         )
-    r_scales = [_row_scales(rs.data) for rs in r_members]
     if isinstance(r_members, SpanBank) and len(r_members) > 1:
-        return DistanceMatrix(_seal(_bank_distances(q_members, r_members, r_scales)))
+        return DistanceMatrix(_seal(_bank_distances(q_members, r_members)))
     best = None
     for qs in q_members:
-        q_scale = _row_scales(qs.data)
-        for rs, r_scale in zip(r_members, r_scales):
-            vals = _cosine_block(qs.data, q_scale, rs.data, r_scale)
+        for rs in r_members:
+            vals = _cosine_block(qs.data, qs.row_scales, rs.data, rs.row_scales)
             best = vals if best is None else np.minimum(best, vals, out=best)
     return DistanceMatrix(_seal(best))
 
 
-def _bank_distances(
-    q_members: Sequence[DescriptorSeries], bank: SpanBank, r_scales: list[np.ndarray]
-) -> np.ndarray:
+def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np.ndarray:
     """Q x R minimum over pairings with one GEMM per query member.
 
     A delta is a linear filter along time, so the dot products of the span-l
@@ -198,8 +205,8 @@ def _bank_distances(
     source = bank.source.data
     r_count = len(source)
     mean = source.mean(axis=0)
-    # before any Gram matrix exists: each norm takes a temporary copy of a member
-    q_scales = [_row_scales(qs.data) for qs in q_members]
+    q_scales = [qs.row_scales for qs in q_members]
+    r_scales = [rs.row_scales for rs in bank]
     # R x Q, so the filters run down contiguous rows. 1 - x is monotone, so the
     # largest scaled dot product gives the smallest distance, bit for bit.
     sims = np.full((r_count, q_members[0].frame_count), -np.inf)

@@ -8,9 +8,14 @@ travel as their own R x 2 array (``io.read_positions``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+ZERO_NORM = 1e-12
+# rows per norm block: the squared temporary is one block, not a copy of the series
+NORM_BLOCK_ROWS = 256
 
 
 def _seal(arr: np.ndarray) -> np.ndarray:
@@ -43,6 +48,18 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} value at row {t}, column {d}")
 
 
+def _row_scales(data: np.ndarray) -> np.ndarray:
+    """1/|row|, or 0 for rows with norm below ``ZERO_NORM`` so that they compare at exactly 1.0.
+
+    ``np.linalg.norm`` reduces each row of a block as it would the row of the
+    whole matrix, so the blocks change no bit.
+    """
+    norms = np.empty(len(data))
+    for b0 in range(0, len(data), NORM_BLOCK_ROWS):
+        norms[b0 : b0 + NORM_BLOCK_ROWS] = np.linalg.norm(data[b0 : b0 + NORM_BLOCK_ROWS], axis=1)
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM)
+
+
 @dataclass(frozen=True)
 class DescriptorSeries:
     """Immutable T x D descriptor matrix for one traverse.
@@ -69,6 +86,11 @@ class DescriptorSeries:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def row_scales(self) -> np.ndarray:
+        """``_row_scales`` of ``data``, computed once: a reference is scaled once per route."""
+        return _seal(_row_scales(self.data))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ only, a sealed array is adopted without a copy, reading a float32 file
 holds the file's bytes plus the float64 payload, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
 The tiled match holds two tiles, a distance tile and seq_match's output,
-where the dense match holds two Q x R matrices.
+where the dense match holds two Q x R matrices. Row scales hold one block of
+squares at a time, not a squared copy of the series.
 """
 
 import tracemalloc
@@ -35,7 +36,7 @@ from deltadesc import (
     write_descriptors,
 )
 from deltadesc.calibration import PROFILE_BLOCK_ROWS
-from deltadesc.matching import SEQ_BLOCK_ROWS
+from deltadesc.matching import SEQ_BLOCK_ROWS, _row_scales
 
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
@@ -121,3 +122,9 @@ def test_tiled_match_holds_two_tiles(inputs, monkeypatch):
     # measured 0.364 matrices; 0.05 covers the norms and the per-query vectors
     bound = (2 * tile + counts) * 8 / MATRIX_BYTES + 0.05
     assert peak_matrices(deltadesc.cli._match, [query], [ref], length) <= bound
+
+
+def test_row_scales_hold_no_copy_of_the_series():
+    data = np.random.default_rng(5).normal(size=(8000, 64))  # 3.9 MiB
+    # measured 0.19 MiB: the norms, the scales and one block of squares
+    assert peak_matrices(_row_scales, data) * MATRIX_BYTES <= data.nbytes / 8

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import deltadesc.cli
 import deltadesc.io
 import deltadesc.matching
+import deltadesc.series
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -265,6 +266,31 @@ class TestRunCommand:
         ) == 0
         assert alive_at_pca == [[False, False]]
 
+    def test_loaded_query_is_released_before_the_reference_is_transformed(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        ref, query, gt = synth_files
+        loaded, alive_at_delta = [], []
+        read, transform = deltadesc.io.read_descriptors, deltadesc.cli.delta
+
+        def read_and_watch(path):
+            series = read(path)
+            loaded.append(weakref.ref(series))
+            return series
+
+        def delta_and_check(*args, **kwargs):
+            alive_at_delta.append([w() is not None for w in loaded])
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
+        monkeypatch.setattr(deltadesc.cli, "delta", delta_and_check)
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "delta", "--window", 8, "--out-dir", tmp_path / "o",
+        ) == 0
+        # the reference is read first and transformed second, once the query is gone
+        assert alive_at_delta == [[True, True], [True, False]]
+
     def test_only_the_reference_bank_keeps_its_source(self, synth_files, tmp_path, monkeypatch):
         ref, query, gt = synth_files
         loaded, alive_at_match = [], []
@@ -443,6 +469,20 @@ class TestTiledMatch:
         # 10-row tiles of the first member would slice the longer one without a complaint
         with pytest.raises(ValueError, match="bank members must share frame count"):
             deltadesc.cli._match([short, long], [short], 1)
+
+    @pytest.mark.parametrize("spans", [None, (2, 4)])
+    def test_reference_scales_are_computed_once_per_route(self, spans, monkeypatch):
+        rng = np.random.default_rng(9)
+        query = DescriptorSeries(rng.normal(size=(50, 4)))
+        ref = DescriptorSeries(rng.normal(size=(30, 4)))
+        r_members = [ref] if spans is None else delta_bank(ref, spans)
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 10 * 8 * 30)  # five tiles
+        spy = mock.Mock(wraps=deltadesc.series._row_scales)
+        monkeypatch.setattr(deltadesc.series, "_row_scales", spy)
+        deltadesc.cli._match([query], r_members, 3)
+        # one call per reference member, one per query tile of 11 or 12 halo-widened rows
+        sizes = sorted(len(call.args[0]) for call in spy.call_args_list)
+        assert sizes == [11, 11, 12, 12, 12] + [30] * len(r_members)
 
     @settings(max_examples=150, deadline=None)
     @given(

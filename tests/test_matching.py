@@ -2,10 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deltadesc.matching
+import deltadesc.series
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -35,6 +36,21 @@ def seq_match_oracle(values, length):
         acc[q0:q1, r0:r1] += values[q0 + k : q1 + k, r0 + k : r1 + k]
         cnt[q0:q1, r0:r1] += 1.0
     return acc / cnt
+
+
+def seq_match_cells(values, length):
+    """Per-cell double loop: the in-bounds shifts summed in increasing k, then their mean."""
+    q_count, r_count = values.shape
+    out = np.empty((q_count, r_count))
+    for q in range(q_count):
+        for r in range(r_count):
+            total, count = 0.0, 0
+            for k in range(-(length // 2), (length + 1) // 2):
+                if 0 <= q + k < q_count and 0 <= r + k < r_count:
+                    total += float(values[q + k, r + k])
+                    count += 1
+            out[q, r] = total / count
+    return out
 
 
 def random_distances(seed, q_count, r_count):
@@ -263,6 +279,59 @@ class TestSeqMatch:
         values = np.full((3, 3), -0.0)
         out = seq_match(DistanceMatrix(values), 1).values
         assert out.tobytes() == seq_match_oracle(values, 1).tobytes()
+
+
+class TestCacheSizedBlocks:
+    """``seq_match`` and ``_cosine_block`` in blocks of ``SEQ_BLOCK_ROWS`` rows, and the
+    blocked ``_row_scales``, against unblocked formulations, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        q_count=st.integers(min_value=1, max_value=40),
+        r_count=st.integers(min_value=1, max_value=40),
+        length=st.integers(min_value=1, max_value=9),
+        block_rows=st.sampled_from([1, 3, 16]),
+    )
+    @example(seed=0, q_count=3, r_count=40, length=9, block_rows=16)
+    @example(seed=1, q_count=40, r_count=2, length=8, block_rows=3)
+    @example(seed=2, q_count=5, r_count=4, length=9, block_rows=1)
+    def test_seq_match_equals_the_per_cell_loop(self, seed, q_count, r_count, length, block_rows):
+        values = random_distances(seed, q_count, r_count)
+        with mock.patch.object(deltadesc.matching, "SEQ_BLOCK_ROWS", block_rows):
+            out = seq_match(DistanceMatrix(values), length).values
+        assert np.array_equal(out, seq_match_cells(values, length))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 16])
+    @pytest.mark.parametrize("q_count", [1, 16, 17, 50])
+    def test_cosine_block_equals_the_one_shot_expression(self, q_count, block_rows):
+        rng = np.random.default_rng(q_count)
+        q, r = rng.normal(size=(q_count, 12)), rng.normal(size=(37, 12))
+        q[::4], r[::5] = 0.0, 0.0  # zero-norm rows, which compare at exactly 1.0
+        q_scale, r_scale = deltadesc.matching._row_scales(q), deltadesc.matching._row_scales(r)
+        want = np.clip(1.0 - (q @ r.T) * q_scale[:, None] * r_scale[None, :], 0.0, 2.0)
+        with mock.patch.object(deltadesc.matching, "SEQ_BLOCK_ROWS", block_rows):
+            got = deltadesc.matching._cosine_block(q, q_scale, r, r_scale)
+        assert np.array_equal(got, want)
+        assert np.all(got[::4] == 1.0) and np.all(got[:, ::5] == 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("dim", [1, 7, 512])
+    def test_row_scales_equal_the_whole_matrix_norms(self, rows, dim):
+        rng = np.random.default_rng(rows * dim)
+        data = rng.normal(size=(rows, dim)) * rng.uniform(1e-14, 1e3, size=(rows, 1))
+        data[::9] = 0.0
+        norms = np.linalg.norm(data, axis=1)
+        want = np.divide(1.0, norms, out=np.zeros(rows), where=norms >= deltadesc.matching.ZERO_NORM)
+        assert np.array_equal(deltadesc.matching._row_scales(data), want)
+
+    def test_series_scales_are_computed_once(self, monkeypatch):
+        series = DescriptorSeries(np.random.default_rng(12).normal(size=(20, 3)))
+        spy = mock.Mock(wraps=deltadesc.series._row_scales)
+        monkeypatch.setattr(deltadesc.series, "_row_scales", spy)
+        first = series.row_scales
+        assert series.row_scales is first and spy.call_count == 1
+        assert not first.flags.writeable
 
 
 class TestMultiDelta:

@@ -5,8 +5,9 @@ One subcommand per procedure: ``synth``, ``transform``, ``match``,
 chains transform -> (PCA) -> distance matrix -> (seqmatch) -> retrieve ->
 evaluate in a single invocation. Staged invocations with float64 intermediate
 files reproduce the single-invocation outputs byte for byte, except for span
-banks of two or more spans without PCA: ``run`` matches those through Gram
-matrices, and the distances agree only within rounding.
+banks of two or more spans without PCA: ``run`` keeps each bank as its series
+and spans and matches the two banks through one product of the series, and the
+distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -27,7 +28,7 @@ from . import io as ddio
 from .calibration import estimate_span, self_distance_profile
 from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision_at_full_recall
 from .evaluation import median_pair_products, rank_dimensions
-from .matching import DistanceMatrix, MatchSet
+from .matching import DistanceMatrix, MatchSet, _bank_shape
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
 from .reduction import pca_fit, pca_transform
 from .series import DescriptorSeries, GroundTruth, _seal, apply_permutation
@@ -119,9 +120,16 @@ def _transform_members(
     window: Optional[int],
     padding: str,
     spans: Optional[Sequence[int]] = None,
+    projected: bool = False,
 ) -> Sequence[DescriptorSeries]:
-    """The series to match: a ``delta_bank`` for multi-delta, otherwise a one-member list."""
+    """The series to match: a one-member list, or for multi-delta a ``delta_bank``.
+
+    Members that PCA will replace (``projected``) come as a list of deltas: a
+    bank would build each one twice, once for norms that no one reads.
+    """
     if transform == "multi-delta":
+        if projected:
+            return [delta(series, DeltaConfig(window=s)) for s in spans]
         return delta_bank(series, spans)
     if transform == "smooth":
         return [smooth(series, window)]
@@ -173,20 +181,27 @@ def _match(
     Query rows are matched in tiles of ``MATCH_TILE_BYTES`` of distances. Each
     tile is widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1
     after, so every kept row sums the same in-bounds shifts as the dense
-    matrix would. ``dense`` asks for one tile of all Q rows and returns its
-    matrix; otherwise the matrix returned is None.
+    matrix would. A query ``SpanBank`` that fits one tile is matched through
+    its source; over several tiles its members are built once and sliced.
+    ``dense`` asks for one tile of all Q rows and returns its matrix;
+    otherwise the matrix returned is None.
     """
-    q_count, r_count = q_members[0].frame_count, r_members[0].frame_count
     length = int(seqmatch_length)
     pairings = len(q_members) * len(r_members)
     with _stage("distance"):
         # tiles slice every query member alike, so their frame counts must agree up front
-        if any(q.frame_count != q_count for q in q_members):
-            raise ValueError("bank members must share frame count and dimension")
+        q_count, r_count = _bank_shape(q_members)[0], _bank_shape(r_members)[0]
         if dense:
             # a second matrix: seq_match's output, or the running minimum over pairings
             _check_dense_fits(q_count, r_count, 2 if length > 1 or pairings > 1 else 1)
     rows = q_count if dense else max(1, MATCH_TILE_BYTES // (8 * r_count))
+    # members matched as they are, not through a bank's source, are built once here
+    # rather than once per tile: the query's when it takes several tiles, and a
+    # one-member reference's, which always takes one GEMM per pairing
+    if rows < q_count:
+        q_members = list(q_members)
+    if len(r_members) == 1:
+        r_members = list(r_members)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     for b0 in range(0, q_count, rows):
         b1 = min(b0 + rows, q_count)
@@ -284,18 +299,18 @@ def run_pipeline(cfg: RunConfig) -> dict:
         if cfg.padding == VALID_ONLY:
             scored = delta_valid_range(query.frame_count, cfg.window)
         # the members replace the loaded series, which are released as soon as they
-        # exist: the query's before the reference is transformed. Query members are
-        # matched as they are, so the query bank becomes a plain list; a reference bank
-        # keeps its source, which multi_delta_distance matches it through.
-        q_members = list(
-            _transform_members(query, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
+        # exist: the query's before the reference is transformed. A span bank keeps its
+        # source and no member, since multi_delta_distance matches it through its source.
+        projected = cfg.pca_k is not None
+        q_members = _transform_members(
+            query, cfg.transform, cfg.window, EDGE_REPLICATE, spans, projected
         )
         del query
-        r_members = _transform_members(ref, cfg.transform, cfg.window, EDGE_REPLICATE, spans)
+        r_members = _transform_members(
+            ref, cfg.transform, cfg.window, EDGE_REPLICATE, spans, projected
+        )
         del ref
-    if cfg.pca_k is not None:
-        # projected members are no longer deltas of the source: drop the bank and its source
-        r_members = list(r_members)
+    if projected:
         with _stage("pca"):
             # one model per bank member, named by its span
             names = (

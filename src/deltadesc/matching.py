@@ -160,68 +160,117 @@ def multi_delta_distance(
 ) -> DistanceMatrix:
     """Per-cell minimum cosine distance over every (query, reference) member pairing.
 
-    Each side is a span bank, such as ``delta_bank``'s output: its members must
-    share frame count and dimension, which is checked before any GEMM. With n
-    query and m reference members every cell takes the minimum of n*m
-    distances. ``np.minimum`` is exact, so the member order does not change a bit.
+    Each side is a span bank, such as ``delta_bank``'s output, or a list of
+    members that share frame count and dimension, which is checked before any
+    GEMM. With n query and m reference members every cell takes the minimum of
+    n*m distances. ``np.minimum`` is exact, so the member order does not change
+    a bit.
 
     A reference ``SpanBank`` of two or more spans is matched by
-    ``_bank_distances``, with n GEMMs instead of n*m. Anything else takes one
-    GEMM per pairing, which is the factored path's oracle.
+    ``_bank_distances`` through products with its source: one GEMM in all when
+    the query is a ``SpanBank`` too, else one per query member. Anything else
+    takes one GEMM per pairing, which is the factored path's oracle.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")
-    for members in (q_members, r_members):
-        first = members[0]
-        if any(m.frame_count != first.frame_count or m.dim != first.dim for m in members):
-            raise ValueError("bank members must share frame count and dimension")
-    if q_members[0].dim != r_members[0].dim:
-        raise ValueError(
-            f"dimension mismatch: query D={q_members[0].dim}, reference D={r_members[0].dim}"
-        )
+    q_dim, r_dim = _bank_shape(q_members)[1], _bank_shape(r_members)[1]
+    if q_dim != r_dim:
+        raise ValueError(f"dimension mismatch: query D={q_dim}, reference D={r_dim}")
     if isinstance(r_members, SpanBank) and len(r_members) > 1:
         return DistanceMatrix(_seal(_bank_distances(q_members, r_members)))
+    refs = list(r_members)  # a bank builds its members once, not once per query member
     best = None
     for qs in q_members:
-        for rs in r_members:
+        for rs in refs:
             vals = _cosine_block(qs.data, qs.row_scales, rs.data, rs.row_scales)
             best = vals if best is None else np.minimum(best, vals, out=best)
     return DistanceMatrix(_seal(best))
 
 
+def _bank_shape(members: Sequence[DescriptorSeries]) -> tuple[int, int]:
+    """Frame count and dimension shared by the members, read without building a bank's members."""
+    if isinstance(members, SpanBank):
+        return members.source.data.shape
+    first = members[0]
+    if any(m.frame_count != first.frame_count or m.dim != first.dim for m in members):
+        raise ValueError("bank members must share frame count and dimension")
+    return first.data.shape
+
+
 def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np.ndarray:
-    """Q x R minimum over pairings with one GEMM per query member.
+    """Q x R minimum over pairings from one GEMM per query source.
 
     A delta is a linear filter along time, so the dot products of the span-l
-    member with query rows q are the span-l delta, taken along the reference
-    axis, of the source's dot products with q. Each query member takes one
-    GEMM with the source, and each span filters that R x Q Gram matrix with
-    ``transform``'s kernel. The Gram matrix is centred by the source's column
-    mean first: a delta's weights sum to zero, so the result is unchanged in
-    exact arithmetic, and the filter's running sums stay small. The scales are
-    the members' own ``_row_scales``, so rows below ``ZERO_NORM`` still compare
-    at exactly 1.0. The result is within rounding of the direct path.
+    reference member with the span-k query member are the product of the two
+    sources, filtered by the span-l delta down its reference axis and by the
+    span-k delta along its query axis. A query ``SpanBank`` is one source with
+    its spans; each member of any other query is a source of its own with the
+    identity filter, written as span 0. Both sources are centred by their
+    column means first: a delta's weights sum to zero, so the result is
+    unchanged in exact arithmetic, and the filters' running sums stay small.
+    The scales are the members' own ``_row_scales``, so rows below
+    ``ZERO_NORM`` still compare at exactly 1.0. The result is within rounding
+    of the direct path.
     """
     source = bank.source.data
-    r_count = len(source)
     mean = source.mean(axis=0)
-    q_scales = [qs.row_scales for qs in q_members]
-    r_scales = [rs.row_scales for rs in bank]
-    # R x Q, so the filters run down contiguous rows. 1 - x is monotone, so the
-    # largest scaled dot product gives the smallest distance, bit for bit.
-    sims = np.full((r_count, q_members[0].frame_count), -np.inf)
-    for qs, q_scale in zip(q_members, q_scales):
-        gram = source @ qs.data.T
-        gram -= mean @ qs.data.T  # the product of the centred source, with no centred copy
-        gram *= q_scale  # scaling columns commutes with the filter
-        for span, r_scale in zip(bank.spans, r_scales):
+    r_count = len(source)
+    # R x Q, so the reference filters run down contiguous rows. 1 - x is monotone, so
+    # the largest scaled dot product gives the smallest distance, bit for bit.
+    sims = np.full((r_count, _bank_shape(q_members)[0]), -np.inf)
+    for q, q_spans, q_scales in _query_sources(q_members):
+        gram = source @ q.T
+        gram -= mean @ q.T  # the product of the centred reference, with no centred copy
+        del q  # a centred query copy goes before the filters allocate
+        q_scales = [scale / span if span else scale for span, scale in zip(q_spans, q_scales)]
+        for span, r_scale in zip(bank.spans, bank.row_scales):
             vals = _delta_rows(gram, span, 0, r_count)
             vals *= r_scale[:, None]
-            np.maximum(sims, vals, out=sims)
+            _filter_columns(vals, q_spans, q_scales, sims)
             del vals  # before the next span's filter allocates its buffers
         del gram  # before the next product or the Q x R result is allocated
     dist = np.subtract(1.0, sims.T, order="C")
     return np.clip(dist, 0.0, 2.0, out=dist)
+
+
+def _query_sources(q_members: Sequence[DescriptorSeries]):
+    """Yield (source data, spans, row scales) per query source, span 0 being the identity."""
+    if isinstance(q_members, SpanBank):
+        data = q_members.source.data
+        yield data - data.mean(axis=0), q_members.spans, q_members.row_scales
+    else:
+        for qs in q_members:
+            yield qs.data, (0,), (qs.row_scales,)
+
+
+def _filter_columns(
+    vals: np.ndarray, spans: Sequence[int], scales: Sequence[np.ndarray], best: np.ndarray
+) -> None:
+    """Raise ``best`` to each span's delta of ``vals`` along its columns, times its scales.
+
+    ``SEQ_BLOCK_ROWS`` rows go at a time, through two buffers reused by every
+    block, so each pass finds its rows in cache. The running sums S of one
+    edge-padded copy of a block serve every span: the span-l delta at column t
+    is (S[t+l] - S[t]) - (S[t] - S[t-l]), with the 1/l folded into the scales.
+    Span 0 passes ``vals`` through.
+    """
+    pad, cols = max(spans), vals.shape[1]
+    padded, out = np.empty((SEQ_BLOCK_ROWS, cols + 2 * pad)), np.empty((SEQ_BLOCK_ROWS, cols))
+    for b0 in range(0, len(vals), SEQ_BLOCK_ROWS):
+        block, top = vals[b0 : b0 + SEQ_BLOCK_ROWS], best[b0 : b0 + SEQ_BLOCK_ROWS]
+        sums, o = padded[: len(block)], out[: len(block)]
+        if pad:
+            sums[:, :pad], sums[:, pad + cols :] = block[:, :1], block[:, -1:]
+            sums[:, pad : pad + cols] = block
+            np.cumsum(sums, axis=1, out=sums)
+        for span, scale in zip(spans, scales):
+            if span:
+                mid = sums[:, pad : pad + cols]
+                np.subtract(sums[:, pad + span : pad + span + cols], mid, out=o)
+                o -= mid
+                o += sums[:, pad - span : pad - span + cols]
+            np.multiply(o if span else block, scale, out=o)
+            np.maximum(top, o, out=top)
 
 
 def retrieve_best(m: DistanceMatrix) -> MatchSet:

@@ -21,9 +21,9 @@ padded copy of the series (``_box_sums``), so a call holds that and its output.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Sequence
 
 import numpy as np
 
@@ -125,36 +125,50 @@ def _delta_rows(data: np.ndarray, span: int, start: int, end: int) -> np.ndarray
     return out
 
 
-class SpanBank(tuple):
-    """A tuple of edge-replicate deltas of ``source``, one per span of ``spans``.
+class SpanBank(Sequence):
+    """Edge-replicate deltas of ``source``, one per span of ``spans``, built on demand.
 
-    It is built only from its source and spans, so the members are always
-    ``delta(source, DeltaConfig(span))``. ``multi_delta_distance`` relies on
-    that to match a reference bank through products with the source. A slice
-    or a ``list`` of the bank is a plain sequence of its members.
+    A bank holds its source, its spans and each member's ``_row_scales``: each
+    member is built once to take its norms and then dropped. Indexing or
+    iterating builds a member again, bit for bit ``delta(source,
+    DeltaConfig(span))``, and hands it the bank's norms. ``multi_delta_distance``
+    matches a bank through products with its source and needs no member. A
+    slice is a tuple of members.
     """
 
+    __slots__ = ("source", "spans", "row_scales")
     source: DescriptorSeries
     spans: tuple[int, ...]
+    row_scales: tuple[np.ndarray, ...]
 
-    def __new__(cls, source: DescriptorSeries, spans: Sequence[int]) -> SpanBank:
+    def __init__(self, source: DescriptorSeries, spans: Sequence[int]) -> None:
         if not spans:
             raise ValueError("delta bank needs a non-empty span set")
         spans = tuple(int(s) for s in spans)
-        bank = super().__new__(cls, (delta(source, DeltaConfig(window=s)) for s in spans))
-        object.__setattr__(bank, "source", source)
-        object.__setattr__(bank, "spans", spans)
-        return bank
+        scales = tuple(delta(source, DeltaConfig(window=s)).row_scales for s in spans)
+        for name, value in (("source", source), ("spans", spans), ("row_scales", scales)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        member = delta(self.source, DeltaConfig(window=self.spans[index]))
+        vars(member)["row_scales"] = self.row_scales[index]  # the cached norms: no second pass
+        return member
 
     def __setattr__(self, name, value):
         raise AttributeError("a span bank is immutable")
 
 
 def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> SpanBank:
-    """One edge-replicate delta per span, in the order given.
+    """One edge-replicate delta per span, in the order given, as a ``SpanBank``.
 
     Edge replication keeps every member frame-aligned with the source series
-    and with each other. The order is the caller's: ``multi_delta_distance``
-    does not depend on it.
+    and with each other. The bank keeps the series and each member's norms, not
+    the members. The order is the caller's: ``multi_delta_distance`` does not
+    depend on it.
     """
     return SpanBank(series, spans)

@@ -11,7 +11,9 @@ holds the file's bytes plus the float64 payload, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
 The tiled match holds two tiles, a distance tile and seq_match's output,
 where the dense match holds two Q x R matrices. Row scales hold one block of
-squares at a time, not a squared copy of the series.
+squares at a time, not a squared copy of the series. A span bank keeps its
+source and its norms, no member, and matching two banks holds four Q x R
+matrices.
 """
 
 import tracemalloc
@@ -27,7 +29,9 @@ from deltadesc import (
     DescriptorSeries,
     DistanceMatrix,
     delta,
+    delta_bank,
     distance_matrix,
+    multi_delta_distance,
     read_descriptors,
     retrieve_best,
     self_distance_profile,
@@ -118,7 +122,7 @@ def test_tiled_match_holds_two_tiles(inputs, monkeypatch):
     rows, length = 100, 8
     monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * FRAMES * 8)
     tile = (rows + length - 1) * FRAMES  # kept rows plus seqmatch's halo
-    counts = 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's per-block count and its temporary
+    counts = 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's per-block sums and divisions
     # measured 0.364 matrices; 0.05 covers the norms and the per-query vectors
     bound = (2 * tile + counts) * 8 / MATRIX_BYTES + 0.05
     assert peak_matrices(deltadesc.cli._match, [query], [ref], length) <= bound
@@ -128,3 +132,25 @@ def test_row_scales_hold_no_copy_of_the_series():
     data = np.random.default_rng(5).normal(size=(8000, 64))  # 3.9 MiB
     # measured 0.19 MiB: the norms, the scales and one block of squares
     assert peak_matrices(_row_scales, data) * MATRIX_BYTES <= data.nbytes / 8
+
+
+def test_delta_bank_keeps_its_source_and_the_scales(square_series):
+    tracemalloc.start()
+    try:
+        bank = delta_bank(square_series, (2, 4))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each member is built for its norms and dropped: one delta's buffers at a time
+    assert peak / MATRIX_BYTES <= 2.1
+    # what stays is the caller's source and one vector of norms per span, 16 KB; a member
+    # would be 8 MB
+    assert bank.source is square_series
+    assert kept <= sum(s.nbytes for s in bank.row_scales) + 8192
+
+
+def test_two_span_banks_hold_four_matrices():
+    rng = np.random.default_rng(6)
+    qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(FRAMES, 16))), (2, 4)) for _ in "qr")
+    # the product, the running best, and the reference filter's running sums and output
+    assert peak_matrices(multi_delta_distance, qb, rb) <= 4.05

@@ -12,6 +12,7 @@ import deltadesc.cli
 import deltadesc.io
 import deltadesc.matching
 import deltadesc.series
+import deltadesc.transform
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -28,6 +29,7 @@ from deltadesc import (
     write_pr_csv,
 )
 from deltadesc.cli import main
+from deltadesc.transform import SpanBank
 
 
 def run_cli(*args):
@@ -195,14 +197,19 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["precision_at_full_recall"] is None
 
-    def test_multi_delta_pca_saves_one_model_per_span(self, synth_files, tmp_path):
+    def test_multi_delta_pca_saves_one_model_per_span(self, synth_files, tmp_path, monkeypatch):
         ref, query, gt = synth_files
         out = tmp_path / "bank"
+        builds = mock.Mock(wraps=delta)
+        monkeypatch.setattr(deltadesc.cli, "delta", builds)
+        monkeypatch.setattr(deltadesc.transform, "delta", builds)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 8, 4, "--pca-k", 6,
             "--radius", 2, "--out-dir", out,
         ) == 0
+        assert builds.call_count == 4  # each member once: projected members need no bank
+        monkeypatch.undo()
         names = sorted(p.name for p in out.glob("pca_model*.bin"))
         assert names == ["pca_model_span4.bin", "pca_model_span8.bin"]
         ref_series = read_descriptors(ref)
@@ -291,29 +298,39 @@ class TestRunCommand:
         # the reference is read first and transformed second, once the query is gone
         assert alive_at_delta == [[True, True], [True, False]]
 
-    def test_only_the_reference_bank_keeps_its_source(self, synth_files, tmp_path, monkeypatch):
+    def test_each_bank_keeps_its_source_and_no_member(self, synth_files, tmp_path, monkeypatch):
         ref, query, gt = synth_files
-        loaded, alive_at_match = [], []
-        read, match = deltadesc.io.read_descriptors, deltadesc.cli.multi_delta_distance
+        loaded, members, alive_at_match = [], [], []
+        read, build = deltadesc.io.read_descriptors, deltadesc.transform.delta
+        match = deltadesc.cli.multi_delta_distance
 
         def read_and_watch(path):
             series = read(path)
             loaded.append(weakref.ref(series))
             return series
 
+        def build_and_watch(*args):
+            member = build(*args)
+            members.append(weakref.ref(member))
+            return member
+
         def match_and_check(q_members, r_members):
-            alive_at_match.append([w() is not None for w in loaded])
-            assert type(q_members) is list and r_members.source is loaded[0]()
+            alive_at_match.append([w() is not None for w in loaded + members])
+            assert isinstance(q_members, SpanBank) and isinstance(r_members, SpanBank)
+            assert q_members.source is loaded[1]() and r_members.source is loaded[0]()
             return match(q_members, r_members)
 
         monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
+        monkeypatch.setattr(deltadesc.transform, "delta", build_and_watch)
         monkeypatch.setattr(deltadesc.cli, "multi_delta_distance", match_and_check)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 4, 8, "--out-dir", tmp_path / "o",
         ) == 0
-        # the reference is read first: the bank holds it, the query's source is gone
-        assert alive_at_match == [[True, False]]
+        # both loaded series are held by their banks; each member was built once, for its
+        # norms, and is gone before matching
+        assert len(members) == 4
+        assert alive_at_match == [[True, True, False, False, False, False]]
 
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files
@@ -475,10 +492,11 @@ class TestTiledMatch:
         rng = np.random.default_rng(9)
         query = DescriptorSeries(rng.normal(size=(50, 4)))
         ref = DescriptorSeries(rng.normal(size=(30, 4)))
-        r_members = [ref] if spans is None else delta_bank(ref, spans)
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 10 * 8 * 30)  # five tiles
         spy = mock.Mock(wraps=deltadesc.series._row_scales)
         monkeypatch.setattr(deltadesc.series, "_row_scales", spy)
+        # a bank takes its members' norms when it is built, and keeps them
+        r_members = [ref] if spans is None else delta_bank(ref, spans)
         deltadesc.cli._match([query], r_members, 3)
         # one call per reference member, one per query tile of 11 or 12 halo-widened rows
         sizes = sorted(len(call.args[0]) for call in spy.call_args_list)

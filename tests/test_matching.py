@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deltadesc.cli
 import deltadesc.matching
 import deltadesc.series
+import deltadesc.transform
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
@@ -437,18 +439,20 @@ class TestFactoredBank:
         dim=st.integers(2, 8),
         q_spans=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
         r_spans=st.lists(st.integers(2, 8), min_size=1, max_size=3, unique=True),
+        query_bank=st.booleans(),
         data=st.data(),
     )
     def test_factored_equals_direct_within_bound(
-        self, q_count, r_count, dim, q_spans, r_spans, data
+        self, q_count, r_count, dim, q_spans, r_spans, query_bank, data
     ):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         ref = stationary_walk(rng, r_count, dim, offset=5.0)
         query = stationary_walk(rng, q_count, dim, offset=5.0)
-        qb, rb = list(delta_bank(query, q_spans)), delta_bank(ref, [1, *r_spans])
-        direct = multi_delta_distance(qb, list(rb)).values
-        got = multi_delta_distance(qb, rb).values
+        # a query bank is filtered through its source too; a list is matched member by member
+        qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
+        direct = multi_delta_distance(list(qb), list(rb)).values
+        got = multi_delta_distance(qb if query_bank else list(qb), rb).values
         np.testing.assert_allclose(got, direct, rtol=0, atol=FACTORED_BOUND)
 
         # where every pairing has a row below ZERO_NORM, the cell is exactly 1.0
@@ -460,6 +464,7 @@ class TestFactoredBank:
         all_dead = np.all(q_dead[:, None, :, None] | r_dead[None, :, None, :], axis=(0, 1))
         assert np.all(got[all_dead] == 1.0)
         assert np.all(got[:, np.all(r_dead, axis=0)] == 1.0)
+        assert np.all(got[np.all(q_dead, axis=0)] == 1.0)
 
         # argmins agree except where the direct best is a near-tie
         q = np.arange(q_count)
@@ -480,15 +485,49 @@ class TestFactoredBank:
         assert np.all(got[:, :19] != 1.0)
 
     def test_centring_keeps_a_large_offset_out_of_the_running_sums(self):
-        # the oracle matches deltas of the walk without its offset: equal in exact arithmetic
+        # the oracle matches deltas of the walks without their offsets: equal in exact
+        # arithmetic. No span is 1, whose last edge-replicate delta is exactly zero: the
+        # direct path turns that zero into rounding noise above ZERO_NORM at this offset.
         rng = np.random.default_rng(5)
         walk = np.cumsum(rng.normal(size=(400, 32)), axis=0) * 0.3
         ref = DescriptorSeries(walk + rng.normal(size=32) * 1000.0)
+        oracle_ref = list(delta_bank(DescriptorSeries(walk), (2, 8)))
         query = [DescriptorSeries(rng.normal(size=(100, 32)))]
-        oracle = multi_delta_distance(query, list(delta_bank(DescriptorSeries(walk), (2, 8))))
+        oracle = multi_delta_distance(query, oracle_ref)
         got = multi_delta_distance(query, delta_bank(ref, (2, 8)))
         # centred: 1.2e-11, from the members' own norms; uncentred: 1.1e-10
         np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=3e-11)
+        q_walk = np.cumsum(rng.normal(size=(100, 32)), axis=0) * 0.3
+        query = DescriptorSeries(q_walk + rng.normal(size=32) * 1000.0)
+        oracle = multi_delta_distance(list(delta_bank(DescriptorSeries(q_walk), (2, 8))), oracle_ref)
+        got = multi_delta_distance(delta_bank(query, (2, 8)), delta_bank(ref, (2, 8)))
+        # both sources centred: 1.5e-11, against 5.2e-11 for the direct path
+        np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=3e-11)
+
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_a_query_bank_over_several_tiles_equals_one_tile(self, length, monkeypatch):
+        # one tile filters the query source; several tiles build the members once and slice them
+        rng = np.random.default_rng(13)
+        query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
+        ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
+        one_tile = deltadesc.cli._match(query, ref, length)[1]
+        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
+        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
+        builds = mock.Mock(wraps=deltadesc.transform.delta)
+        monkeypatch.setattr(deltadesc.transform, "delta", builds)
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 16 * 8 * 50)  # five tiles
+        tiled = deltadesc.cli._match(query, ref, length)[1]
+        assert spy.call_count == 5 and all(type(c.args[0]) is list for c in spy.call_args_list)
+        assert builds.call_count == 3  # each query member once, no reference member
+        np.testing.assert_allclose(
+            tiled.distances, one_tile.distances, rtol=0, atol=FACTORED_BOUND
+        )
+        # argmins agree except where the best is a near-tie
+        dense = seq_match(multi_delta_distance(list(query), list(ref)), length).values
+        ranked = np.sort(dense, axis=1)
+        clear = ranked[:, 1] - ranked[:, 0] > 2 * FACTORED_BOUND
+        assert clear.sum() > 60
+        assert np.array_equal(tiled.ref_indices[clear], one_tile.ref_indices[clear])
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,3 +1,5 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,13 +303,18 @@ class TestDeltaBank:
     def test_bank_carries_its_source_and_spans(self):
         series = DescriptorSeries(np.random.default_rng(10).normal(size=(40, 3)))
         bank = delta_bank(series, [np.int64(8), 2, 4])
-        assert isinstance(bank, SpanBank) and isinstance(bank, tuple)
+        assert isinstance(bank, SpanBank) and isinstance(bank, Sequence) and len(bank) == 3
         assert bank.source is series
         assert bank.spans == (8, 2, 4) and all(type(s) is int for s in bank.spans)
-        for member, span in zip(bank, bank.spans):
-            assert np.array_equal(member.data, delta(series, DeltaConfig(span)).data)
+        # every member is rebuilt on demand, bit for bit, and carries the bank's norms
+        for member, span, scales in zip(bank, bank.spans, bank.row_scales):
+            want = delta(series, DeltaConfig(span))
+            assert np.array_equal(member.data, want.data)
+            assert member.row_scales is scales and np.array_equal(scales, want.row_scales)
+        assert np.array_equal(bank[-1].data, delta(series, DeltaConfig(4)).data)
         # a slice or a list is a plain sequence of members, without the source
         assert type(bank[1:]) is tuple and type(list(bank)) is list
+        assert [m.data.tolist() for m in bank[1:]] == [m.data.tolist() for m in list(bank)[1:]]
         with pytest.raises(AttributeError, match="immutable"):
             bank.spans = (1, 2, 3)
 

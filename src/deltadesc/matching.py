@@ -251,8 +251,8 @@ def _filter_columns(
     ``SEQ_BLOCK_ROWS`` rows go at a time, through two buffers reused by every
     block, so each pass finds its rows in cache. The running sums S of one
     edge-padded copy of a block serve every span: the span-l delta at column t
-    is (S[t+l] - S[t]) - (S[t] - S[t-l]), with the 1/l folded into the scales.
-    Span 0 passes ``vals`` through.
+    is S[t+l] - 2 S[t] + S[t-l], with the 1/l folded into the scales. Span 0
+    passes ``vals`` through.
     """
     pad, cols = max(spans), vals.shape[1]
     padded, out = np.empty((SEQ_BLOCK_ROWS, cols + 2 * pad)), np.empty((SEQ_BLOCK_ROWS, cols))

@@ -16,6 +16,7 @@ import deltadesc.transform
 from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
+    SpanBank,
     delta,
     delta_bank,
     evaluate_pr,
@@ -29,7 +30,6 @@ from deltadesc import (
     write_pr_csv,
 )
 from deltadesc.cli import main
-from deltadesc.transform import SpanBank
 
 
 def run_cli(*args):
@@ -209,7 +209,6 @@ class TestRunCommand:
             "--radius", 2, "--out-dir", out,
         ) == 0
         assert builds.call_count == 4  # each member once: projected members need no bank
-        monkeypatch.undo()
         names = sorted(p.name for p in out.glob("pca_model*.bin"))
         assert names == ["pca_model_span4.bin", "pca_model_span8.bin"]
         ref_series = read_descriptors(ref)

@@ -15,7 +15,7 @@ import numpy as np
 
 # ZERO_NORM stays importable here, beside the dead-row rule in this module's docstring
 from .series import ZERO_NORM, DescriptorSeries, _freeze, _row_scales, _seal  # noqa: F401
-from .transform import SpanBank, _delta_rows
+from .transform import SpanBank, _delta_blocks
 
 # rows per pass over a Q x R matrix, in seq_match and _cosine_block: at R = 8000 a
 # block is 1 MiB, so it stays in a 2 MiB L2 cache across all the passes over it
@@ -209,25 +209,28 @@ def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np
     column means first: a delta's weights sum to zero, so the result is
     unchanged in exact arithmetic, and the filters' running sums stay small.
     The scales are the members' own ``_row_scales``, so rows below
-    ``ZERO_NORM`` still compare at exactly 1.0. The result is within rounding
-    of the direct path.
+    ``ZERO_NORM`` still compare at exactly 1.0. Each reference span's delta of
+    the product goes to the query filters a block of rows at a time, so the
+    product and the running best are the only R x Q matrices. The result is
+    within rounding of the direct path.
     """
     source = bank.source.data
     mean = source.mean(axis=0)
-    r_count = len(source)
-    # R x Q, so the reference filters run down contiguous rows. 1 - x is monotone, so
-    # the largest scaled dot product gives the smallest distance, bit for bit.
-    sims = np.full((r_count, _bank_shape(q_members)[0]), -np.inf)
+    sims = None
     for q, q_spans, q_scales in _query_sources(q_members):
+        # R x Q, so the reference filters run down contiguous rows
         gram = source @ q.T
         gram -= mean @ q.T  # the product of the centred reference, with no centred copy
-        del q  # a centred query copy goes before the filters allocate
+        del q  # a centred query copy goes before the running best is allocated
+        if sims is None:
+            # 1 - x is monotone, so the largest scaled dot product gives the smallest
+            # distance, bit for bit
+            sims = np.full(gram.shape, -np.inf)
         q_scales = [scale / span if span else scale for span, scale in zip(q_spans, q_scales)]
         for span, r_scale in zip(bank.spans, bank.row_scales):
-            vals = _delta_rows(gram, span, 0, r_count)
-            vals *= r_scale[:, None]
-            _filter_columns(vals, q_spans, q_scales, sims)
-            del vals  # before the next span's filter allocates its buffers
+            for t0, rows in _delta_blocks(gram, span, 0, len(gram)):
+                rows *= r_scale[t0 : t0 + len(rows), None]
+                _filter_columns(rows, q_spans, q_scales, sims[t0 : t0 + len(rows)])
         del gram  # before the next product or the Q x R result is allocated
     dist = np.subtract(1.0, sims.T, order="C")
     return np.clip(dist, 0.0, 2.0, out=dist)

@@ -41,15 +41,21 @@ def _freeze(arr, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def _check_finite(arr: np.ndarray, what: str, row0: int = 0) -> None:
+    """Raise naming the first non-finite value; ``arr`` holds the rows from ``row0`` on."""
     # min and max propagate NaN, so the pair tests finiteness without a bool array
     if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         t, d = np.argwhere(~np.isfinite(np.atleast_2d(arr)))[0]
-        raise ValueError(f"non-finite {what} value at row {t}, column {d}")
+        raise ValueError(f"non-finite {what} value at row {row0 + t}, column {d}")
+
+
+def _norm_scales(norms: np.ndarray) -> np.ndarray:
+    """1/norm, or 0 for norms below ``ZERO_NORM`` so that those rows compare at exactly 1.0."""
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM)
 
 
 def _row_scales(data: np.ndarray) -> np.ndarray:
-    """1/|row|, or 0 for rows with norm below ``ZERO_NORM`` so that they compare at exactly 1.0.
+    """``_norm_scales`` of the row norms of ``data``.
 
     ``np.linalg.norm`` reduces each row of a block as it would the row of the
     whole matrix, so the blocks change no bit.
@@ -57,7 +63,7 @@ def _row_scales(data: np.ndarray) -> np.ndarray:
     norms = np.empty(len(data))
     for b0 in range(0, len(data), NORM_BLOCK_ROWS):
         norms[b0 : b0 + NORM_BLOCK_ROWS] = np.linalg.norm(data[b0 : b0 + NORM_BLOCK_ROWS], axis=1)
-    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM)
+    return _norm_scales(norms)
 
 
 @dataclass(frozen=True)

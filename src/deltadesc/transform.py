@@ -15,22 +15,27 @@ Two boundary policies exist: ``edge-replicate`` pads by repeating the first
 and last rows and keeps the output length at T (so frame indices stay aligned
 with the input and with ground truth), while ``valid-only`` returns only the
 T - 2l + 1 frames whose window lies fully inside the series. Every window sum,
-``smooth``'s too, is a difference of two row slices of the running sums of one
-padded copy of the series (``_box_sums``), so a call holds that and its output.
+``smooth``'s too, is a difference of two running sums of the padded series.
+``_running_sums`` streams those sums in blocks without building the padded
+copy, so a call holds its output and a few blocks of rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, repeat
+from typing import Optional
 
 import numpy as np
 
-from .series import DescriptorSeries, _seal
+from .series import DescriptorSeries, _check_finite, _norm_scales, _seal
 
 EDGE_REPLICATE = "edge-replicate"
 VALID_ONLY = "valid-only"
+# output rows per block of running sums; each block also carries the last 2*span
+# (or window-width) sums of the block before
+BOX_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -51,16 +56,34 @@ class DeltaConfig:
             )
 
 
-def _box_sums(padded: np.ndarray, width: int) -> np.ndarray:
-    """Row i is the sum of ``padded`` rows i+1 .. i+width; ``padded`` becomes its running sums.
+def _running_sums(
+    data: np.ndarray, before: int, after: int, reach: int, edge: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (i0, sums): sums[j] is the sum of padded rows 0 .. i0 + j.
 
-    The running sums are a loop over rows: each step adds two contiguous rows,
-    where ``np.cumsum(axis=0)`` strides down every column. Both add left to
-    right, so the bits are the same.
+    The padded rows are ``before`` copies of the first row, ``data`` and
+    ``after`` copies of the last row with ``edge``, or zero rows without it;
+    no padded copy is built. ``sums`` is a view of one reused buffer, valid
+    until the next block, and starts with the last ``reach`` sums of the block
+    before, so each window of ``reach`` + 1 sums lies in one block. Each sum is
+    ``np.add(prev, row)`` over the rows in order, as ``np.cumsum(axis=0)`` of
+    the padded copy would add them, so the bits are the same.
     """
-    for prev, row in pairwise(padded):
-        np.add(prev, row, out=row)
-    return padded[width:] - padded[:-width]
+    head, tail = (data[0], data[-1]) if edge else (np.zeros(data.shape[1]),) * 2
+    rows = chain(repeat(head, before), data, repeat(tail, after))
+    buf = np.empty((BOX_BLOCK_ROWS + reach, data.shape[1]))
+    slots = list(buf)  # views made once: the row loop makes no array object per row
+    buf[0] = next(rows)
+    i0, fill = 0, 1
+    for row in rows:
+        np.add(slots[fill - 1], row, out=slots[fill])
+        fill += 1
+        if fill == len(buf):
+            yield i0, buf
+            buf[:reach] = buf[fill - reach :]
+            i0, fill = i0 + fill - reach, reach
+    if fill > reach:
+        yield i0, buf[:fill]
 
 
 def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -68,7 +91,11 @@ def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
     divided by the in-range count. A one-row window returns ``data`` copied bit for bit."""
     if before == after == 0:
         return data.copy()
-    out = _box_sums(np.pad(data, ((before + 1, after), (0, 0))), before + after + 1)
+    width = before + after + 1
+    out = np.empty_like(data)
+    # over ``before`` + 1 leading zero rows, sums[t + width] - sums[t] is the window of row t
+    for t0, sums in _running_sums(data, before + 1, after, width, edge=False):
+        np.subtract(sums[width:], sums[:-width], out=out[t0 : t0 + len(sums) - width])
     t = np.arange(len(data))
     out /= (np.minimum(t + after + 1, len(data)) - np.maximum(t - before, 0))[:, None]
     return out
@@ -113,24 +140,59 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     l = cfg.window
     t_count = series.frame_count
     start, end = delta_valid_range(t_count, l) if cfg.padding == VALID_ONLY else (0, t_count)
-    return DescriptorSeries(_seal(_delta_rows(series.data, l, start, end)))
+    out = np.empty((end - start, series.dim))
+    for _ in _delta_blocks(series.data, l, start, end, out):
+        pass
+    return DescriptorSeries(_seal(out))
 
 
-def _delta_rows(data: np.ndarray, span: int, start: int, end: int) -> np.ndarray:
-    """Rows [start, end) of the edge-replicate span-``span`` delta of ``data`` along its rows."""
-    # sums[t + span] is the window ahead of output row t, sums[t] the window up to it
-    sums = _box_sums(np.pad(data, ((span, span), (0, 0)), mode="edge"), span)
-    out = sums[span + start : span + end] - sums[start:end]
-    out /= span
-    return out
+def _delta_blocks(
+    data: np.ndarray, span: int, start: int, end: int, out: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t0, rows): rows t0, t0 + 1, ... of the edge-replicate span-``span`` delta.
+
+    The blocks cover rows [start, end) in order. They are views of ``out``,
+    which holds rows [start, end), or else of one reused buffer, valid until
+    the next block.
+    """
+    reach = 2 * span
+    trail = np.empty((BOX_BLOCK_ROWS, data.shape[1]))
+    scratch = np.empty_like(trail) if out is None else None
+    for i0, sums in _running_sums(data, span, span, reach, edge=True):
+        t0, t1 = max(i0, start), min(i0 + len(sums) - reach, end)
+        if t0 >= t1:
+            continue
+        # for output row t, sums[t + 2l] - sums[t + l] is the window ahead and
+        # sums[t + l] - sums[t] the window up to it
+        s, n = sums[t0 - i0 : t1 - i0 + reach], t1 - t0
+        rows = scratch[:n] if out is None else out[t0 - start : t1 - start]
+        np.subtract(s[reach:], s[span:-span], out=rows)
+        rows -= np.subtract(s[span:-span], s[:-reach], out=trail[:n])
+        rows /= span
+        yield t0, rows
+
+
+def _delta_scales(data: np.ndarray, span: int) -> np.ndarray:
+    """``_row_scales`` of the span-``span`` delta of ``data``, taken from its blocks.
+
+    A delta value that is not finite raises as a built member's
+    ``DescriptorSeries`` would; such a value makes its row norm non-finite.
+    """
+    norms = np.empty(len(data))
+    for t0, rows in _delta_blocks(data, span, 0, len(data)):
+        block = norms[t0 : t0 + len(rows)]
+        block[:] = np.linalg.norm(rows, axis=1)
+        if not np.isfinite(block).all():
+            _check_finite(rows, "descriptor", t0)
+    return _seal(_norm_scales(norms))
 
 
 class SpanBank(Sequence):
     """Edge-replicate deltas of ``source``, one per span of ``spans``, built on demand.
 
-    A bank holds its source, its spans and each member's ``_row_scales``: each
-    member is built once to take its norms and then dropped. Indexing or
-    iterating builds a member again, bit for bit ``delta(source,
+    A bank holds its source, its spans and each member's ``_row_scales``, which
+    it takes from the member's delta blocks without building the member.
+    Indexing or iterating builds a member, bit for bit ``delta(source,
     DeltaConfig(span))``, and hands it the bank's norms. ``multi_delta_distance``
     matches a bank through products with its source and needs no member. A
     slice is a tuple of members.
@@ -145,7 +207,7 @@ class SpanBank(Sequence):
         if not spans:
             raise ValueError("delta bank needs a non-empty span set")
         spans = tuple(int(s) for s in spans)
-        scales = tuple(delta(source, DeltaConfig(window=s)).row_scales for s in spans)
+        scales = tuple(_delta_scales(source.data, s) for s in spans)
         for name, value in (("source", source), ("spans", spans), ("row_scales", scales)):
             object.__setattr__(self, name, value)
 

@@ -3,17 +3,18 @@
 Each call is traced with tracemalloc from an already-built input, so the peak
 is what the call itself allocates. The unit is one 1000 x 1000 float64 matrix,
 the Q x R distance matrix or the T x D descriptor matrix. The bounds pin the
-memory model: delta and smooth hold one padded copy of the series plus their
-output, distance builds one matrix in place, seq_match allocates only
-its output plus per-block counts, retrieve_best allocates per-query vectors
-only, a sealed array is adopted without a copy, reading a float32 file
+memory model: delta and smooth hold their output plus a block or two of
+rows, with no padded copy of the series, distance builds one matrix in
+place, seq_match allocates only its output plus per-block counts,
+retrieve_best allocates per-query vectors only, a sealed array is adopted
+without a copy, reading a float32 file
 holds the file's bytes plus the float64 payload, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
 The tiled match holds two tiles, a distance tile and seq_match's output,
 where the dense match holds two Q x R matrices. Row scales hold one block of
 squares at a time, not a squared copy of the series. A span bank keeps its
-source and its norms, no member, and matching two banks holds four Q x R
-matrices.
+source and its norms and takes them from blocks of rows, never building a
+member, and matching two banks holds two Q x R matrices plus blocks of rows.
 """
 
 import tracemalloc
@@ -41,6 +42,7 @@ from deltadesc import (
 )
 from deltadesc.calibration import PROFILE_BLOCK_ROWS
 from deltadesc.matching import SEQ_BLOCK_ROWS, _row_scales
+from deltadesc.transform import BOX_BLOCK_ROWS
 
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
@@ -69,13 +71,22 @@ def square_series():
     return DescriptorSeries(np.random.default_rng(3).normal(size=(FRAMES, FRAMES)))
 
 
+def blocks(*rows):
+    """Matrices held by buffers of the given row counts, each FRAMES wide."""
+    return sum(rows) * FRAMES * 8 / MATRIX_BYTES
+
+
 @pytest.mark.parametrize("padding", ["edge-replicate", VALID_ONLY])
-def test_delta_holds_the_padded_copy_and_its_output(square_series, padding):
-    assert peak_matrices(delta, square_series, DeltaConfig(16, padding=padding)) <= 2.1
+def test_delta_holds_its_output_and_two_blocks(square_series, padding):
+    # measured 1.162 and 1.131: the running sums with their 2 * 16 carried rows, and
+    # the trailing windows
+    bound = 1.0 + blocks(BOX_BLOCK_ROWS + 32, BOX_BLOCK_ROWS) + 0.02
+    assert peak_matrices(delta, square_series, DeltaConfig(16, padding=padding)) <= bound
 
 
-def test_smooth_holds_the_padded_copy_and_its_output(square_series):
-    assert peak_matrices(smooth, square_series, 16) <= 2.1
+def test_smooth_holds_its_output_and_one_block(square_series):
+    # measured 1.091: the running sums with their 16 carried rows
+    assert peak_matrices(smooth, square_series, 16) <= 1.0 + blocks(BOX_BLOCK_ROWS + 16) + 0.02
 
 
 def test_distance_matrix_holds_one_matrix(inputs):
@@ -141,16 +152,20 @@ def test_delta_bank_keeps_its_source_and_the_scales(square_series):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # each member is built for its norms and dropped: one delta's buffers at a time
-    assert peak / MATRIX_BYTES <= 2.1
+    # no member is built: measured 0.268, the running sums with their 2 * 4 carried
+    # rows, the delta block, its trailing windows and its squares
+    assert peak / MATRIX_BYTES <= blocks(BOX_BLOCK_ROWS + 8, *[BOX_BLOCK_ROWS] * 3) + 0.02
     # what stays is the caller's source and one vector of norms per span, 16 KB; a member
     # would be 8 MB
     assert bank.source is square_series
     assert kept <= sum(s.nbytes for s in bank.row_scales) + 8192
 
 
-def test_two_span_banks_hold_four_matrices():
+def test_two_span_banks_hold_two_matrices():
     rng = np.random.default_rng(6)
     qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(FRAMES, 16))), (2, 4)) for _ in "qr")
-    # the product, the running best, and the reference filter's running sums and output
-    assert peak_matrices(multi_delta_distance, qb, rb) <= 4.05
+    # measured 2.268: the product and the running best, or the running best and the
+    # result; the reference filter's blocks, as in delta_bank; and the column filter's
+    # buffers, measured at 4 * SEQ_BLOCK_ROWS rows
+    bound = 2.0 + blocks(BOX_BLOCK_ROWS + 8, BOX_BLOCK_ROWS, BOX_BLOCK_ROWS, 4 * SEQ_BLOCK_ROWS)
+    assert peak_matrices(multi_delta_distance, qb, rb) <= bound + 0.02

@@ -326,10 +326,10 @@ class TestRunCommand:
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 4, 8, "--out-dir", tmp_path / "o",
         ) == 0
-        # both loaded series are held by their banks; each member was built once, for its
-        # norms, and is gone before matching
-        assert len(members) == 4
-        assert alive_at_match == [[True, True, False, False, False, False]]
+        # both loaded series are held by their banks, which take their norms without
+        # building a member
+        assert members == []
+        assert alive_at_match == [[True, True]]
 
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files
@@ -492,8 +492,10 @@ class TestTiledMatch:
         query = DescriptorSeries(rng.normal(size=(50, 4)))
         ref = DescriptorSeries(rng.normal(size=(30, 4)))
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 10 * 8 * 30)  # five tiles
-        spy = mock.Mock(wraps=deltadesc.series._row_scales)
-        monkeypatch.setattr(deltadesc.series, "_row_scales", spy)
+        # the zero-norm rule, which every norm pass ends in: a series' or a bank's
+        spy = mock.Mock(wraps=deltadesc.series._norm_scales)
+        monkeypatch.setattr(deltadesc.series, "_norm_scales", spy)
+        monkeypatch.setattr(deltadesc.transform, "_norm_scales", spy)
         # a bank takes its members' norms when it is built, and keeps them
         r_members = [ref] if spans is None else delta_bank(ref, spans)
         deltadesc.cli._match([query], r_members, 3)

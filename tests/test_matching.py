@@ -438,22 +438,29 @@ class TestFactoredBank:
         r_count=st.integers(20, 60),
         dim=st.integers(2, 8),
         q_spans=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
-        r_spans=st.lists(st.integers(2, 8), min_size=1, max_size=3, unique=True),
+        # spans past a block of 1 or 3 rows, and past the reference
+        r_spans=st.lists(
+            st.one_of(st.integers(2, 8), st.integers(60, 250)), min_size=1, max_size=3, unique=True
+        ),
         query_bank=st.booleans(),
+        block_rows=st.sampled_from([1, 3, deltadesc.transform.BOX_BLOCK_ROWS]),
         data=st.data(),
     )
     def test_factored_equals_direct_within_bound(
-        self, q_count, r_count, dim, q_spans, r_spans, query_bank, data
+        self, q_count, r_count, dim, q_spans, r_spans, query_bank, block_rows, data
     ):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         ref = stationary_walk(rng, r_count, dim, offset=5.0)
         query = stationary_walk(rng, q_count, dim, offset=5.0)
         # a query bank is filtered through its source too; a list is matched member by member
-        qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
+        with mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", block_rows):
+            qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
+            got = multi_delta_distance(qb if query_bank else list(qb), rb).values
         direct = multi_delta_distance(list(qb), list(rb)).values
-        got = multi_delta_distance(qb if query_bank else list(qb), rb).values
         np.testing.assert_allclose(got, direct, rtol=0, atol=FACTORED_BOUND)
+        # the block size of the streamed running sums changes no bit
+        assert np.array_equal(got, multi_delta_distance(qb if query_bank else list(qb), rb).values)
 
         # where every pairing has a row below ZERO_NORM, the cell is exactly 1.0
         def dead(members):
@@ -472,6 +479,29 @@ class TestFactoredBank:
         clear = ranked[:, 1] - ranked[:, 0] > 2 * FACTORED_BOUND if r_count > 1 else True
         assert np.array_equal(got.argmin(axis=1)[clear], direct.argmin(axis=1)[clear])
         assert np.all(direct[q, got.argmin(axis=1)] - ranked[:, 0] <= 2 * FACTORED_BOUND)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # past several blocks of the default size, which the bound test above stays inside
+        r_count=st.integers(65, 300),
+        r_spans=st.lists(
+            st.one_of(st.integers(1, 8), st.integers(60, 350)), min_size=2, max_size=3, unique=True
+        ),
+        query_bank=st.booleans(),
+        block_rows=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_size_changes_no_bit_of_a_long_reference(
+        self, r_count, r_spans, query_bank, block_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ref, query = stationary_walk(rng, r_count, 5, 5.0), stationary_walk(rng, 30, 5, 5.0)
+        qb = delta_bank(query, (2, 6))
+        q_members = qb if query_bank else list(qb)
+        want = multi_delta_distance(q_members, delta_bank(ref, r_spans)).values
+        with mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", block_rows):
+            got = multi_delta_distance(q_members, delta_bank(ref, r_spans)).values
+        assert np.array_equal(got, want)
 
     def test_stationary_reference_rows_compare_at_exactly_one(self):
         rng = np.random.default_rng(12)

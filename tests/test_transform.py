@@ -1,10 +1,12 @@
 from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deltadesc.transform
 from deltadesc import (
     EDGE_REPLICATE,
     VALID_ONLY,
@@ -15,7 +17,8 @@ from deltadesc import (
     delta_valid_range,
     smooth,
 )
-from deltadesc.transform import SpanBank, _box_sums, _window_mean
+from deltadesc.series import _row_scales
+from deltadesc.transform import BOX_BLOCK_ROWS, SpanBank, _running_sums, _window_mean
 
 
 def delta_by_direct_means(data: np.ndarray, window: int) -> np.ndarray:
@@ -59,61 +62,95 @@ def delta_by_gathers(data: np.ndarray, window: int, padding: str) -> np.ndarray:
     return out[window - 1 : t_count - window] if padding == VALID_ONLY else out
 
 
+# block sizes for the streamed running sums: every row its own block, a few rows, the default
+BLOCK_ROWS = st.sampled_from([1, 3, BOX_BLOCK_ROWS])
+
+
+def streamed(block_rows):
+    return mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", block_rows)
+
+
 class TestBoxSumKernel:
-    """The box-sum kernel reproduces the gather formulas bit for bit."""
+    """The streamed running sums reproduce the gather formulas bit for bit, across blocks.
+
+    Frames run past several default blocks, and windows past a block and past the series.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(
-        frames=st.integers(min_value=1, max_value=60),
+        frames=st.integers(min_value=1, max_value=300),
         dims=st.integers(min_value=1, max_value=6),
-        window=st.integers(min_value=1, max_value=40),
+        window=st.integers(min_value=1, max_value=200),
         seed=st.integers(min_value=0, max_value=10_000),
+        block_rows=BLOCK_ROWS,
     )
-    def test_delta_equals_gathers(self, frames, dims, window, seed):
+    @example(frames=300, dims=3, window=100, seed=0, block_rows=BOX_BLOCK_ROWS)
+    @example(frames=10, dims=2, window=40, seed=1, block_rows=3)
+    def test_delta_equals_gathers(self, frames, dims, window, seed, block_rows):
         data = np.random.default_rng(seed).normal(size=(frames, dims)) * 10.0
         series = DescriptorSeries(data)
-        out = delta(series, DeltaConfig(window))
-        assert np.array_equal(out.data, delta_by_gathers(data, window, EDGE_REPLICATE))
+        want = delta_by_gathers(data, window, EDGE_REPLICATE)
+        with streamed(block_rows):
+            out = delta(series, DeltaConfig(window))
+            # a bank takes the same rows' norms from the blocks, without the member
+            scales = delta_bank(series, (window,)).row_scales[0]
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(scales, _row_scales(want))
         if frames < 2 * window:
             with pytest.raises(ValueError, match="series too short for span"):
                 delta(series, DeltaConfig(window, padding=VALID_ONLY))
         else:
-            out = delta(series, DeltaConfig(window, padding=VALID_ONLY))
+            with streamed(block_rows):
+                out = delta(series, DeltaConfig(window, padding=VALID_ONLY))
             assert np.array_equal(out.data, delta_by_gathers(data, window, VALID_ONLY))
 
     @settings(max_examples=200, deadline=None)
     @given(
-        frames=st.integers(min_value=1, max_value=60),
+        frames=st.integers(min_value=1, max_value=300),
         dims=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=10_000),
+        block_rows=BLOCK_ROWS,
         data=st.data(),
     )
-    def test_window_mean_equals_gathers(self, frames, dims, seed, data):
+    def test_window_mean_equals_gathers(self, frames, dims, seed, block_rows, data):
         before = data.draw(st.integers(min_value=0, max_value=frames + 3), label="before")
         after = data.draw(st.integers(min_value=0, max_value=frames + 3), label="after")
         rows = np.random.default_rng(seed).normal(size=(frames, dims)) * 10.0
-        assert np.array_equal(
-            _window_mean(rows, before, after), window_mean_by_gathers(rows, before, after)
-        )
+        with streamed(block_rows):
+            got = _window_mean(rows, before, after)
+        assert np.array_equal(got, window_mean_by_gathers(rows, before, after))
 
     @settings(max_examples=60, deadline=None)
     @given(
-        frames=st.integers(min_value=1, max_value=300),
+        frames=st.integers(min_value=2, max_value=300),
         # narrow and wide rows: the row loop replaced np.cumsum on both sides of D = 128-512
         dims=st.one_of(st.integers(min_value=1, max_value=127), st.integers(513, 1100)),
         seed=st.integers(min_value=0, max_value=10_000),
+        pad=st.tuples(st.integers(0, 70), st.integers(0, 70)),
+        edge=st.booleans(),
+        block_rows=BLOCK_ROWS,
         data=st.data(),
     )
-    def test_running_and_box_sums_equal_cumsum(self, frames, dims, seed, data):
-        width = data.draw(st.integers(min_value=1, max_value=frames), label="width")
+    def test_running_and_box_sums_equal_cumsum(
+        self, frames, dims, seed, pad, edge, block_rows, data
+    ):
+        count = frames + sum(pad)
+        width = data.draw(st.integers(min_value=1, max_value=count - 1), label="width")
         rng = np.random.default_rng(seed)
         # magnitudes from 1e-8 to 1e8, so any change in the order of the additions shows
         rows = rng.normal(size=(frames, dims)) * 10.0 ** rng.integers(-8, 9, size=(frames, 1))
-        padded = rows.copy()
-        sums = _box_sums(padded, width)
-        csum = np.cumsum(rows, axis=0)
-        assert np.array_equal(padded, csum)
-        assert np.array_equal(sums, csum[width:] - csum[:-width])
+        csum = np.cumsum(np.pad(rows, (pad, (0, 0)), mode="edge" if edge else "constant"), axis=0)
+        got, end = np.full_like(csum, np.nan), width
+        with streamed(block_rows):
+            for i0, sums in _running_sums(rows, *pad, width, edge):
+                # each block carries the last ``width`` sums of the one before
+                assert i0 == end - width and len(sums) <= block_rows + width
+                end = i0 + len(sums)
+                got[i0:end] = sums
+                box = csum[i0 + width : end] - csum[i0 : end - width]
+                assert np.array_equal(sums[width:] - sums[:-width], box)
+        assert end == count
+        assert np.array_equal(got, csum)
 
 
 class TestSmooth:
@@ -317,6 +354,27 @@ class TestDeltaBank:
         assert [m.data.tolist() for m in bank[1:]] == [m.data.tolist() for m in list(bank)[1:]]
         with pytest.raises(AttributeError, match="immutable"):
             bank.spans = (1, 2, 3)
+
+    def test_overflowing_deltas_raise_as_a_built_member_would(self):
+        data = np.zeros((200, 3))
+        data[150::2, 2], data[151::2, 2] = 1e308, -1e308  # finite, but their deltas are not
+        series = DescriptorSeries(data)
+        # tier-1 fails on any warning, and the overflow warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            for build, arg in ((delta, DeltaConfig(1)), (delta_bank, (1, 4))):
+                with pytest.raises(ValueError) as caught:
+                    build(series, arg)
+                # row 150 lies in the third block of the default size
+                assert str(caught.value) == "non-finite descriptor value at row 150, column 2"
+
+    def test_finite_deltas_whose_norms_overflow_keep_the_member_scales(self):
+        data = np.zeros((100, 8))
+        data[70:] = 1e200  # a step whose span-4 delta rows are finite, with norms above 1e308
+        series = DescriptorSeries(data)
+        with np.errstate(over="ignore"):
+            bank, member = delta_bank(series, (4,)), delta(series, DeltaConfig(4))
+            assert np.array_equal(bank.row_scales[0], member.row_scales)
+        assert np.isfinite(member.data).all() and bank.row_scales[0][69] == 0.0
 
     def test_empty_spans_rejected(self):
         series = DescriptorSeries(np.ones((10, 2)))

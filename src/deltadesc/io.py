@@ -10,7 +10,12 @@ Binary container layout (little-endian), 28-byte header then payload:
     bytes 28-    T*D values, row-major
 
 Code 1 is the interchange default; code 2 exists so staged pipelines can move
-intermediate series and PCA models between processes without rounding. CSV
+intermediate series and PCA models between processes without rounding. A PCA
+model file is three blocks in sequence: the mean, the components and the
+explained variances. Blocks are read and written CHUNK_BYTES of the file at a
+time, straight between the stream and the float64 matrix, so neither side
+holds a copy of the payload; a short or overlong file is found by reading to
+its end, so a pipe works as well as a regular file. CSV
 descriptor input (one frame per row, optional header) is accepted wherever a
 path ends in ``.csv``. All CSV output uses a header row, '.' decimals, and LF
 line endings; floats are written with shortest-roundtrip repr so identical
@@ -22,7 +27,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -37,6 +42,9 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQI")
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_FOR_NAME = {"float32": 1, "float64": 2}
+# bytes of the file converted at a time: the one buffer a read or a write holds
+# besides the float64 matrix, whatever the payload
+CHUNK_BYTES = 2**20
 
 PathLike = Union[str, Path]
 
@@ -53,19 +61,35 @@ def _fmt(value: float) -> str:
 # binary container
 # ---------------------------------------------------------------------------
 
-def _pack_block(values: np.ndarray, code: int) -> bytes:
-    arr = np.ascontiguousarray(values.astype(_DTYPE_CODES[code]))
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1], code)
-    return header + arr.tobytes(order="C")
+def _write_blocks(path: PathLike, blocks: Iterable[tuple[np.ndarray, int]]) -> None:
+    """Write (matrix, dtype code) blocks in sequence, each converted CHUNK_BYTES of rows at a time."""
+    with open(path, "wb") as fh:
+        for values, code in blocks:
+            dtype = _DTYPE_CODES[code]
+            t_count, dim = values.shape
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, t_count, dim, code))
+            rows = max(1, CHUNK_BYTES // (dim * dtype.itemsize))
+            for start in range(0, t_count, rows):
+                # a copy only where the dtype or the layout differs from the file's
+                fh.write(np.ascontiguousarray(values[start : start + rows], dtype=dtype))
 
 
-def _unpack_block(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
-    if len(buf) - offset < _HEADER.size:
+def _bytes_left(fh: BinaryIO) -> int:
+    """Read the stream to its end, CHUNK_BYTES at a time, and count what was left."""
+    left = 0
+    while chunk := fh.read(CHUNK_BYTES):
+        left += len(chunk)
+    return left
+
+
+def _read_block(fh: BinaryIO, where: str) -> np.ndarray:
+    """Read one container block into a new float64 matrix, CHUNK_BYTES of the file at a time."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise DataError(
-            f"{where}: truncated header, expected {_HEADER.size} bytes, "
-            f"got {len(buf) - offset}"
+            f"{where}: truncated header, expected {_HEADER.size} bytes, got {len(head)}"
         )
-    magic, version, t_count, dim, code = _HEADER.unpack_from(buf, offset)
+    magic, version, t_count, dim, code = _HEADER.unpack(head)
     if magic != MAGIC:
         raise DataError(f"{where}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
@@ -74,22 +98,47 @@ def _unpack_block(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]
         raise DataError(f"{where}: unsupported dtype code {code}")
     dtype = _DTYPE_CODES[code]
     payload = t_count * dim * dtype.itemsize
-    end = offset + _HEADER.size + payload
-    if len(buf) < end:
-        raise DataError(
-            f"{where}: truncated payload, expected {payload} bytes, "
-            f"got {len(buf) - offset - _HEADER.size}"
-        )
-    values = np.frombuffer(buf, dtype=dtype, count=t_count * dim, offset=offset + _HEADER.size)
-    # astype copies out of ``buf``, so the result owns its data
-    return _seal(values.reshape(t_count, dim).astype(np.float64)), end
+
+    def truncated(got: int) -> DataError:
+        return DataError(f"{where}: truncated payload, expected {payload} bytes, got {got}")
+
+    try:
+        values = np.empty((t_count, dim))
+    except (MemoryError, ValueError, OverflowError):
+        # a header that claims more than memory holds is most often a damaged one
+        got = _bytes_left(fh)
+        if got < payload:
+            raise truncated(got) from None
+        raise
+    flat = values.reshape(-1)
+    step = CHUNK_BYTES // dtype.itemsize
+    chunk = memoryview(bytearray(min(payload, step * dtype.itemsize)))
+    for start in range(0, flat.size, step):
+        count = min(step, flat.size - start)
+        view = chunk[: count * dtype.itemsize]
+        # a buffered readinto fills the view unless the stream ends first
+        got = fh.readinto(view)
+        if got < len(view):
+            raise truncated(start * dtype.itemsize + got)
+        flat[start : start + count] = np.frombuffer(view, dtype=dtype)
+    return _seal(values)
+
+
+def _read_blocks(path: PathLike, count: int, after: str) -> list[np.ndarray]:
+    """Read ``count`` blocks in sequence and reject any bytes after the last."""
+    with open(path, "rb") as fh:
+        blocks = [_read_block(fh, str(path)) for _ in range(count)]
+        trailing = _bytes_left(fh)
+    if trailing:
+        raise DataError(f"{path}: {trailing} trailing bytes after {after}")
+    return blocks
 
 
 def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "float32") -> None:
     """Write a series to the binary container (float32 interchange by default)."""
     if dtype not in _CODE_FOR_NAME:
         raise ValueError(f"dtype must be 'float32' or 'float64', got {dtype!r}")
-    Path(path).write_bytes(_pack_block(series.data, _CODE_FOR_NAME[dtype]))
+    _write_blocks(path, [(series.data, _CODE_FOR_NAME[dtype])])
 
 
 def read_descriptors(path: PathLike) -> DescriptorSeries:
@@ -98,10 +147,7 @@ def read_descriptors(path: PathLike) -> DescriptorSeries:
     if path.suffix.lower() == ".csv":
         values = _read_csv_matrix(path)
     else:
-        buf = path.read_bytes()
-        values, end = _unpack_block(buf, 0, str(path))
-        if end != len(buf):
-            raise DataError(f"{path}: {len(buf) - end} trailing bytes after payload")
+        (values,) = _read_blocks(path, 1, "payload")
     try:
         return DescriptorSeries(values)
     except ValueError as exc:
@@ -130,14 +176,11 @@ def read_positions(path: PathLike) -> np.ndarray:
 
 
 def write_distance_matrix(path: PathLike, m: DistanceMatrix) -> None:
-    Path(path).write_bytes(_pack_block(m.values, _CODE_FOR_NAME["float64"]))
+    _write_blocks(path, [(m.values, _CODE_FOR_NAME["float64"])])
 
 
 def read_distance_matrix(path: PathLike) -> DistanceMatrix:
-    buf = Path(path).read_bytes()
-    values, end = _unpack_block(buf, 0, str(path))
-    if end != len(buf):
-        raise DataError(f"{path}: {len(buf) - end} trailing bytes after payload")
+    (values,) = _read_blocks(path, 1, "payload")
     try:
         return DistanceMatrix(values)
     except ValueError as exc:
@@ -147,22 +190,15 @@ def read_distance_matrix(path: PathLike) -> DistanceMatrix:
 def save_pca_model(path: PathLike, model: PcaModel) -> None:
     """Store a PCA model as three consecutive float64 container blocks."""
     code = _CODE_FOR_NAME["float64"]
-    blocks = (
-        _pack_block(model.mean.reshape(1, -1), code)
-        + _pack_block(model.components, code)
-        + _pack_block(model.explained_variance.reshape(1, -1), code)
-    )
-    Path(path).write_bytes(blocks)
+    _write_blocks(path, [
+        (model.mean.reshape(1, -1), code),
+        (model.components, code),
+        (model.explained_variance.reshape(1, -1), code),
+    ])
 
 
 def load_pca_model(path: PathLike) -> PcaModel:
-    buf = Path(path).read_bytes()
-    where = str(path)
-    mean, offset = _unpack_block(buf, 0, where)
-    components, offset = _unpack_block(buf, offset, where)
-    variance, offset = _unpack_block(buf, offset, where)
-    if offset != len(buf):
-        raise DataError(f"{where}: {len(buf) - offset} trailing bytes after model blocks")
+    mean, components, variance = _read_blocks(path, 3, "model blocks")
     try:
         return PcaModel(
             mean=mean.reshape(-1),
@@ -170,7 +206,7 @@ def load_pca_model(path: PathLike) -> PcaModel:
             explained_variance=variance.reshape(-1),
         )
     except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,9 @@ def pca_fit(series: DescriptorSeries, k: int) -> PcaModel:
     centered = series.data - mean
     # eigh sorts ascending: the top k eigenpairs are the last k, reversed
     if t_count >= dim:
-        eigval, eigvec = np.linalg.eigh(centered.T @ centered)
+        gram = centered.T @ centered
+        del centered  # only the Gram product reads it: free it before eigh's own buffers
+        eigval, eigvec = np.linalg.eigh(gram)
         components = eigvec[:, ::-1][:, :k].copy()
     else:
         eigval, eigvec = np.linalg.eigh(centered @ centered.T)

@@ -7,8 +7,9 @@ memory model: delta and smooth hold their output plus a block or two of
 rows, with no padded copy of the series, distance builds one matrix in
 place, seq_match allocates only its output plus per-block counts,
 retrieve_best allocates per-query vectors only, a sealed array is adopted
-without a copy, reading a float32 file
-holds the file's bytes plus the float64 payload, and the self-distance
+without a copy, reading or writing a file holds the float64 matrix plus one
+chunk of the file, a PCA fit hands eigh its Gram matrix with no centred copy
+of the series left, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
 The tiled match holds two tiles, a distance tile and seq_match's output,
 where the dense match holds two Q x R matrices. Row scales hold one block of
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import deltadesc.cli
+import deltadesc.reduction
 
 from deltadesc import (
     VALID_ONLY,
@@ -33,6 +35,7 @@ from deltadesc import (
     delta_bank,
     distance_matrix,
     multi_delta_distance,
+    pca_fit,
     read_descriptors,
     retrieve_best,
     self_distance_profile,
@@ -41,6 +44,7 @@ from deltadesc import (
     write_descriptors,
 )
 from deltadesc.calibration import PROFILE_BLOCK_ROWS
+from deltadesc.io import CHUNK_BYTES
 from deltadesc.matching import SEQ_BLOCK_ROWS, _row_scales
 from deltadesc.transform import BOX_BLOCK_ROWS
 
@@ -112,11 +116,39 @@ def test_adopting_a_sealed_series_copies_nothing():
     assert peak_matrices(DescriptorSeries, data) <= 0.01
 
 
-def test_reading_float32_holds_the_file_and_the_payload(tmp_path):
+def test_reading_float32_holds_the_payload_and_one_chunk(tmp_path):
     path = tmp_path / "series.dvpr"
     data = np.random.default_rng(2).normal(size=(FRAMES, FRAMES))
     write_descriptors(path, DescriptorSeries(data))
-    assert peak_matrices(read_descriptors, path) <= 1.55
+    # measured 1.132: the float64 matrix and one chunk of the file, where reading the
+    # whole file first held 1.50
+    assert peak_matrices(read_descriptors, path) <= 1.0 + CHUNK_BYTES / MATRIX_BYTES + 0.01
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_writing_holds_one_chunk(square_series, tmp_path, dtype):
+    # measured 0.132 at float32, the converted rows of one chunk, and 0.001 at float64,
+    # which writes the series' own rows; packing the whole payload held 1.5 and 3.0
+    chunk = CHUNK_BYTES if dtype == "float32" else 0
+    bound = (chunk + 8192) / MATRIX_BYTES + 0.01  # 8192: the file object's buffer
+    assert peak_matrices(write_descriptors, tmp_path / "s.dvpr", square_series, dtype) <= bound
+
+
+def test_pca_fit_frees_the_centred_copy_before_eigh(monkeypatch):
+    frames, dim = 2000, 500
+    series = DescriptorSeries(np.random.default_rng(8).normal(size=(frames, dim)))
+    eigh, entered = np.linalg.eigh, []
+
+    def spy(gram):
+        entered.append(tracemalloc.get_traced_memory()[0])
+        return eigh(gram)
+
+    # tracemalloc does not see LAPACK's own buffers, so the pin is on what eigh is handed
+    monkeypatch.setattr(deltadesc.reduction.np.linalg, "eigh", spy)
+    peak_matrices(pca_fit, series, 16)
+    # measured 2.004 MB: the D x D Gram matrix and the mean, where the T x D centred
+    # copy (8 MB) was live too
+    assert entered[0] <= (dim * dim + dim) * 8 + 4096
 
 
 def test_self_distance_profile_holds_its_products_and_one_block():

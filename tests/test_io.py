@@ -1,8 +1,15 @@
 import json
+import os
 import struct
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import deltadesc.io
 
 from deltadesc import (
     DataError,
@@ -28,6 +35,13 @@ from deltadesc import (
     write_profile_csv,
     write_summary_json,
 )
+
+
+def oracle_block(arr, dtype):
+    """The container bytes of one block, built from the whole payload at once."""
+    code = {"float32": 1, "float64": 2}[dtype]
+    header = struct.pack("<4sIQQI", b"DVPR", 1, arr.shape[0], arr.shape[1], code)
+    return header + np.ascontiguousarray(arr, dtype="<f4" if code == 1 else "<f8").tobytes()
 
 
 class TestBinaryRoundtrip:
@@ -247,3 +261,91 @@ class TestPcaModelIo:
         path.write_bytes(path.read_bytes()[:60])
         with pytest.raises(DataError):
             load_pca_model(path)
+
+
+class TestStreamedBlocks:
+    """Blocks are read and written CHUNK_BYTES at a time; a small chunk splits rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.integers(1, 40),
+        dim=st.integers(1, 12),
+        dtype=st.sampled_from(["float32", "float64"]),
+        # a few values per chunk, so that rows straddle chunks on the way in
+        chunk=st.sampled_from([8, 24, 40, 136]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_is_bitwise_and_files_match_oracle(
+        self, tmp_path_factory, frames, dim, dtype, chunk, seed
+    ):
+        data = np.random.default_rng(seed).normal(size=(frames, dim)) * 1e3
+        path = tmp_path_factory.mktemp("blocks") / "series.dvpr"
+        with mock.patch.object(deltadesc.io, "CHUNK_BYTES", chunk):
+            write_descriptors(path, DescriptorSeries(data), dtype=dtype)
+            loaded = read_descriptors(path).data
+        assert path.read_bytes() == oracle_block(data, dtype)
+        expected = data.astype(np.float32).astype(np.float64) if dtype == "float32" else data
+        assert loaded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [24, 2**20])
+    def test_model_and_distance_files_match_oracle(self, tmp_path, chunk):
+        rng = np.random.default_rng(6)
+        model = pca_fit(DescriptorSeries(rng.normal(size=(40, 9))), 4)
+        values = rng.uniform(0, 2, size=(5, 7))
+        with mock.patch.object(deltadesc.io, "CHUNK_BYTES", chunk):
+            save_pca_model(tmp_path / "model.bin", model)
+            write_distance_matrix(tmp_path / "dist.dvpr", DistanceMatrix(values))
+            loaded = load_pca_model(tmp_path / "model.bin")
+            dist = read_distance_matrix(tmp_path / "dist.dvpr").values
+        assert (tmp_path / "model.bin").read_bytes() == b"".join([
+            oracle_block(model.mean.reshape(1, -1), "float64"),
+            oracle_block(model.components, "float64"),
+            oracle_block(model.explained_variance.reshape(1, -1), "float64"),
+        ])
+        assert (tmp_path / "dist.dvpr").read_bytes() == oracle_block(values, "float64")
+        assert loaded.components.tobytes() == model.components.tobytes()
+        assert dist.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("cut", [1, 6, 8, 30, 63])
+    def test_payload_cut_mid_chunk_names_counts(self, tmp_path, cut):
+        path = tmp_path / "trunc.dvpr"
+        write_descriptors(path, DescriptorSeries(np.ones((4, 4))))
+        path.write_bytes(path.read_bytes()[: 28 + 64 - cut])
+        with mock.patch.object(deltadesc.io, "CHUNK_BYTES", 16):
+            with pytest.raises(DataError, match=f"expected 64 bytes, got {64 - cut}$"):
+                read_descriptors(path)
+
+    # past numpy's largest array, and past any machine's memory
+    @pytest.mark.parametrize("frames", [2**40, 2**22])
+    def test_header_claiming_more_than_memory_is_truncated(self, tmp_path, frames):
+        path = tmp_path / "huge.dvpr"
+        path.write_bytes(struct.pack("<4sIQQI", b"DVPR", 1, frames, 2**20, 1) + bytes(12))
+        with pytest.raises(DataError, match=f"expected {frames * 2**22} bytes, got 12$"):
+            read_descriptors(path)
+
+    def test_model_with_trailing_bytes_rejected(self, tmp_path):
+        model = pca_fit(DescriptorSeries(np.random.default_rng(7).normal(size=(10, 4))), 2)
+        path = tmp_path / "model.bin"
+        save_pca_model(path, model)
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(DataError, match="3 trailing bytes after model blocks"):
+            load_pca_model(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        # 2.4 MB: each chunk is larger than a pipe holds, so it takes several reads
+        data = np.random.default_rng(8).normal(size=(2000, 300))
+        source = tmp_path / "series.dvpr"
+        write_descriptors(source, DescriptorSeries(data))
+        pipe = tmp_path / "pipe.dvpr"
+        os.mkfifo(pipe)
+        feeder = threading.Thread(
+            target=lambda: pipe.write_bytes(source.read_bytes()), daemon=True
+        )
+        feeder.start()
+        try:
+            loaded = read_descriptors(pipe)
+        finally:
+            feeder.join(timeout=30)
+        assert not feeder.is_alive()
+        assert loaded.data.tobytes() == read_descriptors(source).data.tobytes()

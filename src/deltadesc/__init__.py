@@ -8,7 +8,6 @@ truth with precision-recall curves.
 """
 
 from .calibration import SelfDistanceProfile, estimate_span, self_distance_profile
-from .cli import RunConfig, run_pipeline
 from .evaluation import (
     PrCurve,
     correct_matches,

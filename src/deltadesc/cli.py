@@ -2,12 +2,12 @@
 
 One subcommand per procedure: ``synth``, ``transform``, ``match``,
 ``calibrate``, ``evaluate``, ``rank-dims``, ``shuffle``, plus ``run`` which
-chains transform -> (PCA) -> distance matrix -> (seqmatch) -> retrieve ->
-evaluate in a single invocation. Staged invocations with float64 intermediate
-files reproduce the single-invocation outputs byte for byte, except for span
-banks of two or more spans without PCA: ``run`` keeps each bank as its series
-and spans and matches the two banks through one product of the series, and the
-distances agree only within rounding.
+chains transform -> (PCA) -> query tiles of distances -> (seqmatch) ->
+retrieve -> evaluate in a single invocation. Staged invocations with float64
+intermediate files reproduce the single-invocation outputs byte for byte,
+except for span banks of two or more spans without PCA: ``run`` keeps each
+bank as its series and spans and matches the two banks through one product of
+the series, and the distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -15,9 +15,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,7 +27,7 @@ from . import io as ddio
 from .calibration import estimate_span, self_distance_profile
 from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision_at_full_recall
 from .evaluation import median_pair_products, rank_dimensions
-from .matching import DistanceMatrix, MatchSet, _bank_shape
+from .matching import MatchSet, _bank_shape
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
 from .reduction import pca_fit, pca_transform
 from .series import DescriptorSeries, GroundTruth, _seal, apply_permutation
@@ -106,6 +105,8 @@ class RunConfig:
             raise ValueError("pca_k must be >= 1")
         if self.pca_fit_on not in FIT_SOURCES:
             raise ValueError(f"pca fit source must be one of {FIT_SOURCES}")
+        if self.pca_fit_on != "ref" and self.pca_k is None:
+            raise ValueError(f"--pca-fit {self.pca_fit_on} is read only with --pca-k")
         if self.radius_mode not in ("frames", "meters"):
             raise ValueError(f"radius_mode must be 'frames' or 'meters', got {self.radius_mode!r}")
         if self.radius < 0:
@@ -154,47 +155,28 @@ def _check_ground_truth(
         raise ddio.DataError(f"{path}: {exc}") from exc
 
 
-def _check_dense_fits(q_count: int, r_count: int, matrices: int) -> None:
-    """Refuse a dense match whose Q x R float64 matrices exceed physical memory."""
-    need = matrices * q_count * r_count * 8
-    try:
-        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return  # physical memory unknown on this platform
-    if need > ram:
-        raise ValueError(
-            f"matching {q_count} query x {r_count} reference frames holds {matrices} dense "
-            f"float64 matrices, {need / 2**30:.1f} GiB, more than the "
-            f"{ram / 2**30:.1f} GiB of physical memory; "
-            "split the traverses into shorter segments or subsample their frames"
-        )
-
-
 def _match(
     q_members: Sequence[DescriptorSeries],
     r_members: Sequence[DescriptorSeries],
     seqmatch_length: int,
-    dense: bool = False,
-) -> tuple[Optional[DistanceMatrix], MatchSet]:
+    out_distances: Optional[str] = None,
+) -> MatchSet:
     """Distances (min over pairings for banks), optional seqmatch, best reference per query.
 
-    Query rows are matched in tiles of ``MATCH_TILE_BYTES`` of distances. Each
-    tile is widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1
-    after, so every kept row sums the same in-bounds shifts as the dense
-    matrix would. A query ``SpanBank`` that fits one tile is matched through
-    its source; over several tiles its members are built once and sliced.
-    ``dense`` asks for one tile of all Q rows and returns its matrix;
-    otherwise the matrix returned is None.
+    Query rows are matched in tiles of ``MATCH_TILE_BYTES`` of distances, each
+    widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1 after, so
+    every kept row sums the same in-bounds shifts as the Q x R matrix would. A
+    query ``SpanBank`` that fits one tile is matched through its source; over
+    several tiles its members are built once and sliced. The ``out_distances``
+    file, if named, checks the free disk before the first tile and then takes
+    each tile's kept rows as soon as they exist.
     """
     length = int(seqmatch_length)
     pairings = len(q_members) * len(r_members)
     with _stage("distance"):
         # tiles slice every query member alike, so their frame counts must agree up front
         q_count, r_count = _bank_shape(q_members)[0], _bank_shape(r_members)[0]
-        if dense:
-            # a second matrix: seq_match's output, or the running minimum over pairings
-            _check_dense_fits(q_count, r_count, 2 if length > 1 or pairings > 1 else 1)
-    rows = q_count if dense else max(1, MATCH_TILE_BYTES // (8 * r_count))
+    rows = max(1, MATCH_TILE_BYTES // (8 * r_count))
     # members matched as they are, not through a bank's source, are built once here
     # rather than once per tile: the query's when it takes several tiles, and a
     # one-member reference's, which always takes one GEMM per pairing
@@ -203,26 +185,29 @@ def _match(
     if len(r_members) == 1:
         r_members = list(r_members)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
-    for b0 in range(0, q_count, rows):
-        b1 = min(b0 + rows, q_count)
-        a0, a1 = max(0, b0 - length // 2), min(q_count, b1 + (length + 1) // 2 - 1)
-        tile = q_members
-        if (a0, a1) != (0, q_count):
-            tile = [DescriptorSeries(q.data[a0:a1]) for q in q_members]
-        m = None  # release the last tile's matrix before this one is built
-        with _stage("distance"):
-            if pairings == 1:
-                m = distance_matrix(tile[0], r_members[0])
-            else:
-                m = multi_delta_distance(tile, r_members)
-        if length > 1:
-            with _stage("seqmatch"):
-                m = seq_match(m, length)
-        with _stage("retrieve"):
-            best = retrieve_best(m)
-        keep = slice(b0 - a0, b1 - a0)
-        idx[b0:b1], dist[b0:b1] = best.ref_indices[keep], best.distances[keep]
-    return (m if dense else None), MatchSet(_seal(idx), _seal(dist))
+    writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
+    with writer or nullcontext(lambda rows: None) as write_rows:
+        for b0 in range(0, q_count, rows):
+            b1 = min(b0 + rows, q_count)
+            a0, a1 = max(0, b0 - length // 2), min(q_count, b1 + (length + 1) // 2 - 1)
+            tile = q_members
+            if (a0, a1) != (0, q_count):
+                tile = [DescriptorSeries(q.data[a0:a1]) for q in q_members]
+            m = None  # release the last tile's matrix before this one is built
+            with _stage("distance"):
+                if pairings == 1:
+                    m = distance_matrix(tile[0], r_members[0])
+                else:
+                    m = multi_delta_distance(tile, r_members)
+            if length > 1:
+                with _stage("seqmatch"):
+                    m = seq_match(m, length)
+            with _stage("retrieve"):
+                best = retrieve_best(m)
+            keep = slice(b0 - a0, b1 - a0)
+            idx[b0:b1], dist[b0:b1] = best.ref_indices[keep], best.distances[keep]
+            write_rows(m.values[keep])
+    return MatchSet(_seal(idx), _seal(dist))
 
 
 def _score(
@@ -327,7 +312,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 r_members[i] = pca_transform(model, r_members[i])
                 ddio.save_pca_model(out_dir / name, model)
 
-    _, matches = _match(q_members, r_members, cfg.seqmatch_length)
+    matches = _match(q_members, r_members, cfg.seqmatch_length)
 
     curve = None
     if gt is None:
@@ -397,10 +382,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     _check_seqmatch_length(args.seqmatch_length)
     queries = [ddio.read_descriptors(p) for p in args.query]
     refs = [ddio.read_descriptors(p) for p in args.ref]
-    m, matches = _match(queries, refs, args.seqmatch_length, dense=bool(args.out_distances))
+    matches = _match(queries, refs, args.seqmatch_length, args.out_distances)
     ddio.write_matches_csv(args.out_matches, matches)
-    if args.out_distances:
-        ddio.write_distance_matrix(args.out_distances, m)
     print(f"wrote {args.out_matches}")
     return 0
 

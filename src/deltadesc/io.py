@@ -14,20 +14,22 @@ intermediate series and PCA models between processes without rounding. A PCA
 model file is three blocks in sequence: the mean, the components and the
 explained variances. Blocks are read and written CHUNK_BYTES of the file at a
 time, straight between the stream and the float64 matrix, so neither side
-holds a copy of the payload; a short or overlong file is found by reading to
-its end, so a pipe works as well as a regular file. CSV
-descriptor input (one frame per row, optional header) is accepted wherever a
-path ends in ``.csv``. All CSV output uses a header row, '.' decimals, and LF
-line endings; floats are written with shortest-roundtrip repr so identical
-runs produce byte-identical files.
+holds a copy of the payload, and a distance file takes rows as they come. A
+short or overlong file is found by reading to its end, so a pipe works as well
+as a regular file. CSV descriptor input (one frame per row, optional header)
+is accepted wherever a path ends in ``.csv``. All CSV output uses a header
+row, '.' decimals, and LF line endings; floats are written with
+shortest-roundtrip repr so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -61,17 +63,18 @@ def _fmt(value: float) -> str:
 # binary container
 # ---------------------------------------------------------------------------
 
-def _write_blocks(path: PathLike, blocks: Iterable[tuple[np.ndarray, int]]) -> None:
-    """Write (matrix, dtype code) blocks in sequence, each converted CHUNK_BYTES of rows at a time."""
-    with open(path, "wb") as fh:
-        for values, code in blocks:
-            dtype = _DTYPE_CODES[code]
-            t_count, dim = values.shape
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, t_count, dim, code))
-            rows = max(1, CHUNK_BYTES // (dim * dtype.itemsize))
-            for start in range(0, t_count, rows):
-                # a copy only where the dtype or the layout differs from the file's
-                fh.write(np.ascontiguousarray(values[start : start + rows], dtype=dtype))
+def _block_writer(fh: BinaryIO, t_count: int, dim: int, code: int) -> Callable:
+    """Write a block's header; return a function that appends its rows, CHUNK_BYTES at a time."""
+    dtype = _DTYPE_CODES[code]
+    fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, t_count, dim, code))
+    step = max(1, CHUNK_BYTES // (dim * dtype.itemsize))
+
+    def append(values: np.ndarray) -> None:
+        for start in range(0, len(values), step):
+            # a copy only where the dtype or the layout differs from the file's
+            fh.write(np.ascontiguousarray(values[start : start + step], dtype=dtype))
+
+    return append
 
 
 def _bytes_left(fh: BinaryIO) -> int:
@@ -138,7 +141,8 @@ def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "fl
     """Write a series to the binary container (float32 interchange by default)."""
     if dtype not in _CODE_FOR_NAME:
         raise ValueError(f"dtype must be 'float32' or 'float64', got {dtype!r}")
-    _write_blocks(path, [(series.data, _CODE_FOR_NAME[dtype])])
+    with open(path, "wb") as fh:
+        _block_writer(fh, *series.data.shape, _CODE_FOR_NAME[dtype])(series.data)
 
 
 def read_descriptors(path: PathLike) -> DescriptorSeries:
@@ -175,8 +179,23 @@ def read_positions(path: PathLike) -> np.ndarray:
     return series.data
 
 
+@contextmanager
+def distance_rows_writer(path: PathLike, q_count: int, r_count: int) -> Iterator[Callable]:
+    """Check the free disk for a new Q x R float64 distance file, then yield its row appender."""
+    size, where = _HEADER.size + 8 * q_count * r_count, Path(path).parent
+    free = shutil.disk_usage(where).free
+    if size > free:
+        raise ValueError(
+            f"a {q_count} x {r_count} float64 distance file takes {size / 2**30:.1f} GiB, "
+            f"more than the {free / 2**30:.1f} GiB free in {where}"
+        )
+    with open(path, "wb") as fh:
+        yield _block_writer(fh, q_count, r_count, _CODE_FOR_NAME["float64"])
+
+
 def write_distance_matrix(path: PathLike, m: DistanceMatrix) -> None:
-    _write_blocks(path, [(m.values, _CODE_FOR_NAME["float64"])])
+    with distance_rows_writer(path, *m.values.shape) as append:
+        append(m.values)
 
 
 def read_distance_matrix(path: PathLike) -> DistanceMatrix:
@@ -189,22 +208,15 @@ def read_distance_matrix(path: PathLike) -> DistanceMatrix:
 
 def save_pca_model(path: PathLike, model: PcaModel) -> None:
     """Store a PCA model as three consecutive float64 container blocks."""
-    code = _CODE_FOR_NAME["float64"]
-    _write_blocks(path, [
-        (model.mean.reshape(1, -1), code),
-        (model.components, code),
-        (model.explained_variance.reshape(1, -1), code),
-    ])
+    with open(path, "wb") as fh:
+        for values in (model.mean[None], model.components, model.explained_variance[None]):
+            _block_writer(fh, *values.shape, _CODE_FOR_NAME["float64"])(values)
 
 
 def load_pca_model(path: PathLike) -> PcaModel:
     mean, components, variance = _read_blocks(path, 3, "model blocks")
     try:
-        return PcaModel(
-            mean=mean.reshape(-1),
-            components=components,
-            explained_variance=variance.reshape(-1),
-        )
+        return PcaModel(mean, components, variance)  # a 1 x D block flattens to the mean
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

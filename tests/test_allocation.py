@@ -1,4 +1,4 @@
-"""Allocation peaks of loading, the transforms and the dense match path, in float64 matrices.
+"""Allocation peaks of loading, the transforms and the tiled match path, in float64 matrices.
 
 Each call is traced with tracemalloc from an already-built input, so the peak
 is what the call itself allocates. The unit is one 1000 x 1000 float64 matrix,
@@ -12,7 +12,8 @@ chunk of the file, a PCA fit hands eigh its Gram matrix with no centred copy
 of the series left, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
 The tiled match holds two tiles, a distance tile and seq_match's output,
-where the dense match holds two Q x R matrices. Row scales hold one block of
+whether or not it streams the kept rows to a distance file, where the whole
+match would hold two Q x R matrices. Row scales hold one block of
 squares at a time, not a squared copy of the series. A span bank keeps its
 source and its norms and takes them from blocks of rows, never building a
 member, and matching two banks holds two Q x R matrices plus blocks of rows.
@@ -160,15 +161,18 @@ def test_self_distance_profile_holds_its_products_and_one_block():
     assert peak_matrices(self_distance_profile, series, d_max) <= bound
 
 
-def test_tiled_match_holds_two_tiles(inputs, monkeypatch):
+def test_tiled_match_holds_two_tiles(inputs, monkeypatch, tmp_path):
     query, ref, _ = inputs
     rows, length = 100, 8
     monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * FRAMES * 8)
     tile = (rows + length - 1) * FRAMES  # kept rows plus seqmatch's halo
     counts = 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's per-block sums and divisions
-    # measured 0.364 matrices; 0.05 covers the norms and the per-query vectors
+    # measured 0.244 matrices with the file and without; 0.05 covers the norms, the
+    # per-query vectors and the file's buffer. Building the whole match measured 2.03.
     bound = (2 * tile + counts) * 8 / MATRIX_BYTES + 0.05
-    assert peak_matrices(deltadesc.cli._match, [query], [ref], length) <= bound
+    for out in (None, tmp_path / "d.dvpr"):
+        assert peak_matrices(deltadesc.cli._match, [query], [ref], length, out) <= bound
+    assert (tmp_path / "d.dvpr").stat().st_size == 28 + MATRIX_BYTES
 
 
 def test_row_scales_hold_no_copy_of_the_series():

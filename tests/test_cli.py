@@ -1,6 +1,11 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 import weakref
+from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,10 +27,13 @@ from deltadesc import (
     evaluate_pr,
     load_pca_model,
     max_f1,
+    multi_delta_distance,
     precision_at_full_recall,
     read_descriptors,
     read_ground_truth,
     read_matches_csv,
+    retrieve_best,
+    seq_match,
     write_descriptors,
     write_pr_csv,
 )
@@ -434,7 +442,7 @@ class TestMatchCommand:
 
 @pytest.fixture(scope="module")
 def long_pair(tmp_path_factory):
-    """A 3000-frame pair: two query tiles at the default budget, a 137 MiB dense match."""
+    """A 3000-frame pair: two query tiles at the default budget, a 69 MiB distance file."""
     d = tmp_path_factory.mktemp("long")
     ref, query, gt = d / "ref.dvpr", d / "query.dvpr", d / "gt.csv"
     assert run_cli(
@@ -445,38 +453,16 @@ def long_pair(tmp_path_factory):
     return ref, query, gt
 
 
-@pytest.fixture()
-def ram_64_mib(monkeypatch):
-    pages = {"SC_PHYS_PAGES": 16384, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(deltadesc.cli.os, "sysconf", pages.__getitem__)
-
-
 class TestTiledMatch:
-    def test_run_with_seqmatch_fits_where_the_dense_matrices_would_not(
-        self, long_pair, tmp_path, ram_64_mib
-    ):
-        ref, query, gt = long_pair
-        assert run_cli("run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
-                       "--window", 8, "--seqmatch-length", 8, "--radius", 2,
-                       "--out-dir", tmp_path / "o") == 0
-        assert json.loads((tmp_path / "o" / "summary.json").read_text())["max_f1"] > 0.9
-
-    def test_out_distances_keeps_the_dense_guard(self, long_pair, tmp_path, capsys, ram_64_mib):
-        ref, query, _ = long_pair
-        code = run_cli("match", "--query", query, "--ref", ref, "--seqmatch-length", 8,
-                       "--out-matches", tmp_path / "m.csv", "--out-distances", tmp_path / "d")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "3000 query x 3000 reference frames holds 2 dense float64 matrices, 0.1 GiB" in err
-        assert not (tmp_path / "m.csv").exists()
-
-    def test_tiled_and_dense_match_write_the_same_csv(self, long_pair, tmp_path):
+    def test_match_writes_the_same_csv_with_and_without_out_distances(self, long_pair, tmp_path):
         ref, query, _ = long_pair
         common = ("match", "--query", query, "--ref", ref, "--seqmatch-length", 8)
-        assert run_cli(*common, "--out-matches", tmp_path / "tiled.csv") == 0
-        assert run_cli(*common, "--out-matches", tmp_path / "dense.csv",
+        assert run_cli(*common, "--out-matches", tmp_path / "alone.csv") == 0
+        assert run_cli(*common, "--out-matches", tmp_path / "with.csv",
                        "--out-distances", tmp_path / "d") == 0
-        assert (tmp_path / "tiled.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+        assert (tmp_path / "alone.csv").read_bytes() == (tmp_path / "with.csv").read_bytes()
+        # both query tiles' rows, after the 28-byte header
+        assert (tmp_path / "d").stat().st_size == 28 + 8 * 3000 * 3000
 
     def test_query_bank_of_unequal_lengths_is_rejected_before_tiling(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -528,14 +514,25 @@ class TestTiledMatch:
         if data.draw(st.booleans(), label="reference as a span bank"):
             # matched through its Gram matrix when it has two or more spans
             r_members = delta_bank(r_members[0], range(1, banks[1] + 1))
-        dense, want = deltadesc.cli._match(q_members, r_members, length, dense=True)
-        with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * r_count):
-            none, got = deltadesc.cli._match(q_members, r_members, length)
-        assert none is None
+        # the oracle: the library's whole Q x R matrix, seqmatch at L = 1 changing no bit
+        dense = seq_match(multi_delta_distance(q_members, r_members), length)
+        want = retrieve_best(dense)
+        written = []
+
+        @contextmanager
+        def writer(path, q_rows, r_cols):
+            assert (path, q_rows, r_cols) == ("d.dvpr", q_count, r_count)
+            yield written.append
+
+        with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * r_count), \
+                mock.patch.object(deltadesc.io, "distance_rows_writer", writer):
+            got = deltadesc.cli._match(q_members, r_members, length, "d.dvpr")
         np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=1e-12)
         # a different argmin is a tie: its dense distance equals the best within 1e-12
         q = np.arange(q_count)
         assert np.all(dense.values[q, got.ref_indices] - want.distances <= 1e-12)
+        # the streamed writer gets every query row once, in order
+        np.testing.assert_allclose(np.vstack(written), dense.values, rtol=0, atol=1e-12)
 
 
 class TestExitCodes:
@@ -596,24 +593,24 @@ class TestExitCodes:
         assert "[transform] series too short for span" in capsys.readouterr().err
         assert not (tmp_path / "o" / "matches.csv").exists()
 
-    def test_dense_match_over_physical_memory_is_config_error(self, tmp_path, capsys):
+    def test_out_distances_over_free_disk_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
         frames = 200_000
-        need = frames * frames * 8
-        if os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") >= need:
-            pytest.skip("physical memory holds a 200000 x 200000 float64 matrix")
+        if shutil.disk_usage(tmp_path).free >= 28 + frames * frames * 8:
+            pytest.skip("the disk holds a 200000 x 200000 float64 distance file")
         path = tmp_path / "long.dvpr"
         write_descriptors(path, DescriptorSeries(np.ones((frames, 1))))
-        # only --out-distances builds the dense matrix; run and match alone are tiled
+        calls = []
+        monkeypatch.setattr(deltadesc.cli, "distance_matrix", lambda *a: calls.append(a))
         code = run_cli("match", "--query", path, "--ref", path, "--out-matches", tmp_path / "m.csv",
                        "--out-distances", tmp_path / "d.bin")
         assert code == 2
         err = capsys.readouterr().err
-        assert "200000" in err and "298.0 GiB" in err
-        code = run_cli("match", "--query", path, "--ref", path, "--seqmatch-length", 4,
-                       "--out-matches", tmp_path / "m.csv", "--out-distances", tmp_path / "d.bin")
-        assert code == 2
-        assert "596.0 GiB" in capsys.readouterr().err
-        assert not (tmp_path / "m.csv").exists()
+        assert "200000 x 200000" in err and "298.0 GiB" in err
+        # refused before any distance is computed or any output is created
+        assert calls == []
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "d.bin").exists()
 
     @pytest.mark.parametrize("spans", [(0, 4), (4, 0)])
     def test_non_positive_span_is_config_error(self, synth_files, tmp_path, capsys, spans):
@@ -656,8 +653,9 @@ class TestExitCodes:
         (("--transform", "raw", "--window", 4), "--window"),
         (("--transform", "smooth", "--window", 4, "--padding", "valid-only"), "--padding"),
         (("--transform", "raw", "--padding", "valid-only"), "--padding"),
+        (("--transform", "delta", "--window", 4, "--pca-fit", "both"), "--pca-fit"),
     ], ids=["delta-spans", "smooth-spans", "multi-delta-window", "raw-window",
-            "smooth-padding", "raw-padding"])
+            "smooth-padding", "raw-padding", "pca-fit-without-k"])
     def test_unread_flag_is_config_error_before_loading(self, tmp_path, capsys, flags, named):
         missing = tmp_path / "nothere.dvpr"
         code = run_cli("run", "--ref", missing, "--query", missing, *flags,
@@ -751,6 +749,17 @@ class TestExitCodes:
         assert code == 2
         assert "--window >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out.dvpr").exists()
+
+    @pytest.mark.parametrize("module", ["deltadesc", "deltadesc.cli"])
+    def test_python_m_runs_the_cli_without_a_warning(self, tmp_path, module):
+        env = {**os.environ, "PYTHONPATH": str(Path(deltadesc.cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "synth", "--frames", "20", "--dims", "3",
+             "--out-ref", "r.dvpr", "--out-query", "q.dvpr", "--out-gt", "gt.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert (tmp_path / "gt.csv").exists()
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -573,13 +573,13 @@ class TestFactoredBank:
         rng = np.random.default_rng(13)
         query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
         ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
-        one_tile = deltadesc.cli._match(query, ref, length)[1]
+        one_tile = deltadesc.cli._match(query, ref, length)
         spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
         builds = mock.Mock(wraps=deltadesc.transform.delta)
         monkeypatch.setattr(deltadesc.transform, "delta", builds)
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 16 * 8 * 50)  # five tiles
-        tiled = deltadesc.cli._match(query, ref, length)[1]
+        tiled = deltadesc.cli._match(query, ref, length)
         assert spy.call_count == 5 and all(type(c.args[0]) is list for c in spy.call_args_list)
         assert builds.call_count == 3  # each query member once, no reference member
         np.testing.assert_allclose(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matching import _cosine_block
 from .series import DescriptorSeries, _freeze, _row_scales, _seal
 
 # rows per profile GEMM block: 128 to 512 rows ran within 10% of each other at
@@ -42,8 +43,8 @@ class SelfDistanceProfile:
 def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceProfile:
     """Median over t of the cosine distance between rows t and t+d, for d = 1..d_max.
 
-    One GEMM per block of rows [b0, b1) against rows [b0 + 1, b1 + d_max) puts the
-    dots of rows t and t + d on its diagonal d - 1, copied into one d_max x T buffer.
+    One ``_cosine_block`` of rows [b0, b1) against rows [b0 + 1, b1 + d_max) puts the
+    distances of rows t and t + d on its diagonal d - 1, copied into one d_max x T buffer.
     """
     d_max = int(d_max)
     t_count = series.frame_count
@@ -51,19 +52,17 @@ def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceP
         raise ValueError(f"d_max must be in [1, {t_count - 1}], got {d_max}")
     data = series.data
     scales = _row_scales(data)
-    # products[d - 1, t] = data[t] . data[t + d], filled for t < T - d
-    products = np.empty((d_max, t_count))
+    # dists[d - 1, t] = the distance of rows t and t + d, filled for t < T - d
+    dists = np.empty((d_max, t_count))
     for b0 in range(0, t_count - 1, PROFILE_BLOCK_ROWS):
         b1 = min(b0 + PROFILE_BLOCK_ROWS, t_count - 1)
-        block = data[b0:b1] @ data[b0 + 1 : min(b1 + d_max, t_count)].T
+        c1 = min(b1 + d_max, t_count)
+        block = _cosine_block(data[b0:b1], scales[b0:b1], data[b0 + 1 : c1], scales[b0 + 1 : c1])
         for d in range(1, d_max + 1):
             diag = block.diagonal(d - 1)
-            products[d - 1, b0 : b0 + diag.size] = diag
+            dists[d - 1, b0 : b0 + diag.size] = diag
         del block, diag  # the next GEMM then allocates its block while holding none
-    medians = np.empty(d_max)
-    for d in range(1, d_max + 1):
-        dist = np.clip(1.0 - products[d - 1, : t_count - d] * scales[:-d] * scales[d:], 0.0, 2.0)
-        medians[d - 1] = np.median(dist)
+    medians = np.array([np.median(dists[d - 1, : t_count - d]) for d in range(1, d_max + 1)])
     return SelfDistanceProfile(_seal(np.arange(1, d_max + 1)), _seal(medians))
 
 

@@ -6,8 +6,8 @@ chains transform -> (PCA) -> query tiles of distances -> (seqmatch) ->
 retrieve -> evaluate in a single invocation. Staged invocations with float64
 intermediate files reproduce the single-invocation outputs byte for byte,
 except for span banks of two or more spans without PCA: ``run`` keeps each
-bank as its series and spans and matches the two banks through one product of
-the series, and the distances agree only within rounding.
+such bank as its series and spans and matches it through products of the
+series, and the distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -39,8 +39,13 @@ TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
 # bytes of distances per query tile; seq_match's output or a bank's running minimum is a
 # second. 32 MiB still holds a 2000 x 2000 match in one tile: halving it again split such
-# a span bank in two, each tile copying the query members, and cost more than it saved.
+# a query span bank into its members, and cost more than it saved.
 MATCH_TILE_BYTES = 32 * 2**20
+
+
+def _tile_rows(r_count: int) -> int:
+    """Query rows per match tile against ``r_count`` reference frames: at least one."""
+    return max(1, MATCH_TILE_BYTES // (8 * r_count))
 
 
 @contextmanager
@@ -71,6 +76,11 @@ def _check_seqmatch_length(length: int) -> None:
         raise ValueError("seqmatch length must be >= 1")
 
 
+def _check_positions_flag(positions_path: Optional[str], radius_mode: str) -> None:
+    if bool(positions_path) != (radius_mode == "meters"):
+        raise ValueError("--radius-mode meters needs --ref-positions; no other mode reads it")
+
+
 @dataclass
 class RunConfig:
     """Everything one end-to-end pipeline invocation needs."""
@@ -86,7 +96,7 @@ class RunConfig:
     padding: str = EDGE_REPLICATE
     seqmatch_length: int = 1
     pca_k: Optional[int] = None
-    pca_fit_on: str = "ref"
+    pca_fit_on: Optional[str] = None
     radius: float = 0.0
     radius_mode: str = "frames"
 
@@ -103,35 +113,37 @@ class RunConfig:
         _check_seqmatch_length(self.seqmatch_length)
         if self.pca_k is not None and int(self.pca_k) < 1:
             raise ValueError("pca_k must be >= 1")
-        if self.pca_fit_on not in FIT_SOURCES:
+        if self.pca_fit_on not in (None, *FIT_SOURCES):
             raise ValueError(f"pca fit source must be one of {FIT_SOURCES}")
-        if self.pca_fit_on != "ref" and self.pca_k is None:
+        if self.pca_fit_on is not None and self.pca_k is None:
             raise ValueError(f"--pca-fit {self.pca_fit_on} is read only with --pca-k")
         if self.radius_mode not in ("frames", "meters"):
             raise ValueError(f"radius_mode must be 'frames' or 'meters', got {self.radius_mode!r}")
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
-        if self.radius_mode == "meters" and self.gt_path and not self.positions_path:
-            raise ValueError("meters mode requires reference positions")
+        unread = self.radius or self.radius_mode == "meters" or self.positions_path
+        if unread and not self.gt_path:
+            raise ValueError("--radius, --radius-mode meters and --ref-positions need --gt")
+        _check_positions_flag(self.positions_path, self.radius_mode)
 
 
 def _transform_members(
     series: DescriptorSeries,
     transform: str,
     window: Optional[int],
-    padding: str,
     spans: Optional[Sequence[int]] = None,
-    projected: bool = False,
+    bank: bool = False,
+    padding: str = EDGE_REPLICATE,
 ) -> Sequence[DescriptorSeries]:
-    """The series to match: a one-member list, or for multi-delta a ``delta_bank``.
+    """The series to match: a one-member list, or for multi-delta one delta per span.
 
-    Members that PCA will replace (``projected``) come as a list of deltas: a
-    bank would build each one twice, once for norms that no one reads.
+    With ``bank`` they come as a ``delta_bank``, which builds no member: ask for
+    one only where ``multi_delta_distance`` matches it through its series.
     """
     if transform == "multi-delta":
-        if projected:
-            return [delta(series, DeltaConfig(window=s)) for s in spans]
-        return delta_bank(series, spans)
+        if bank:
+            return delta_bank(series, spans)
+        return [delta(series, DeltaConfig(window=s)) for s in spans]
     if transform == "smooth":
         return [smooth(series, window)]
     if transform == "delta":
@@ -165,25 +177,18 @@ def _match(
 
     Query rows are matched in tiles of ``MATCH_TILE_BYTES`` of distances, each
     widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1 after, so
-    every kept row sums the same in-bounds shifts as the Q x R matrix would. A
-    query ``SpanBank`` that fits one tile is matched through its source; over
-    several tiles its members are built once and sliced. The ``out_distances``
-    file, if named, checks the free disk before the first tile and then takes
-    each tile's kept rows as soon as they exist.
+    every kept row sums the same in-bounds shifts as the Q x R matrix would.
+    Tiles slice the query members' data, so a query ``SpanBank`` (``run`` passes
+    one only when it fits one tile) would build its members once per tile. The
+    ``out_distances`` file, if named, checks the free disk before the first tile
+    and then takes each tile's kept rows as soon as they exist.
     """
     length = int(seqmatch_length)
     pairings = len(q_members) * len(r_members)
     with _stage("distance"):
         # tiles slice every query member alike, so their frame counts must agree up front
         q_count, r_count = _bank_shape(q_members)[0], _bank_shape(r_members)[0]
-    rows = max(1, MATCH_TILE_BYTES // (8 * r_count))
-    # members matched as they are, not through a bank's source, are built once here
-    # rather than once per tile: the query's when it takes several tiles, and a
-    # one-member reference's, which always takes one GEMM per pairing
-    if rows < q_count:
-        q_members = list(q_members)
-    if len(r_members) == 1:
-        r_members = list(r_members)
+    rows = _tile_rows(r_count)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:
@@ -284,18 +289,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
         if cfg.padding == VALID_ONLY:
             scored = delta_valid_range(query.frame_count, cfg.window)
         # the members replace the loaded series, which are released as soon as they
-        # exist: the query's before the reference is transformed. A span bank keeps its
-        # source and no member, since multi_delta_distance matches it through its source.
-        projected = cfg.pca_k is not None
-        q_members = _transform_members(
-            query, cfg.transform, cfg.window, EDGE_REPLICATE, spans, projected
-        )
+        # exist: the query's before the reference is transformed. A side is a span bank,
+        # its source and no member, only where multi_delta_distance matches it through
+        # its source: two or more spans without PCA, and a query of one match tile.
+        bank = cfg.transform == "multi-delta" and len(spans) > 1 and cfg.pca_k is None
+        q_bank = bank and query.frame_count <= _tile_rows(ref.frame_count)
+        q_members = _transform_members(query, cfg.transform, cfg.window, spans, q_bank)
         del query
-        r_members = _transform_members(
-            ref, cfg.transform, cfg.window, EDGE_REPLICATE, spans, projected
-        )
+        r_members = _transform_members(ref, cfg.transform, cfg.window, spans, bank)
         del ref
-    if projected:
+    if cfg.pca_k is not None:
         with _stage("pca"):
             # one model per bank member, named by its span
             names = (
@@ -303,11 +306,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 if len(q_members) == 1
                 else [f"pca_model_span{s}.bin" for s in spans]
             )
+            fit_on = cfg.pca_fit_on or "ref"
             # index in place so that no name keeps a pre-PCA member alive
             for i, name in enumerate(names):
-                model = pca_fit(
-                    _pca_fit_series(q_members[i], r_members[i], cfg.pca_fit_on), cfg.pca_k
-                )
+                model = pca_fit(_pca_fit_series(q_members[i], r_members[i], fit_on), cfg.pca_k)
                 q_members[i] = pca_transform(model, q_members[i])
                 r_members[i] = pca_transform(model, r_members[i])
                 ddio.save_pca_model(out_dir / name, model)
@@ -372,7 +374,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     _check_transform_flags(args.transform, args.window, None, args.padding)
     series = ddio.read_descriptors(args.input)
     with _stage("transform"):
-        (out,) = _transform_members(series, args.transform, args.window, args.padding)
+        (out,) = _transform_members(series, args.transform, args.window, padding=args.padding)
     ddio.write_descriptors(args.output, out, dtype=args.dtype)
     print(f"wrote {args.output}")
     return 0
@@ -403,6 +405,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_positions_flag(args.ref_positions, args.radius_mode)
     matches = ddio.read_matches_csv(args.matches)
     gt = ddio.read_ground_truth(args.gt, radius_mode=args.radius_mode, radius=args.radius)
     _check_ground_truth(gt, args.gt, matches.query_count)
@@ -418,11 +421,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rank_dims(args: argparse.Namespace) -> int:
-    ref = ddio.read_descriptors(args.ref)
-    query = ddio.read_descriptors(args.query)
+def _read_pair(args: argparse.Namespace) -> tuple[DescriptorSeries, DescriptorSeries, GroundTruth]:
+    """The ``--ref``, ``--query`` and ``--gt`` files, the ground truth checked against both."""
+    ref, query = ddio.read_descriptors(args.ref), ddio.read_descriptors(args.query)
     gt = ddio.read_ground_truth(args.gt)
     _check_ground_truth(gt, args.gt, query.frame_count, ref.frame_count)
+    return ref, query, gt
+
+
+def cmd_rank_dims(args: argparse.Namespace) -> int:
+    ref, query, gt = _read_pair(args)
     with _stage("rank-dims"):
         medians = median_pair_products(ref, query, gt)
         order = rank_dimensions(medians, args.top_k)
@@ -433,12 +441,9 @@ def cmd_rank_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_shuffle(args: argparse.Namespace) -> int:
-    ref = ddio.read_descriptors(args.ref)
-    query = ddio.read_descriptors(args.query)
-    gt = ddio.read_ground_truth(args.gt)
-    _check_ground_truth(gt, args.gt, query.frame_count, ref.frame_count)
+    pair = _read_pair(args)
     with _stage("shuffle"):
-        shuffled = apply_permutation(ref, query, gt, args.seed)
+        shuffled = apply_permutation(*pair, args.seed)
     return _write_traverse_pair(args, *shuffled)
 
 
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--padding", choices=(EDGE_REPLICATE, VALID_ONLY), default=EDGE_REPLICATE)
     p.add_argument("--seqmatch-length", type=int, default=1)
     p.add_argument("--pca-k", type=int, default=None)
-    p.add_argument("--pca-fit", dest="pca_fit_on", choices=FIT_SOURCES, default="ref")
+    p.add_argument("--pca-fit", dest="pca_fit_on", choices=FIT_SOURCES, default=None)
     p.add_argument("--radius", type=float, default=0.0)
     p.add_argument("--radius-mode", choices=("frames", "meters"), default="frames")
     p.add_argument("--out-dir", required=True)

@@ -23,7 +23,7 @@ copy, so a call holds its output and a few blocks of rows.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Optional
 
@@ -187,29 +187,29 @@ def _delta_scales(data: np.ndarray, span: int) -> np.ndarray:
     return _seal(_norm_scales(norms))
 
 
+@dataclass(frozen=True, eq=False)
 class SpanBank(Sequence):
     """Edge-replicate deltas of ``source``, one per span of ``spans``, built on demand.
 
     A bank holds its source, its spans and each member's ``_row_scales``, which
     it takes from the member's delta blocks without building the member.
-    Indexing or iterating builds a member, bit for bit ``delta(source,
-    DeltaConfig(span))``, and hands it the bank's norms. ``multi_delta_distance``
-    matches a bank through products with its source and needs no member. A
-    slice is a tuple of members.
+    ``multi_delta_distance`` matches a bank of two or more spans through
+    products with its source and needs no member, so a bank pays off only
+    where it is matched that way. Indexing or iterating builds a member, bit
+    for bit ``delta(source, DeltaConfig(span))``; a slice is a tuple of members.
     """
 
-    __slots__ = ("source", "spans", "row_scales")
     source: DescriptorSeries
     spans: tuple[int, ...]
-    row_scales: tuple[np.ndarray, ...]
+    row_scales: tuple[np.ndarray, ...] = field(init=False)
 
-    def __init__(self, source: DescriptorSeries, spans: Sequence[int]) -> None:
-        if not spans:
+    def __post_init__(self) -> None:
+        if not self.spans:
             raise ValueError("delta bank needs a non-empty span set")
-        spans = tuple(int(s) for s in spans)
-        scales = tuple(_delta_scales(source.data, s) for s in spans)
-        for name, value in (("source", source), ("spans", spans), ("row_scales", scales)):
-            object.__setattr__(self, name, value)
+        spans = tuple(int(s) for s in self.spans)
+        object.__setattr__(self, "spans", spans)
+        scales = tuple(_delta_scales(self.source.data, s) for s in spans)
+        object.__setattr__(self, "row_scales", scales)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -217,20 +217,14 @@ class SpanBank(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(len(self))[index])
-        member = delta(self.source, DeltaConfig(window=self.spans[index]))
-        vars(member)["row_scales"] = self.row_scales[index]  # the cached norms: no second pass
-        return member
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a span bank is immutable")
+        return delta(self.source, DeltaConfig(window=self.spans[index]))
 
 
 def delta_bank(series: DescriptorSeries, spans: Sequence[int]) -> SpanBank:
     """One edge-replicate delta per span, in the order given, as a ``SpanBank``.
 
     Edge replication keeps every member frame-aligned with the source series
-    and with each other. The bank keeps the series and each member's norms, not
-    the members. The order is the caller's: ``multi_delta_distance`` does not
-    depend on it.
+    and with each other. The order is the caller's: ``multi_delta_distance``
+    does not depend on it.
     """
     return SpanBank(series, spans)

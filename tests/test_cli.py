@@ -339,6 +339,52 @@ class TestRunCommand:
         assert members == []
         assert alive_at_match == [[True, True]]
 
+    def test_one_span_multi_delta_matches_exactly_like_delta(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        ref, query, gt = synth_files
+        banks = mock.Mock(wraps=delta_bank)
+        scales = mock.Mock(wraps=deltadesc.transform._delta_scales)
+        monkeypatch.setattr(deltadesc.cli, "delta_bank", banks)
+        monkeypatch.setattr(deltadesc.transform, "_delta_scales", scales)
+        out = {}
+        for name, flags in (("multi", ("--transform", "multi-delta", "--spans", 8)),
+                            ("delta", ("--transform", "delta", "--window", 8))):
+            out[name] = tmp_path / name
+            assert run_cli(
+                "run", "--ref", ref, "--query", query, "--gt", gt, *flags,
+                "--seqmatch-length", 4, "--radius", 2, "--out-dir", out[name],
+            ) == 0
+        for name in ("matches.csv", "pr.csv"):
+            assert (out["multi"] / name).read_bytes() == (out["delta"] / name).read_bytes()
+        # one span is one delta a side: no bank, and no norms but the members' own
+        assert banks.call_count == 0 and scales.call_count == 0
+
+    def test_a_query_over_several_tiles_is_matched_as_members(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        ref, query, gt = synth_files
+        banks = mock.Mock(wraps=delta_bank)
+        scales = mock.Mock(wraps=deltadesc.transform._delta_scales)
+        transformed = mock.Mock(wraps=delta)
+        built = mock.Mock(wraps=delta)
+        monkeypatch.setattr(deltadesc.cli, "delta_bank", banks)
+        monkeypatch.setattr(deltadesc.transform, "_delta_scales", scales)
+        monkeypatch.setattr(deltadesc.cli, "delta", transformed)
+        monkeypatch.setattr(deltadesc.transform, "delta", built)
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 100 * 8 * 300)  # three tiles
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt,
+            "--transform", "multi-delta", "--spans", 4, 8, 16, "--seqmatch-length", 4,
+            "--radius", 2, "--out-dir", tmp_path / "o",
+        ) == 0
+        # the reference alone is a bank and takes its three norms; the query's three
+        # members are built once, before matching, and no bank member is built
+        (call,) = banks.call_args_list
+        assert np.array_equal(call.args[0].data, read_descriptors(ref).data)
+        assert scales.call_count == 3
+        assert transformed.call_count == 3 and built.call_count == 0
+
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files
         out = {}
@@ -654,14 +700,31 @@ class TestExitCodes:
         (("--transform", "smooth", "--window", 4, "--padding", "valid-only"), "--padding"),
         (("--transform", "raw", "--padding", "valid-only"), "--padding"),
         (("--transform", "delta", "--window", 4, "--pca-fit", "both"), "--pca-fit"),
+        (("--transform", "delta", "--window", 4, "--pca-fit", "ref"), "--pca-fit"),
+        (("--radius", 2, "--radius-mode", "meters"), "need --gt"),
+        (("--radius", 2), "need --gt"),
+        (("--radius-mode", "meters"), "need --gt"),
+        (("--ref-positions", "pos.csv"), "need --gt"),
+        (("--gt", "gt.csv", "--ref-positions", "pos.csv"), "--ref-positions"),
     ], ids=["delta-spans", "smooth-spans", "multi-delta-window", "raw-window",
-            "smooth-padding", "raw-padding", "pca-fit-without-k"])
+            "smooth-padding", "raw-padding", "pca-fit-without-k", "pca-fit-ref-without-k",
+            "radius-meters-without-gt", "radius-without-gt", "meters-without-gt",
+            "positions-without-gt",
+            "positions-in-frames-mode"])
     def test_unread_flag_is_config_error_before_loading(self, tmp_path, capsys, flags, named):
         missing = tmp_path / "nothere.dvpr"
         code = run_cli("run", "--ref", missing, "--query", missing, *flags,
                        "--out-dir", tmp_path / "o")
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_evaluate_rejects_positions_in_frames_mode_before_loading(self, tmp_path, capsys):
+        missing = tmp_path / "nothere.csv"
+        code = run_cli("evaluate", "--matches", missing, "--gt", missing,
+                       "--ref-positions", missing, "--out-pr", tmp_path / "pr.csv")
+        assert code == 2
+        assert "needs --ref-positions; no other mode reads it" in capsys.readouterr().err
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_transform_command_rejects_padding_under_smooth(self, tmp_path, capsys):
         code = run_cli("transform", "--input", tmp_path / "nothere.dvpr",

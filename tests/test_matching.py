@@ -569,7 +569,8 @@ class TestFactoredBank:
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_a_query_bank_over_several_tiles_equals_one_tile(self, length, monkeypatch):
-        # one tile filters the query source; several tiles build the members once and slice them
+        # one tile filters the query source; over several tiles run passes the built
+        # members, which the tiles slice
         rng = np.random.default_rng(13)
         query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
         ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
@@ -579,7 +580,7 @@ class TestFactoredBank:
         builds = mock.Mock(wraps=deltadesc.transform.delta)
         monkeypatch.setattr(deltadesc.transform, "delta", builds)
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 16 * 8 * 50)  # five tiles
-        tiled = deltadesc.cli._match(query, ref, length)
+        tiled = deltadesc.cli._match(list(query), ref, length)
         assert spy.call_count == 5 and all(type(c.args[0]) is list for c in spy.call_args_list)
         assert builds.call_count == 3  # each query member once, no reference member
         np.testing.assert_allclose(

@@ -167,9 +167,10 @@ def multi_delta_distance(
     a bit.
 
     A reference ``SpanBank`` of two or more spans is matched by
-    ``_bank_distances`` through products with its source: one GEMM in all when
-    the query is a ``SpanBank`` too, else one per query member. Anything else
-    takes one GEMM per pairing, which is the factored path's oracle.
+    ``_bank_distances`` through products with its source: one product in all
+    when the query is a ``SpanBank`` too (ceil(D / R) GEMMs over blocks of its
+    rows), else one per query member. Anything else takes one GEMM per
+    pairing, which is the factored path's oracle.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")
@@ -205,8 +206,9 @@ def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np
     sources, filtered by the span-l delta down its reference axis and by the
     span-k delta along its query axis. A query ``SpanBank`` is one source with
     its spans; each member of any other query is a source of its own with the
-    identity filter, written as span 0. Both sources are centred by their
-    column means first: a delta's weights sum to zero, so the result is
+    identity filter, written as span 0. The reference source and a query
+    bank's source are centred by their column means, with no centred copy
+    (``_centred_product``): a delta's weights sum to zero, so the result is
     unchanged in exact arithmetic, and the filters' running sums stay small.
     The scales are the members' own ``_row_scales``, so rows below
     ``ZERO_NORM`` still compare at exactly 1.0. Each reference span's delta of
@@ -215,16 +217,16 @@ def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np
     within rounding of the direct path, and that rounding grows with the
     reference length: the largest difference seen was 3.9e-12 at 20-60 frames,
     the lengths ``FACTORED_BOUND`` (1e-11) in the tests covers, 4.3e-11 at
-    150-200 and 2.6e-10 at 400-500. Argmins moved only between near-ties.
+    150-200, and 2.6e-10 over 3000 random draws at 400-500, which is not a
+    worst case (see ``LONG_REFERENCE_ERROR`` in the tests). Argmins moved only
+    between near-ties.
     """
     source = bank.source.data
     mean = source.mean(axis=0)
     sims = None
-    for q, q_spans, q_scales in _query_sources(q_members):
+    for q, q_mean, q_spans, q_scales in _query_sources(q_members):
         # R x Q, so the reference filters run down contiguous rows
-        gram = source @ q.T
-        gram -= mean @ q.T  # the product of the centred reference, with no centred copy
-        del q  # a centred query copy goes before the running best is allocated
+        gram = _centred_product(source, mean, q, q_mean)
         if sims is None:
             # 1 - x is monotone, so the largest scaled dot product gives the smallest
             # distance, bit for bit
@@ -240,13 +242,44 @@ def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np
 
 
 def _query_sources(q_members: Sequence[DescriptorSeries]):
-    """Yield (source data, spans, row scales) per query source, span 0 being the identity."""
+    """Yield (source data, column mean, spans, row scales) per query source.
+
+    A ``SpanBank`` is its raw source, centred by ``_centred_product``; each member
+    of any other query is its data with no mean and span 0, the identity.
+    """
     if isinstance(q_members, SpanBank):
         data = q_members.source.data
-        yield data - data.mean(axis=0), q_members.spans, q_members.row_scales
+        yield data, data.mean(axis=0), q_members.spans, q_members.row_scales
     else:
         for qs in q_members:
-            yield qs.data, (0,), (qs.row_scales,)
+            yield qs.data, None, (0,), (qs.row_scales,)
+
+
+def _centred_product(
+    source: np.ndarray, mean: np.ndarray, q: np.ndarray, q_mean: np.ndarray | None
+) -> np.ndarray:
+    """R x Q product of the centred reference with the query, centred where it has a mean.
+
+    Neither centred source is copied whole. A query with a mean is centred into
+    one reused buffer ceil(D / R) blocks of rows at a time, so no block is much
+    larger than the product; D <= R is one GEMM. Blocks are whole 8-row panels:
+    on OpenBLAS that keeps the 2000 x 4096 bench product the same bits as one
+    GEMM of a centred copy (667 rows did not).
+    """
+    gram = np.empty((len(source), len(q)))
+    step = len(q)
+    if q_mean is not None:
+        step = -(-step // -(-q.shape[1] // len(source)))  # ceil(Q / ceil(D / R))
+        step = -(-step // 8) * 8
+        buf = np.empty((min(step, len(q)), q.shape[1]))
+    for j0 in range(0, len(q), step):
+        rows = q[j0 : j0 + step]
+        if q_mean is not None:
+            rows = np.subtract(rows, q_mean, out=buf[: len(rows)])
+        cols = gram[:, j0 : j0 + len(rows)]
+        np.matmul(source, rows.T, out=cols)
+        cols -= mean @ rows.T
+    return gram
 
 
 def _filter_columns(

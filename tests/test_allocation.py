@@ -16,7 +16,8 @@ whether or not it streams the kept rows to a distance file, where the whole
 match would hold two Q x R matrices. Row scales hold one block of
 squares at a time, not a squared copy of the series. A span bank keeps its
 source and its norms and takes them from blocks of rows, never building a
-member, and matching two banks holds two Q x R matrices plus blocks of rows.
+member, and matching two banks holds two Q x R matrices plus blocks of rows,
+with a wide query source centred a block of rows at a time, not copied whole.
 """
 
 import tracemalloc
@@ -205,3 +206,16 @@ def test_two_span_banks_hold_two_matrices():
     # buffers, measured at 4 * SEQ_BLOCK_ROWS rows
     bound = 2.0 + blocks(BOX_BLOCK_ROWS + 8, BOX_BLOCK_ROWS, BOX_BLOCK_ROWS, 4 * SEQ_BLOCK_ROWS)
     assert peak_matrices(multi_delta_distance, qb, rb) <= bound + 0.02
+
+
+def test_a_wide_query_bank_is_centred_in_blocks_no_larger_than_the_product():
+    frames, dim = 200, 800
+    rng = np.random.default_rng(9)
+    qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(frames, dim))), (2, 4, 8)) for _ in "qr")
+    # measured 3.48 R x Q matrices, where a centred copy of the whole query source held
+    # 5.23. The centring holds the product and one block of centred rows, 56 x 800 (1.12);
+    # the peak is the filter phase, with the same buffers as two span banks above, each
+    # 200 wide. 0.2 covers the vectors of R or Q entries, 1/200 of a matrix each here.
+    rows = BOX_BLOCK_ROWS + 16 + 2 * BOX_BLOCK_ROWS + 4 * SEQ_BLOCK_ROWS
+    peak = peak_matrices(multi_delta_distance, qb, rb) * MATRIX_BYTES / (frames * frames * 8)
+    assert peak <= 2.0 + rows / frames + 0.2

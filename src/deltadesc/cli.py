@@ -32,20 +32,22 @@ from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_
 from .reduction import pca_fit, pca_transform
 from .series import DescriptorSeries, GroundTruth, _seal, apply_permutation
 from .synth import SynthParams, generate_traverse_pair
-from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, delta, delta_bank
+from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, SpanBank, delta, delta_bank
 from .transform import delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
-# bytes of distances per query tile; seq_match's output or a bank's running minimum is a
-# second. 32 MiB still holds a 2000 x 2000 match in one tile: halving it again split such
-# a query span bank into its members, and cost more than it saved.
+# bytes of a query tile's live Q x R matrices. Under seqmatch a member query's distances
+# and seq_match's output share it, half each. A query span bank, whose tiles would build
+# its members, keeps it whole, and so does run's choice of a query bank: at 32 MiB a
+# 2000 x 2000 bank is one tile, and a 16 MiB budget split such a bank into its members
+# and cost more than it saved.
 MATCH_TILE_BYTES = 32 * 2**20
 
 
-def _tile_rows(r_count: int) -> int:
-    """Query rows per match tile against ``r_count`` reference frames: at least one."""
-    return max(1, MATCH_TILE_BYTES // (8 * r_count))
+def _tile_rows(r_count: int, matrices: int = 1) -> int:
+    """Query rows per tile when ``matrices`` Q x R matrices share the budget: at least one."""
+    return max(1, MATCH_TILE_BYTES // (8 * matrices * r_count))
 
 
 @contextmanager
@@ -175,11 +177,13 @@ def _match(
 ) -> MatchSet:
     """Distances (min over pairings for banks), optional seqmatch, best reference per query.
 
-    Query rows are matched in tiles of ``MATCH_TILE_BYTES`` of distances, each
-    widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1 after, so
-    every kept row sums the same in-bounds shifts as the Q x R matrix would.
+    Query rows are matched in tiles, each widened by seqmatch's halo, L//2 rows
+    before and ceil(L/2) - 1 after, so every kept row sums the same in-bounds
+    shifts as the Q x R matrix would. A tile's distances and seq_match's output
+    are live together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each.
     Tiles slice the query members' data, so a query ``SpanBank`` (``run`` passes
-    one only when it fits one tile) would build its members once per tile. The
+    one only when it fits one tile of the whole budget) keeps the whole budget:
+    over several tiles it would build its members once per tile. The
     ``out_distances`` file, if named, checks the free disk before the first tile
     and then takes each tile's kept rows as soon as they exist.
     """
@@ -188,7 +192,8 @@ def _match(
     with _stage("distance"):
         # tiles slice every query member alike, so their frame counts must agree up front
         q_count, r_count = _bank_shape(q_members)[0], _bank_shape(r_members)[0]
-    rows = _tile_rows(r_count)
+    shared = length > 1 and not isinstance(q_members, SpanBank)
+    rows = _tile_rows(r_count, 2 if shared else 1)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:

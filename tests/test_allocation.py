@@ -11,10 +11,10 @@ without a copy, reading or writing a file holds the float64 matrix plus one
 chunk of the file, a PCA fit hands eigh its Gram matrix with no centred copy
 of the series left, and the self-distance
 profile holds its d_max x T products, one GEMM block and a few T-vectors.
-The tiled match holds two tiles, a distance tile and seq_match's output,
-whether or not it streams the kept rows to a distance file, where the whole
-match would hold two Q x R matrices. Row scales hold one block of
-squares at a time, not a squared copy of the series. A span bank keeps its
+The tiled match holds two half tiles, a distance tile and seq_match's output,
+which share the tile budget, whether or not it streams the kept rows to a
+distance file, where the whole match would hold two Q x R matrices. Row
+scales hold one block of squares at a time, not a squared copy of the series. A span bank keeps its
 source and its norms and takes them from blocks of rows, never building a
 member, and matching two banks holds two Q x R matrices plus blocks of rows,
 with a wide query source centred a block of rows at a time, not copied whole.
@@ -166,11 +166,14 @@ def test_tiled_match_holds_two_tiles(inputs, monkeypatch, tmp_path):
     query, ref, _ = inputs
     rows, length = 100, 8
     monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * FRAMES * 8)
-    tile = (rows + length - 1) * FRAMES  # kept rows plus seqmatch's halo
+    # the distances and seq_match's output share the budget: two tiles of rows / 2 kept
+    # rows, each widened by seqmatch's halo
+    tiles = 2 * (rows // 2 + length - 1) * FRAMES
     counts = 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's per-block sums and divisions
-    # measured 0.244 matrices with the file and without; 0.05 covers the norms, the
-    # per-query vectors and the file's buffer. Building the whole match measured 2.03.
-    bound = (2 * tile + counts) * 8 / MATRIX_BYTES + 0.05
+    # measured 0.144 matrices without the file and 0.143 with it; 0.03 covers the norms,
+    # the per-query vectors and the file's buffer. Two tiles of the whole budget measured
+    # 0.244, and building the whole match 2.03.
+    bound = (tiles + counts) * 8 / MATRIX_BYTES + 0.03
     for out in (None, tmp_path / "d.dvpr"):
         assert peak_matrices(deltadesc.cli._match, [query], [ref], length, out) <= bound
     assert (tmp_path / "d.dvpr").stat().st_size == 28 + MATRIX_BYTES

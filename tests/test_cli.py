@@ -523,7 +523,8 @@ class TestTiledMatch:
         rng = np.random.default_rng(9)
         query = DescriptorSeries(rng.normal(size=(50, 4)))
         ref = DescriptorSeries(rng.normal(size=(30, 4)))
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 10 * 8 * 30)  # five tiles
+        # five tiles: at L = 3 the distances and seq_match's output share the budget
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 10 * 8 * 30)
         # the zero-norm rule, which every norm pass ends in: a series' or a bank's
         spy = mock.Mock(wraps=deltadesc.series._norm_scales)
         monkeypatch.setattr(deltadesc.series, "_norm_scales", spy)
@@ -534,6 +535,22 @@ class TestTiledMatch:
         # one call per reference member, one per query tile of 11 or 12 halo-widened rows
         sizes = sorted(len(call.args[0]) for call in spy.call_args_list)
         assert sizes == [11, 11, 12, 12, 12] + [30] * len(r_members)
+
+    def test_a_one_row_budget_halved_still_takes_one_row_a_tile(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        query = DescriptorSeries(rng.normal(size=(30, 6)))
+        ref = DescriptorSeries(rng.normal(size=(20, 6)))
+        dense = seq_match(multi_delta_distance([query], [ref]), 8)
+        want = retrieve_best(dense)
+        # one row of distances: half of it rounds down to zero rows, and must not
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 8 * 20)
+        tiles = mock.Mock(wraps=deltadesc.cli.distance_matrix)
+        monkeypatch.setattr(deltadesc.cli, "distance_matrix", tiles)
+        got = deltadesc.cli._match([query], [ref], 8)
+        assert tiles.call_count == 30
+        np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=1e-12)
+        # a different argmin is a tie: its dense distance equals the best within 1e-12
+        assert np.all(dense.values[np.arange(30), got.ref_indices] - want.distances <= 1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(

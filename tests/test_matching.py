@@ -594,7 +594,9 @@ class TestFactoredBank:
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
         builds = mock.Mock(wraps=deltadesc.transform.delta)
         monkeypatch.setattr(deltadesc.transform, "delta", builds)
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 16 * 8 * 50)  # five tiles
+        # five tiles: with seqmatch the distances and its output share the budget
+        shared = 2 if length > 1 else 1
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 16 * 8 * 50)
         tiled = deltadesc.cli._match(list(query), ref, length)
         assert spy.call_count == 5 and all(type(c.args[0]) is list for c in spy.call_args_list)
         assert builds.call_count == 3  # each query member once, no reference member
@@ -607,6 +609,25 @@ class TestFactoredBank:
         clear = ranked[:, 1] - ranked[:, 0] > 2 * FACTORED_BOUND
         assert clear.sum() > 60
         assert np.array_equal(tiled.ref_indices[clear], one_tile.ref_indices[clear])
+
+    def test_a_query_bank_keeps_the_whole_tile_budget_under_seqmatch(self, monkeypatch):
+        # member tiles halve the budget under seqmatch; a bank's tiles would build its
+        # members, so a bank that fits the whole budget stays one tile
+        rng = np.random.default_rng(17)
+        query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
+        ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
+        want = deltadesc.cli._match(query, ref, 5)
+        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
+        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
+        builds = mock.Mock(wraps=deltadesc.transform.delta)
+        monkeypatch.setattr(deltadesc.transform, "delta", builds)
+        # Q x R x 8 bytes: exactly the whole budget, twice half of it
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 70 * 50 * 8)
+        got = deltadesc.cli._match(query, ref, 5)
+        (call,) = spy.call_args_list
+        assert call.args[0] is query and builds.call_count == 0
+        assert np.array_equal(got.ref_indices, want.ref_indices)
+        assert np.array_equal(got.distances, want.distances)
 
     @settings(max_examples=40, deadline=None)
     @given(

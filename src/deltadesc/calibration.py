@@ -9,6 +9,7 @@ length over which change can be measured robustly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +67,16 @@ def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceP
     return SelfDistanceProfile(_seal(np.arange(1, d_max + 1)), _seal(medians))
 
 
+def _check_span_args(threshold: float, multiplier: float, d_max: Optional[int] = None) -> None:
+    """Reject a threshold outside (0, 2), a multiplier <= 0 and a d_max below 1."""
+    if not 0.0 < float(threshold) < 2.0:
+        raise ValueError(f"threshold must lie in (0, 2), got {float(threshold)}")
+    if multiplier <= 0:
+        raise ValueError(f"multiplier must be positive, got {multiplier}")
+    if d_max is not None and int(d_max) < 1:
+        raise ValueError(f"d_max must be >= 1, got {d_max}")
+
+
 def estimate_span(
     profile: SelfDistanceProfile, threshold: float = 0.7, multiplier: float = 1.0
 ) -> int:
@@ -74,12 +85,8 @@ def estimate_span(
     The raw value is a lower bound on the usable window length; ``multiplier``
     lets callers scale it up (rounded, at least 1) before use.
     """
-    threshold = float(threshold)
-    if not 0.0 < threshold < 2.0:
-        raise ValueError(f"threshold must lie in (0, 2), got {threshold}")
-    if multiplier <= 0:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    hits = profile.median_distance >= threshold
+    _check_span_args(threshold, multiplier)
+    hits = profile.median_distance >= float(threshold)
     if not hits.any():
         raise ValueError("profile never crosses threshold; increase d_max or lower threshold")
     raw = int(profile.offsets[int(np.argmax(hits))])

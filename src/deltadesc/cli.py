@@ -9,7 +9,7 @@ except for span banks of two or more spans without PCA: ``run`` keeps each
 such bank as its series and spans and matches it through products of the
 series, and the distances agree only within rounding.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error or out of memory, 3 data error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import io as ddio
-from .calibration import estimate_span, self_distance_profile
+from .calibration import _check_span_args, estimate_span, self_distance_profile
 from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision_at_full_recall
 from .evaluation import median_pair_products, rank_dimensions
 from .matching import MatchSet, _bank_shape
@@ -57,6 +57,8 @@ def _stage(name: str):
         yield
     except (ValueError, ddio.DataError, OSError) as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is not built from a message
+        raise MemoryError(f"[{name}] {exc}") from exc
 
 
 def _check_transform_flags(transform: str, window, spans, padding: str) -> None:
@@ -396,10 +398,9 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    _check_span_args(args.threshold, args.multiplier, args.d_max)
     series = ddio.read_descriptors(args.input)
-    d_max = args.d_max
-    if d_max is None:
-        d_max = max(1, min(series.frame_count // 4, 512))
+    d_max = args.d_max or max(1, min(series.frame_count // 4, 512))
     with _stage("calibrate"):
         profile = self_distance_profile(series, d_max)
         if args.out_profile:
@@ -411,6 +412,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_positions_flag(args.ref_positions, args.radius_mode)
+    annotations = (args.transform, args.window, args.seqmatch_length, args.pca_k)
+    if annotations != (None, None, 1, None) and not args.out_summary:
+        raise ValueError("--transform, --window, --seqmatch-length and --pca-k need --out-summary")
     matches = ddio.read_matches_csv(args.matches)
     gt = ddio.read_ground_truth(args.gt, radius_mode=args.radius_mode, radius=args.radius)
     _check_ground_truth(gt, args.gt, matches.query_count)
@@ -435,6 +439,8 @@ def _read_pair(args: argparse.Namespace) -> tuple[DescriptorSeries, DescriptorSe
 
 
 def cmd_rank_dims(args: argparse.Namespace) -> int:
+    if args.top_k < 1:
+        raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
     ref, query, gt = _read_pair(args)
     with _stage("rank-dims"):
         medians = median_pair_products(ref, query, gt)
@@ -584,7 +590,7 @@ def main(argv=None) -> int:
     except (ddio.DataError, OSError) as exc:
         print(f"deltadesc: data error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"deltadesc: config error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,10 +16,10 @@ explained variances. Blocks are read and written CHUNK_BYTES of the file at a
 time, straight between the stream and the float64 matrix, so neither side
 holds a copy of the payload, and a distance file takes rows as they come. A
 short or overlong file is found by reading to its end, so a pipe works as well
-as a regular file. CSV descriptor input (one frame per row, optional header)
-is accepted wherever a path ends in ``.csv``. All CSV output uses a header
-row, '.' decimals, and LF line endings; floats are written with
-shortest-roundtrip repr so identical runs produce byte-identical files.
+as a regular file. A CSV table is a header row, optional for descriptor input
+(any path ending in ``.csv``), then a comma-separated row per item; one without
+rows is a DataError naming the file. Tables are written with LF endings and
+shortest-roundtrip floats, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from __future__ import annotations
 import json
 import shutil
 import struct
+import warnings
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Optional, Union
 
@@ -57,6 +59,15 @@ class DataError(Exception):
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+@contextmanager
+def _data_errors(path: PathLike, message: str = "{}") -> Iterator[None]:
+    """Re-raise a ValueError or OSError as a DataError: ``path``, then ``message`` of it."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise DataError(f"{path}: {message.format(exc)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,26 +160,11 @@ def read_descriptors(path: PathLike) -> DescriptorSeries:
     """Read a descriptor series from the binary container or from CSV."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        values = _read_csv_matrix(path)
+        values = _load_csv(path, "CSV matrix", np.float64, optional_header=True)
     else:
         (values,) = _read_blocks(path, 1, "payload")
-    try:
+    with _data_errors(path):
         return DescriptorSeries(values)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _read_csv_matrix(path: Path) -> np.ndarray:
-    try:
-        try:
-            values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        except ValueError:
-            values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, skiprows=1)
-    except (ValueError, OSError) as exc:
-        raise DataError(f"{path}: cannot parse CSV matrix ({exc})") from exc
-    if values.size == 0:
-        raise DataError(f"{path}: empty CSV matrix")
-    return _seal(values)
 
 
 def read_positions(path: PathLike) -> np.ndarray:
@@ -200,10 +196,8 @@ def write_distance_matrix(path: PathLike, m: DistanceMatrix) -> None:
 
 def read_distance_matrix(path: PathLike) -> DistanceMatrix:
     (values,) = _read_blocks(path, 1, "payload")
-    try:
+    with _data_errors(path):
         return DistanceMatrix(values)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_pca_model(path: PathLike, model: PcaModel) -> None:
@@ -215,103 +209,94 @@ def save_pca_model(path: PathLike, model: PcaModel) -> None:
 
 def load_pca_model(path: PathLike) -> PcaModel:
     mean, components, variance = _read_blocks(path, 3, "model blocks")
-    try:
+    with _data_errors(path):
         return PcaModel(mean, components, variance)  # a 1 x D block flattens to the mean
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # CSV / JSON
 # ---------------------------------------------------------------------------
 
-def _write_lines(path: PathLike, lines: list[str]) -> None:
+def _load_csv(path: PathLike, what: str, dtype, optional_header: bool = False) -> np.ndarray:
+    """A table's rows past its header, which ``optional_header`` skips only if it fails to parse."""
+    load = partial(np.loadtxt, path, delimiter=",", ndmin=2, dtype=dtype)
+    with _data_errors(path, f"cannot parse {what} ({{}})"), warnings.catch_warnings():
+        # an empty table is named below, instead of by numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = load(skiprows=0 if optional_header else 1)
+        except ValueError:
+            if not optional_header:
+                raise
+            rows = load(skiprows=1)
+    if rows.size == 0:
+        raise DataError(f"{path}: {what} has no rows")
+    return _seal(rows)
+
+
+def _in_query_order(path: PathLike, rows: np.ndarray) -> np.ndarray:
+    """``rows`` stably sorted by their first column, which must cover 0..Q-1 exactly once."""
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    if not np.array_equal(rows[:, 0], np.arange(len(rows))):
+        raise DataError(f"{path}: query indices must cover 0..{len(rows) - 1} exactly once")
+    return rows
+
+
+def _write_csv(path: PathLike, **columns: np.ndarray) -> None:
+    """A header row of the column names, then one row per index: integer and boolean
+    columns as integers, float columns by ``_fmt``."""
+    cells = [
+        map(str, map(int, c)) if c.dtype.kind in "biu" else map(_fmt, c)
+        for c in map(np.asarray, columns.values())
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
 
 
 def write_ground_truth(path: PathLike, gt: GroundTruth) -> None:
-    lines = ["query_idx,ref_idx"]
-    lines += [f"{q},{int(r)}" for q, r in enumerate(gt.pairs)]
-    _write_lines(path, lines)
+    _write_csv(path, query_idx=np.arange(gt.query_count), ref_idx=gt.pairs)
 
 
 def read_ground_truth(
     path: PathLike, radius_mode: str = "frames", radius: float = 0.0
 ) -> GroundTruth:
     """Read (query_idx, ref_idx) rows; queries must cover 0..Q-1 exactly."""
-    try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.int64)
-    except (ValueError, OSError) as exc:
-        raise DataError(f"{path}: cannot parse ground-truth CSV ({exc})") from exc
-    if rows.size == 0 or rows.shape[1] != 2:
+    rows = _load_csv(path, "ground-truth CSV", np.int64)
+    if rows.shape[1] != 2:
         raise DataError(f"{path}: ground truth needs two columns (query_idx, ref_idx)")
-    order = np.argsort(rows[:, 0], kind="stable")
-    rows = rows[order]
-    if not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):
-        raise DataError(f"{path}: query indices must cover 0..{rows.shape[0] - 1} exactly once")
-    try:
+    rows = _in_query_order(path, rows)
+    with _data_errors(path):
         return GroundTruth(rows[:, 1], radius_mode=radius_mode, radius=radius)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_matches_csv(
     path: PathLike, matches: MatchSet, correct: Optional[np.ndarray] = None
 ) -> None:
-    lines = [
-        f"{q},{int(r)},{_fmt(d)}"
-        for q, (r, d) in enumerate(zip(matches.ref_indices, matches.distances))
-    ]
-    if correct is None:
-        _write_lines(path, ["query_idx,ref_idx,distance"] + lines)
-    else:
-        lines = [f"{line},{int(c)}" for line, c in zip(lines, correct)]
-        _write_lines(path, ["query_idx,ref_idx,distance,correct"] + lines)
+    flags = {} if correct is None else {"correct": correct}
+    _write_csv(path, query_idx=np.arange(matches.query_count), ref_idx=matches.ref_indices,
+               distance=matches.distances, **flags)
 
 
 def read_matches_csv(path: PathLike) -> MatchSet:
-    try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-    except (ValueError, OSError) as exc:
-        raise DataError(f"{path}: cannot parse match CSV ({exc})") from exc
-    if rows.size == 0 or rows.shape[1] < 3:
+    rows = _load_csv(path, "match CSV", np.float64)
+    if rows.shape[1] < 3:
         raise DataError(f"{path}: match CSV needs query_idx, ref_idx, distance columns")
-    order = np.argsort(rows[:, 0], kind="stable")
-    rows = rows[order]
-    if not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):
-        raise DataError(f"{path}: query indices must cover 0..{rows.shape[0] - 1} exactly once")
-    try:
+    rows = _in_query_order(path, rows)
+    with _data_errors(path):
         return MatchSet(rows[:, 1].astype(np.int64), rows[:, 2])
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_pr_csv(path: PathLike, curve: PrCurve) -> None:
-    lines = ["threshold,precision,recall"]
-    lines += [
-        f"{_fmt(t)},{_fmt(p)},{_fmt(r)}"
-        for t, p, r in zip(curve.thresholds, curve.precisions, curve.recalls)
-    ]
-    _write_lines(path, lines)
+    _write_csv(path, threshold=curve.thresholds, precision=curve.precisions, recall=curve.recalls)
 
 
 def write_profile_csv(path: PathLike, profile: SelfDistanceProfile) -> None:
-    lines = ["offset,median_distance"]
-    lines += [
-        f"{int(d)},{_fmt(m)}" for d, m in zip(profile.offsets, profile.median_distance)
-    ]
-    _write_lines(path, lines)
+    _write_csv(path, offset=profile.offsets, median_distance=profile.median_distance)
 
 
-def write_dimension_ranking_csv(
-    path: PathLike, order: np.ndarray, medians: np.ndarray
-) -> None:
-    lines = ["rank,dimension,median_product"]
-    lines += [
-        f"{rank},{int(dim)},{_fmt(medians[dim])}" for rank, dim in enumerate(order)
-    ]
-    _write_lines(path, lines)
+def write_dimension_ranking_csv(path: PathLike, order: np.ndarray, medians: np.ndarray) -> None:
+    medians = np.asarray(medians, np.float64)[order]
+    _write_csv(path, rank=np.arange(len(order)), dimension=order, median_product=medians)
 
 
 def write_summary_json(path: PathLike, summary: dict) -> None:

@@ -206,7 +206,7 @@ class SpanBank(Sequence):
     def __post_init__(self) -> None:
         if not self.spans:
             raise ValueError("delta bank needs a non-empty span set")
-        spans = tuple(int(s) for s in self.spans)
+        spans = tuple(DeltaConfig(window=s).window for s in self.spans)
         object.__setattr__(self, "spans", spans)
         scales = tuple(_delta_scales(self.source.data, s) for s in spans)
         object.__setattr__(self, "row_scales", scales)

@@ -841,6 +841,93 @@ class TestExitCodes:
         assert (out.returncode, out.stderr) == (0, "")
         assert (tmp_path / "gt.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--threshold", 5), ("--threshold", 0), ("--multiplier", 0), ("--d-max", 0),
+    ], ids=["threshold-high", "threshold-zero", "multiplier", "d-max"])
+    def test_calibrate_rejects_flags_before_reading(self, synth_files, tmp_path, capsys, flags):
+        ref, _, _ = synth_files
+        spy = mock.Mock(wraps=deltadesc.io.read_descriptors)
+        with mock.patch.object(deltadesc.io, "read_descriptors", spy):
+            code = run_cli("calibrate", "--input", ref, *flags,
+                           "--out-profile", tmp_path / "p.csv")
+        assert code == 2
+        assert flags[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert spy.call_count == 0 and not (tmp_path / "p.csv").exists()
+
+    def test_rank_dims_rejects_top_k_below_one_before_reading(self, synth_files, tmp_path, capsys):
+        ref, query, gt = synth_files
+        spy = mock.Mock(wraps=deltadesc.io.read_descriptors)
+        with mock.patch.object(deltadesc.io, "read_descriptors", spy):
+            code = run_cli("rank-dims", "--ref", ref, "--query", query, "--gt", gt,
+                           "--top-k", 0, "--out", tmp_path / "dims.csv")
+        assert code == 2
+        assert "--top-k must be >= 1, got 0" in capsys.readouterr().err
+        assert spy.call_count == 0 and not (tmp_path / "dims.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--transform", "delta"), ("--window", 8), ("--pca-k", 8), ("--seqmatch-length", 4),
+    ], ids=["transform", "window", "pca-k", "seqmatch-length"])
+    def test_evaluate_rejects_summary_annotations_without_summary(
+        self, synth_files, tmp_path, capsys, flags
+    ):
+        ref, query, gt = synth_files
+        matches = tmp_path / "m.csv"
+        assert run_cli("match", "--query", query, "--ref", ref, "--out-matches", matches) == 0
+        capsys.readouterr()
+        spies = [mock.Mock(wraps=getattr(deltadesc.io, name))
+                 for name in ("read_descriptors", "read_matches_csv")]
+        with mock.patch.object(deltadesc.io, "read_descriptors", spies[0]), \
+                mock.patch.object(deltadesc.io, "read_matches_csv", spies[1]):
+            code = run_cli("evaluate", "--matches", matches, "--gt", gt, *flags,
+                           "--out-pr", tmp_path / "pr.csv")
+        assert code == 2
+        assert "need --out-summary" in capsys.readouterr().err
+        assert [spy.call_count for spy in spies] == [0, 0]
+        assert not (tmp_path / "pr.csv").exists()
+
+    def test_evaluate_takes_a_default_seqmatch_length_without_summary(self, synth_files, tmp_path):
+        ref, query, gt = synth_files
+        matches = tmp_path / "m.csv"
+        assert run_cli("match", "--query", query, "--ref", ref, "--out-matches", matches) == 0
+        assert run_cli("evaluate", "--matches", matches, "--gt", gt,
+                       "--seqmatch-length", 1) == 0
+
+    def test_memory_error_is_config_error_naming_the_stage(self, synth_files, capsys, monkeypatch):
+        # numpy's own error, whose __init__ takes a shape and a dtype; nothing is allocated
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy < 2
+            from numpy.core._exceptions import _ArrayMemoryError
+        ref, _, _ = synth_files
+
+        def refuse(series, d_max):
+            raise _ArrayMemoryError((99999, 100000), np.dtype(np.float64))
+
+        monkeypatch.setattr(deltadesc.cli, "self_distance_profile", refuse)
+        assert run_cli("calibrate", "--input", ref) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "deltadesc: config error: [calibrate] Unable to allocate 74.5 GiB for an array "
+            "with shape (99999, 100000) and data type float64"
+        ]
+
+    @pytest.mark.parametrize("role", ["gt", "matches", "input"])
+    def test_header_only_csv_is_one_line_data_error(self, synth_files, tmp_path, capsys, role):
+        ref, query, gt = synth_files
+        empty = tmp_path / "empty.csv"
+        empty.write_text("query_idx,ref_idx,distance\n")
+        if role == "input":
+            args = ["calibrate", "--input", empty]
+        else:
+            matches = tmp_path / "m.csv"
+            assert run_cli("match", "--query", query, "--ref", ref, "--out-matches", matches) == 0
+            files = {"matches": matches, "gt": gt, role: empty}
+            args = ["evaluate", "--matches", files["matches"], "--gt", files["gt"]]
+        capsys.readouterr()
+        assert run_cli(*args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"deltadesc: data error: {empty}: ")
+        assert err[0].endswith("has no rows")
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--bogus")

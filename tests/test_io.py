@@ -28,6 +28,7 @@ from deltadesc import (
     read_positions,
     save_pca_model,
     write_descriptors,
+    write_dimension_ranking_csv,
     write_distance_matrix,
     write_ground_truth,
     write_matches_csv,
@@ -174,6 +175,23 @@ class TestGroundTruthCsv:
         with pytest.raises(DataError, match="cover 0..1"):
             read_ground_truth(path)
 
+    def test_file_layout(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        write_ground_truth(path, GroundTruth([4, 2, 0, 1]))
+        assert path.read_bytes() == b"query_idx,ref_idx\n0,4\n1,2\n2,0\n3,1\n"
+
+    def test_three_columns_rejected(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("query_idx,ref_idx,extra\n0,1,5\n1,0,5\n")
+        with pytest.raises(DataError, match=r"gt\.csv: ground truth needs two columns"):
+            read_ground_truth(path)
+
+    def test_unparsable_cell_rejected(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("query_idx,ref_idx\n0,1\n1,x\n")
+        with pytest.raises(DataError, match=r"gt\.csv: cannot parse ground-truth CSV \("):
+            read_ground_truth(path)
+
 
 class TestMatchCsv:
     def test_roundtrip_with_and_without_correct(self, tmp_path):
@@ -192,6 +210,44 @@ class TestMatchCsv:
         assert lines[1].endswith(",1") and lines[2].endswith(",0")
         loaded = read_matches_csv(flagged)  # correctness column ignored on read
         np.testing.assert_array_equal(loaded.distances, matches.distances)
+
+    def test_file_layout_with_and_without_correct(self, tmp_path):
+        matches = MatchSet(ref_indices=[3, 1, 0], distances=[0.25, 0.1 + 0.2, 1e-20])
+        path = tmp_path / "m.csv"
+        write_matches_csv(path, matches)
+        assert path.read_bytes() == (
+            b"query_idx,ref_idx,distance\n0,3,0.25\n1,1,0.30000000000000004\n2,0,1e-20\n"
+        )
+        write_matches_csv(path, matches, correct=np.array([True, False, True]))
+        assert path.read_bytes() == (
+            b"query_idx,ref_idx,distance,correct\n"
+            b"0,3,0.25,1\n1,1,0.30000000000000004,0\n2,0,1e-20,1\n"
+        )
+
+    def test_two_columns_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("query_idx,ref_idx\n0,1\n1,0\n")
+        with pytest.raises(DataError, match=r"m\.csv: match CSV needs query_idx, ref_idx, dist"):
+            read_matches_csv(path)
+
+    def test_unparsable_cell_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("query_idx,ref_idx,distance\n0,1,0.5\n1,0,near\n")
+        with pytest.raises(DataError, match=r"m\.csv: cannot parse match CSV \("):
+            read_matches_csv(path)
+
+
+class TestEmptyCsv:
+    """A CSV with no data row is one data error that names the file; numpy says nothing."""
+
+    @pytest.mark.parametrize("text", ["query_idx,ref_idx\n", ""], ids=["header-only", "empty"])
+    @pytest.mark.parametrize("read", [read_ground_truth, read_matches_csv, read_descriptors])
+    def test_no_rows_rejected_without_a_warning(self, tmp_path, recwarn, read, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=r"t\.csv: .*CSV.* has no rows$"):
+            read(path)
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestCurveAndProfileCsv:
@@ -212,6 +268,11 @@ class TestCurveAndProfileCsv:
         path = tmp_path / "profile.csv"
         write_profile_csv(path, profile)
         assert path.read_text() == "offset,median_distance\n1,0.25\n2,0.75\n"
+
+    def test_dimension_ranking_csv_layout(self, tmp_path):
+        path = tmp_path / "dims.csv"
+        write_dimension_ranking_csv(path, np.array([2, 0]), np.array([0.5, -0.25, 1.0]))
+        assert path.read_bytes() == b"rank,dimension,median_product\n0,2,1.0\n1,0,0.5\n"
 
 
 class TestSummaryJson:

@@ -382,3 +382,9 @@ class TestDeltaBank:
         series = DescriptorSeries(np.ones((10, 2)))
         with pytest.raises(ValueError, match="span set"):
             delta_bank(series, ())
+
+    @pytest.mark.parametrize("span", [0, -2])
+    def test_span_below_one_rejected_as_a_delta_window(self, span):
+        series = DescriptorSeries(np.ones((10, 2)))
+        with pytest.raises(ValueError, match=f"^window must be >= 1, got {span}$"):
+            delta_bank(series, (span, 4))

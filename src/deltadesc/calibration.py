@@ -8,6 +8,7 @@ length over which change can be measured robustly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,14 @@ class SelfDistanceProfile:
         object.__setattr__(self, "median_distance", medians)
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceProfile:
     """Median over t of the cosine distance between rows t and t+d, for d = 1..d_max.
 
@@ -51,6 +60,15 @@ def self_distance_profile(series: DescriptorSeries, d_max: int) -> SelfDistanceP
     t_count = series.frame_count
     if not 1 <= d_max < t_count:
         raise ValueError(f"d_max must be in [1, {t_count - 1}], got {d_max}")
+    # checked before it is requested: an overcommitted buffer is granted and can
+    # end in the OOM killer instead of an error
+    need, ram = 8 * d_max * t_count, _physical_memory()
+    if ram is not None and need > ram:
+        raise ValueError(
+            f"the d_max x T = {d_max} x {t_count} float64 distance buffer takes "
+            f"{need / 2**20:.1f} MiB, more than the {ram / 2**20:.1f} MiB of physical memory; "
+            "lower d_max"
+        )
     data = series.data
     scales = _row_scales(data)
     # dists[d - 1, t] = the distance of rows t and t + d, filled for t < T - d

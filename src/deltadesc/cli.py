@@ -80,6 +80,18 @@ def _check_seqmatch_length(length: int) -> None:
         raise ValueError("seqmatch length must be >= 1")
 
 
+def _check_summary_flags(
+    transform: str, window, seqmatch_length: int, pca_k, spans=None, padding=EDGE_REPLICATE
+) -> None:
+    """Reject values of the flags that summary.json records, as ``run`` and ``evaluate`` do."""
+    if transform not in TRANSFORMS:
+        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
+    _check_transform_flags(transform, window, spans, padding)
+    _check_seqmatch_length(seqmatch_length)
+    if pca_k is not None and int(pca_k) < 1:
+        raise ValueError("pca_k must be >= 1")
+
+
 def _check_positions_flag(positions_path: Optional[str], radius_mode: str) -> None:
     if bool(positions_path) != (radius_mode == "meters"):
         raise ValueError("--radius-mode meters needs --ref-positions; no other mode reads it")
@@ -105,18 +117,15 @@ class RunConfig:
     radius_mode: str = "frames"
 
     def validate(self) -> None:
-        if self.transform not in TRANSFORMS:
-            raise ValueError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
-        _check_transform_flags(self.transform, self.window, self.spans, self.padding)
+        _check_summary_flags(
+            self.transform, self.window, self.seqmatch_length, self.pca_k, self.spans, self.padding
+        )
         if self.padding == VALID_ONLY and not self.gt_path:
             raise ValueError("--padding valid-only restricts scoring under run and needs --gt")
         if self.transform == "multi-delta" and not self.spans:
             raise ValueError("multi-delta needs a non-empty --spans list")
         if any(int(s) < 1 for s in self.spans or ()):
             raise ValueError(f"--spans must all be >= 1, got {list(self.spans)}")
-        _check_seqmatch_length(self.seqmatch_length)
-        if self.pca_k is not None and int(self.pca_k) < 1:
-            raise ValueError("pca_k must be >= 1")
         if self.pca_fit_on not in (None, *FIT_SOURCES):
             raise ValueError(f"pca fit source must be one of {FIT_SOURCES}")
         if self.pca_fit_on is not None and self.pca_k is None:
@@ -273,13 +282,23 @@ def run_pipeline(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Fitted on the reference alone, the models are fitted and the reference projected
+    # before the query is read, so neither the query nor its delta is resident during
+    # the fit; the checks below take the query's frame count from its header. Every
+    # other run reads both files first: reading one side at a time raised long-route's
+    # peak RSS from 129 to 143 MiB.
+    fit_first = cfg.pca_k is not None and cfg.pca_fit_on in (None, "ref")
     with _stage("load"):
         ref = ddio.read_descriptors(cfg.ref_path)
-        query = ddio.read_descriptors(cfg.query_path)
+        if fit_first:
+            q_count = ddio.read_descriptor_shape(cfg.query_path)[0]
+        else:
+            query = ddio.read_descriptors(cfg.query_path)
+            q_count = query.frame_count
         gt = ref_positions = None
         if cfg.gt_path:
             gt = ddio.read_ground_truth(cfg.gt_path, radius_mode=cfg.radius_mode, radius=cfg.radius)
-            _check_ground_truth(gt, cfg.gt_path, query.frame_count, ref.frame_count)
+            _check_ground_truth(gt, cfg.gt_path, q_count, ref.frame_count)
         if cfg.positions_path:
             ref_positions = ddio.read_positions(cfg.positions_path)
             if len(ref_positions) != ref.frame_count:
@@ -294,31 +313,44 @@ def run_pipeline(cfg: RunConfig) -> dict:
         # frame-aligned members; valid-only restricts scoring to the unpadded queries
         scored = None
         if cfg.padding == VALID_ONLY:
-            scored = delta_valid_range(query.frame_count, cfg.window)
+            scored = delta_valid_range(q_count, cfg.window)
         # the members replace the loaded series, which are released as soon as they
-        # exist: the query's before the reference is transformed. A side is a span bank,
+        # exist: a loaded query's before the reference is transformed. A side is a span bank,
         # its source and no member, only where multi_delta_distance matches it through
         # its source: two or more spans without PCA, and a query of one match tile.
         bank = cfg.transform == "multi-delta" and len(spans) > 1 and cfg.pca_k is None
-        q_bank = bank and query.frame_count <= _tile_rows(ref.frame_count)
-        q_members = _transform_members(query, cfg.transform, cfg.window, spans, q_bank)
-        del query
+        if not fit_first:
+            q_bank = bank and q_count <= _tile_rows(ref.frame_count)
+            q_members = _transform_members(query, cfg.transform, cfg.window, spans, q_bank)
+            del query
         r_members = _transform_members(ref, cfg.transform, cfg.window, spans, bank)
         del ref
+    models = []
     if cfg.pca_k is not None:
         with _stage("pca"):
-            # one model per bank member, named by its span
-            names = (
-                ["pca_model.bin"]
-                if len(q_members) == 1
-                else [f"pca_model_span{s}.bin" for s in spans]
-            )
-            fit_on = cfg.pca_fit_on or "ref"
-            # index in place so that no name keeps a pre-PCA member alive
-            for i, name in enumerate(names):
-                model = pca_fit(_pca_fit_series(q_members[i], r_members[i], fit_on), cfg.pca_k)
-                q_members[i] = pca_transform(model, q_members[i])
+            # one model per bank member; members are replaced in place so that no
+            # name keeps a pre-PCA member alive
+            if fit_first:
+                models = [pca_fit(r, cfg.pca_k) for r in r_members]
+            else:
+                models = [
+                    pca_fit(_pca_fit_series(q, r, cfg.pca_fit_on), cfg.pca_k)
+                    for q, r in zip(q_members, r_members)
+                ]
+            for i, model in enumerate(models):
                 r_members[i] = pca_transform(model, r_members[i])
+    if fit_first:
+        with _stage("load"):
+            query = ddio.read_descriptors(cfg.query_path)
+        with _stage("transform"):
+            q_members = _transform_members(query, cfg.transform, cfg.window, spans)
+            del query
+    if models:
+        with _stage("pca"):
+            for i, model in enumerate(models):
+                q_members[i] = pca_transform(model, q_members[i])
+                # saved once the query has loaded, so a bad query file leaves no model
+                name = f"pca_model_span{spans[i]}.bin" if len(models) > 1 else "pca_model.bin"
                 ddio.save_pca_model(out_dir / name, model)
 
     matches = _match(q_members, r_members, cfg.seqmatch_length)
@@ -403,9 +435,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     d_max = args.d_max or max(1, min(series.frame_count // 4, 512))
     with _stage("calibrate"):
         profile = self_distance_profile(series, d_max)
+        # the span first, so a profile that never crosses the threshold is not written
+        span = estimate_span(profile, threshold=args.threshold, multiplier=args.multiplier)
         if args.out_profile:
             ddio.write_profile_csv(args.out_profile, profile)
-        span = estimate_span(profile, threshold=args.threshold, multiplier=args.multiplier)
     print(span)
     return 0
 
@@ -415,6 +448,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     annotations = (args.transform, args.window, args.seqmatch_length, args.pca_k)
     if annotations != (None, None, 1, None) and not args.out_summary:
         raise ValueError("--transform, --window, --seqmatch-length and --pca-k need --out-summary")
+    if args.out_summary:  # checked as run checks them; no --transform is checked as raw
+        _check_summary_flags(args.transform or "raw", *annotations[1:])
     matches = ddio.read_matches_csv(args.matches)
     gt = ddio.read_ground_truth(args.gt, radius_mode=args.radius_mode, radius=args.radius)
     _check_ground_truth(gt, args.gt, matches.query_count)

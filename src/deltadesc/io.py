@@ -16,10 +16,13 @@ explained variances. Blocks are read and written CHUNK_BYTES of the file at a
 time, straight between the stream and the float64 matrix, so neither side
 holds a copy of the payload, and a distance file takes rows as they come. A
 short or overlong file is found by reading to its end, so a pipe works as well
-as a regular file. A CSV table is a header row, optional for descriptor input
-(any path ending in ``.csv``), then a comma-separated row per item; one without
-rows is a DataError naming the file. Tables are written with LF endings and
-shortest-roundtrip floats, so identical runs produce byte-identical files.
+as a regular file. ``read_descriptor_shape`` reads a file's header alone, with
+the same checks, so a caller can check a series' shape before it reads the
+payload. A CSV table is a header row, optional for descriptor input (any path
+ending in ``.csv``, whose shape is read as the whole table), then a
+comma-separated row per item; one without rows is a DataError naming the file.
+Tables are written with LF endings and shortest-roundtrip floats, so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ def _bytes_left(fh: BinaryIO) -> int:
     return left
 
 
-def _read_block(fh: BinaryIO, where: str) -> np.ndarray:
-    """Read one container block into a new float64 matrix, CHUNK_BYTES of the file at a time."""
+def _read_header(fh: BinaryIO, where: str) -> tuple[int, int, np.dtype]:
+    """Read and check one block's header: its frame count, dimension and payload dtype."""
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise DataError(
@@ -110,7 +113,12 @@ def _read_block(fh: BinaryIO, where: str) -> np.ndarray:
         raise DataError(f"{where}: unsupported format version {version}")
     if code not in _DTYPE_CODES:
         raise DataError(f"{where}: unsupported dtype code {code}")
-    dtype = _DTYPE_CODES[code]
+    return t_count, dim, _DTYPE_CODES[code]
+
+
+def _read_block(fh: BinaryIO, where: str) -> np.ndarray:
+    """Read one container block into a new float64 matrix, CHUNK_BYTES of the file at a time."""
+    t_count, dim, dtype = _read_header(fh, where)
     payload = t_count * dim * dtype.itemsize
 
     def truncated(got: int) -> DataError:
@@ -165,6 +173,16 @@ def read_descriptors(path: PathLike) -> DescriptorSeries:
         (values,) = _read_blocks(path, 1, "payload")
     with _data_errors(path):
         return DescriptorSeries(values)
+
+
+def read_descriptor_shape(path: PathLike) -> tuple[int, int]:
+    """(T, D) of a descriptor file: from its header alone, or from the table of a CSV."""
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return _load_csv(path, "CSV matrix", np.float64, optional_header=True).shape
+    with open(path, "rb") as fh:
+        t_count, dim, _ = _read_header(fh, str(path))
+    return t_count, dim
 
 
 def read_positions(path: PathLike) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltadesc.calibration
 import deltadesc.cli
 import deltadesc.io
 import deltadesc.matching
@@ -28,11 +29,14 @@ from deltadesc import (
     load_pca_model,
     max_f1,
     multi_delta_distance,
+    pca_fit,
+    pca_transform,
     precision_at_full_recall,
     read_descriptors,
     read_ground_truth,
     read_matches_csv,
     retrieve_best,
+    save_pca_model,
     seq_match,
     write_descriptors,
     write_pr_csv,
@@ -265,11 +269,11 @@ class TestRunCommand:
 
         def read_and_watch(path):
             series = read(path)
-            loaded.append(weakref.ref(series))
+            loaded.append((Path(path).name, weakref.ref(series)))
             return series
 
         def fit_and_check(*args, **kwargs):
-            alive_at_pca.append([w() is not None for w in loaded])
+            alive_at_pca.append([(name, w() is not None) for name, w in loaded])
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
@@ -278,7 +282,30 @@ class TestRunCommand:
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "delta", "--window", 8, "--pca-k", 6, "--out-dir", tmp_path / "o",
         ) == 0
-        assert alive_at_pca == [[False, False]]
+        # fitted on the reference: the query is not yet read when the model is fitted,
+        # and the reference's loaded series is already gone
+        assert alive_at_pca == [[("ref.dvpr", False)]]
+        assert [name for name, _ in loaded] == ["ref.dvpr", "query.dvpr"]
+
+    @pytest.mark.parametrize("fit_on", ["ref", "query", "both"])
+    def test_pca_fit_sources_write_the_library_oracle_bytes(self, synth_files, tmp_path, fit_on):
+        ref, query, gt = synth_files
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
+            "--window", 8, "--seqmatch-length", 4, "--pca-k", 6, "--pca-fit", fit_on,
+            "--radius", 2, "--out-dir", out,
+        ) == 0
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        tq, tr = (delta(read_descriptors(p), DeltaConfig(8)) for p in (query, ref))
+        model = pca_fit(deltadesc.cli._pca_fit_series(tq, tr, fit_on), 6)
+        matches = deltadesc.cli._match([pca_transform(model, tq)], [pca_transform(model, tr)], 4)
+        deltadesc.cli._score(matches, read_ground_truth(gt, radius=2), None,
+                             oracle / "matches.csv", oracle / "pr.csv")
+        save_pca_model(oracle / "pca_model.bin", model)
+        for name in ("matches.csv", "pr.csv", "pca_model.bin"):
+            assert (out / name).read_bytes() == (oracle / name).read_bytes(), name
 
     def test_loaded_query_is_released_before_the_reference_is_transformed(
         self, synth_files, tmp_path, monkeypatch
@@ -437,8 +464,26 @@ class TestCalibrateCommand:
     def test_never_crossing_is_config_error(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("\n".join("1.0,1.0" for _ in range(50)) + "\n")
-        assert run_cli("calibrate", "--input", flat, "--d-max", 10) == 2
+        assert run_cli("calibrate", "--input", flat, "--d-max", 10,
+                       "--out-profile", tmp_path / "p.csv") == 2
         assert "never crosses" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_buffer_over_physical_memory_is_config_error(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        # the limit is patched low, so the refused buffer is 0.7 MiB and nothing large is asked for
+        ref, _, _ = synth_files
+        blocks = mock.Mock(wraps=deltadesc.calibration._cosine_block)
+        monkeypatch.setattr(deltadesc.calibration, "_cosine_block", blocks)
+        monkeypatch.setattr(deltadesc.calibration, "_physical_memory", lambda: 100_000)
+        assert run_cli("calibrate", "--input", ref, "--d-max", 299,
+                       "--out-profile", tmp_path / "p.csv") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "deltadesc: config error: [calibrate] the d_max x T = 299 x 300 float64 distance "
+            "buffer takes 0.7 MiB, more than the 0.1 MiB of physical memory; lower d_max"
+        ]
+        assert blocks.call_count == 0 and not (tmp_path / "p.csv").exists()
 
 
 class TestShuffleCommand:
@@ -884,6 +929,37 @@ class TestExitCodes:
         assert "need --out-summary" in capsys.readouterr().err
         assert [spy.call_count for spy in spies] == [0, 0]
         assert not (tmp_path / "pr.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--transform", "bogus"), "transform must be one of"),
+        (("--transform", "delta", "--window", -3), "transform 'delta' needs --window >= 1"),
+        (("--seqmatch-length", 0), "seqmatch length must be >= 1"),
+        (("--pca-k", -1), "pca_k must be >= 1"),
+    ], ids=["transform", "window", "seqmatch-length", "pca-k"])
+    def test_evaluate_rejects_bad_summary_annotations_before_reading(
+        self, synth_files, tmp_path, capsys, flags, message
+    ):
+        _, _, gt = synth_files
+        spy = mock.Mock(wraps=deltadesc.io.read_matches_csv)
+        with mock.patch.object(deltadesc.io, "read_matches_csv", spy):
+            code = run_cli("evaluate", "--matches", tmp_path / "nothere.csv", "--gt", gt,
+                           *flags, "--out-summary", tmp_path / "s.json")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert spy.call_count == 0 and not (tmp_path / "s.json").exists()
+
+    def test_truncated_query_with_pca_is_data_error_and_writes_no_model(
+        self, synth_files, tmp_path, capsys
+    ):
+        ref, query, gt = synth_files
+        cut = tmp_path / "cut.dvpr"
+        cut.write_bytes(query.read_bytes()[:-100])
+        code = run_cli("run", "--ref", ref, "--query", cut, "--gt", gt, "--transform", "delta",
+                       "--window", 8, "--pca-k", 6, "--out-dir", tmp_path / "o")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "[load]" in err and "cut.dvpr: truncated payload" in err
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_evaluate_takes_a_default_seqmatch_length_without_summary(self, synth_files, tmp_path):
         ref, query, gt = synth_files

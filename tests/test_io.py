@@ -126,6 +126,29 @@ class TestBinaryErrors:
             read_descriptors(path)
 
 
+class TestDescriptorShape:
+    def test_container_shape_comes_from_the_header_alone(self, tmp_path):
+        path = tmp_path / "head.dvpr"
+        write_descriptors(path, DescriptorSeries(np.ones((7, 3))))
+        path.write_bytes(path.read_bytes()[:28])  # the payload is never read
+        assert deltadesc.io.read_descriptor_shape(path) == (7, 3)
+
+    def test_csv_shape_is_its_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("d0,d1\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert deltadesc.io.read_descriptor_shape(path) == (3, 2)
+
+    @pytest.mark.parametrize("head, message", [
+        (b"NOPE" + bytes(24), "bad magic"),
+        (b"DVPR\x01", "truncated header, expected 28 bytes, got 5"),
+    ], ids=["bad-magic", "short-header"])
+    def test_bad_header_rejected(self, tmp_path, head, message):
+        path = tmp_path / "bad.dvpr"
+        path.write_bytes(head)
+        with pytest.raises(DataError, match=message):
+            deltadesc.io.read_descriptor_shape(path)
+
+
 class TestCsvDescriptors:
     def test_headerless_fixture(self, tmp_path):
         path = tmp_path / "plain.csv"

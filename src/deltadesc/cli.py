@@ -284,13 +284,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     # Fitted on the reference alone, the models are fitted and the reference projected
     # before the query is read, so neither the query nor its delta is resident during
-    # the fit; the checks below take the query's frame count from its header. Every
-    # other run reads both files first: reading one side at a time raised long-route's
-    # peak RSS from 129 to 143 MiB.
+    # the fit; the checks below take the query's frame count from its header. A CSV
+    # query has no header, so it is read once, here. Every other run reads both files
+    # first: reading one side at a time raised long-route's peak RSS from 129 to 143 MiB.
     fit_first = cfg.pca_k is not None and cfg.pca_fit_on in (None, "ref")
+    query = None
     with _stage("load"):
         ref = ddio.read_descriptors(cfg.ref_path)
-        if fit_first:
+        if fit_first and Path(cfg.query_path).suffix.lower() != ".csv":
             q_count = ddio.read_descriptor_shape(cfg.query_path)[0]
         else:
             query = ddio.read_descriptors(cfg.query_path)
@@ -341,7 +342,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 r_members[i] = pca_transform(model, r_members[i])
     if fit_first:
         with _stage("load"):
-            query = ddio.read_descriptors(cfg.query_path)
+            query = ddio.read_descriptors(cfg.query_path) if query is None else query
         with _stage("transform"):
             q_members = _transform_members(query, cfg.transform, cfg.window, spans)
             del query

@@ -9,16 +9,17 @@ between unrelated stationary segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
 # ZERO_NORM stays importable here, beside the dead-row rule in this module's docstring
 from .series import ZERO_NORM, DescriptorSeries, _freeze, _row_scales, _seal  # noqa: F401
-from .transform import SpanBank, _delta_blocks
+from .transform import SpanBank, _running_sums
 
-# rows per pass over a Q x R matrix, in seq_match and _cosine_block: at R = 8000 a
-# block is 1 MiB, so it stays in a 2 MiB L2 cache across all the passes over it
+# rows per pass over a Q x R matrix, in seq_match, _cosine_block and the span-bank
+# filters: at R = 8000 a block is 1 MiB, so it stays in a 2 MiB L2 cache across passes
 SEQ_BLOCK_ROWS = 16
 
 
@@ -167,10 +168,10 @@ def multi_delta_distance(
     a bit.
 
     A reference ``SpanBank`` of two or more spans is matched by
-    ``_bank_distances`` through products with its source: one product in all
-    when the query is a ``SpanBank`` too (ceil(D / R) GEMMs over blocks of its
-    rows), else one per query member. Anything else takes one GEMM per
-    pairing, which is the factored path's oracle.
+    ``_bank_distances`` through products with its source, made and filtered in
+    the Q x R result: one product in all when the query is a ``SpanBank`` too
+    (GEMMs over blocks of its rows), else one per query member. Anything else
+    takes one GEMM per pairing, which is the factored path's oracle.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")
@@ -199,11 +200,11 @@ def _bank_shape(members: Sequence[DescriptorSeries]) -> tuple[int, int]:
 
 
 def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np.ndarray:
-    """Q x R minimum over pairings from one GEMM per query source.
+    """Q x R minimum over pairings from one GEMM per query source, made in the result.
 
     A delta is a linear filter along time, so the dot products of the span-l
     reference member with the span-k query member are the product of the two
-    sources, filtered by the span-l delta down its reference axis and by the
+    sources, filtered by the span-l delta along its reference axis and by the
     span-k delta along its query axis. A query ``SpanBank`` is one source with
     its spans; each member of any other query is a source of its own with the
     identity filter, written as span 0. The reference source and a query
@@ -211,9 +212,9 @@ def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np
     (``_centred_product``): a delta's weights sum to zero, so the result is
     unchanged in exact arithmetic, and the filters' running sums stay small.
     The scales are the members' own ``_row_scales``, so rows below
-    ``ZERO_NORM`` still compare at exactly 1.0. Each reference span's delta of
-    the product goes to the query filters a block of rows at a time, so the
-    product and the running best are the only R x Q matrices. The result is
+    ``ZERO_NORM`` still compare at exactly 1.0. ``_filter_product`` writes the
+    best over the rows of the first product, so the result is the only Q x R
+    matrix; later query members' products take one more. The result is
     within rounding of the direct path, and that rounding grows with the
     reference length: the largest difference seen was 3.9e-12 at 20-60 frames,
     the lengths ``FACTORED_BOUND`` (1e-11) in the tests covers, 4.3e-11 at
@@ -223,21 +224,15 @@ def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np
     """
     source = bank.source.data
     mean = source.mean(axis=0)
-    sims = None
-    for q, q_mean, q_spans, q_scales in _query_sources(q_members):
-        # R x Q, so the reference filters run down contiguous rows
-        gram = _centred_product(source, mean, q, q_mean)
-        if sims is None:
-            # 1 - x is monotone, so the largest scaled dot product gives the smallest
-            # distance, bit for bit
-            sims = np.full(gram.shape, -np.inf)
+    dist = gram = np.empty((_bank_shape(q_members)[0], len(source)))
+    for i, (q, q_mean, q_spans, q_scales) in enumerate(_query_sources(q_members)):
+        if i == 1:
+            gram = np.empty_like(dist)
+        _centred_product(source, mean, q, q_mean, gram.T)
         q_scales = [scale / span if span else scale for span, scale in zip(q_spans, q_scales)]
-        for span, r_scale in zip(bank.spans, bank.row_scales):
-            for t0, rows in _delta_blocks(gram, span, 0, len(gram)):
-                rows *= r_scale[t0 : t0 + len(rows), None]
-                _filter_columns(rows, q_spans, q_scales, sims[t0 : t0 + len(rows)])
-        del gram  # before the next product or the Q x R result is allocated
-    dist = np.subtract(1.0, sims.T, order="C")
+        _filter_product(gram, bank, q_spans, q_scales, dist, fresh=i == 0)
+    # 1 - x is monotone, so the largest scaled dot product gives the smallest distance
+    np.subtract(1.0, dist, out=dist)
     return np.clip(dist, 0.0, 2.0, out=dist)
 
 
@@ -256,60 +251,93 @@ def _query_sources(q_members: Sequence[DescriptorSeries]):
 
 
 def _centred_product(
-    source: np.ndarray, mean: np.ndarray, q: np.ndarray, q_mean: np.ndarray | None
-) -> np.ndarray:
-    """R x Q product of the centred reference with the query, centred where it has a mean.
+    source: np.ndarray, mean: np.ndarray, q: np.ndarray, q_mean: np.ndarray | None,
+    out: np.ndarray,
+) -> None:
+    """Write the R x Q product of the centred reference with the query, centred where
+    it has a mean, into ``out``, the transposed view of the Q x R result.
 
     Neither centred source is copied whole. A query with a mean is centred into
     one reused buffer ceil(D / R) blocks of rows at a time, so no block is much
-    larger than the product; D <= R is one GEMM. Blocks are whole 8-row panels:
-    on OpenBLAS that keeps the 2000 x 4096 bench product the same bits as one
+    larger than the product, and at most 256 rows: 8 MiB at D = 4096, about
+    what the filters hold at R = 2000. Blocks are whole 8-row panels: on
+    OpenBLAS that keeps the 2000 x 4096 bench product the same bits as one
     GEMM of a centred copy (667 rows did not).
     """
-    gram = np.empty((len(source), len(q)))
     step = len(q)
     if q_mean is not None:
         step = -(-step // -(-q.shape[1] // len(source)))  # ceil(Q / ceil(D / R))
-        step = -(-step // 8) * 8
+        step = min(-(-step // 8) * 8, 256)
         buf = np.empty((min(step, len(q)), q.shape[1]))
     for j0 in range(0, len(q), step):
         rows = q[j0 : j0 + step]
         if q_mean is not None:
             rows = np.subtract(rows, q_mean, out=buf[: len(rows)])
-        cols = gram[:, j0 : j0 + len(rows)]
+        cols = out[:, j0 : j0 + len(rows)]
         np.matmul(source, rows.T, out=cols)
         cols -= mean @ rows.T
-    return gram
 
 
-def _filter_columns(
-    vals: np.ndarray, spans: Sequence[int], scales: Sequence[np.ndarray], best: np.ndarray
+def _filter_product(
+    gram: np.ndarray, bank: SpanBank, spans: Sequence[int], scales: Sequence[np.ndarray],
+    best: np.ndarray, fresh: bool,
 ) -> None:
-    """Raise ``best`` to each span's delta of ``vals`` along its columns, times its scales.
+    """Raise ``best`` to each pairing's scaled dot products, filtered from the Q x R
+    product ``gram``, or set it to them when ``fresh``.
 
-    ``SEQ_BLOCK_ROWS`` rows go at a time, through two buffers reused by every
-    block, so each pass finds its rows in cache. The running sums S of one
-    edge-padded copy of a block serve every span: the span-l delta at column t
-    is S[t+l] - 2 S[t] + S[t-l], with the 1/l folded into the scales. Span 0
-    passes ``vals`` through.
+    The reference spans' deltas run along the rows (``_reference_deltas``) in
+    lockstep; a query bank's run down them, through ``_running_sums`` padded by
+    its largest span, with each 1/k folded into ``scales``. ``best`` is written
+    ``SEQ_BLOCK_ROWS`` rows at a time, once every stream has read those rows of
+    ``gram``, so it may be ``gram``.
     """
-    pad, cols = max(spans), vals.shape[1]
-    padded, out = np.empty((SEQ_BLOCK_ROWS, cols + 2 * pad)), np.empty((SEQ_BLOCK_ROWS, cols))
-    for b0 in range(0, len(vals), SEQ_BLOCK_ROWS):
-        block, top = vals[b0 : b0 + SEQ_BLOCK_ROWS], best[b0 : b0 + SEQ_BLOCK_ROWS]
-        sums, o = padded[: len(block)], out[: len(block)]
-        if pad:
-            sums[:, :pad], sums[:, pad + cols :] = block[:, :1], block[:, -1:]
-            sums[:, pad : pad + cols] = block
-            np.cumsum(sums, axis=1, out=sums)
-        for span, scale in zip(spans, scales):
-            if span:
-                mid = sums[:, pad : pad + cols]
-                np.subtract(sums[:, pad + span : pad + span + cols], mid, out=o)
-                o -= mid
-                o += sums[:, pad - span : pad - span + cols]
-            np.multiply(o if span else block, scale, out=o)
-            np.maximum(top, o, out=top)
+    pad, width = max(spans), gram.shape[1]
+    # scratch that every stream spends before it yields; the query filters use out too
+    padded = np.empty((SEQ_BLOCK_ROWS, width + 2 * max(bank.spans)))
+    out = np.empty((SEQ_BLOCK_ROWS, width))
+    streams = [_reference_deltas(gram, *lr, padded, out) for lr in zip(bank.spans, bank.row_scales)]
+    if pad:
+        rows = (chain.from_iterable(block for _, block in s) for s in streams)
+        streams = [_running_sums(r, pad, pad, 2 * pad, edge=True) for r in rows]
+    for blocks in zip(*streams):
+        t0, t1 = blocks[0][0], blocks[0][0] + len(blocks[0][1]) - 2 * pad
+        for b0 in range(t0, t1, SEQ_BLOCK_ROWS):
+            n, j = min(SEQ_BLOCK_ROWS, t1 - b0), b0 - t0 + pad  # j: row b0 in the sums
+            top, o = best[b0 : b0 + n], out[:n]
+            if fresh:
+                top.fill(-np.inf)
+            for _, sums in blocks:
+                for span, scale in zip(spans, scales):
+                    if span:
+                        np.subtract(sums[j + span : j + span + n], sums[j : j + n], out=o)
+                        o -= sums[j : j + n]
+                        o += sums[j - span : j - span + n]
+                    np.multiply(o if span else sums[j : j + n], scale[b0 : b0 + n, None], out=o)
+                    np.maximum(top, o, out=top)
+
+
+def _reference_deltas(
+    gram: np.ndarray, span: int, scale: np.ndarray, padded: np.ndarray, trail: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t0, rows): rows t0, t0 + 1, ... of the edge-replicate span-``span`` delta
+    along each row of ``gram``, times ``scale``, ``SEQ_BLOCK_ROWS`` rows at a time.
+
+    Each block is valid until the next; ``padded`` and ``trail`` are scratch. The
+    arithmetic is ``_delta_blocks``': the running sums S of each edge-padded row,
+    then (S[t+2l] - S[t+l]) - (S[t+l] - S[t]), then / l.
+    """
+    cols, reach = gram.shape[1], 2 * span
+    out = np.empty((SEQ_BLOCK_ROWS, cols))
+    for t0 in range(0, len(gram), SEQ_BLOCK_ROWS):
+        block = gram[t0 : t0 + SEQ_BLOCK_ROWS]
+        s, rows = padded[: len(block), : cols + reach], out[: len(block)]
+        s[:, :span], s[:, span:-span], s[:, -span:] = block[:, :1], block, block[:, -1:]
+        np.cumsum(s, axis=1, out=s)
+        np.subtract(s[:, reach:], s[:, span:-span], out=rows)
+        rows -= np.subtract(s[:, span:-span], s[:, :-reach], out=trail[: len(block)])
+        rows /= span
+        rows *= scale
+        yield t0, rows
 
 
 def retrieve_best(m: DistanceMatrix) -> MatchSet:

@@ -22,7 +22,7 @@ copy, so a call holds its output and a few blocks of rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Optional
@@ -57,25 +57,25 @@ class DeltaConfig:
 
 
 def _running_sums(
-    data: np.ndarray, before: int, after: int, reach: int, edge: bool
+    rows: Iterable[np.ndarray], before: int, after: int, reach: int, edge: bool
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (i0, sums): sums[j] is the sum of padded rows 0 .. i0 + j.
 
-    The padded rows are ``before`` copies of the first row, ``data`` and
-    ``after`` copies of the last row with ``edge``, or zero rows without it;
-    no padded copy is built. ``sums`` is a view of one reused buffer, valid
-    until the next block, and starts with the last ``reach`` sums of the block
-    before, so each window of ``reach`` + 1 sums lies in one block. Each sum is
-    ``np.add(prev, row)`` over the rows in order, as ``np.cumsum(axis=0)`` of
-    the padded copy would add them, so the bits are the same.
+    The padded rows are ``before`` copies of the first of ``rows``, ``rows``,
+    each added before the next is asked for, and ``after`` copies of the last
+    with ``edge``, or zero rows without it; no padded copy is built. ``sums`` is
+    a view of one reused buffer, valid until the next block, and starts with
+    the last ``reach`` sums of the block before, so each window of ``reach`` + 1
+    sums lies in one block. Each sum is ``np.add(prev, row)`` over the rows in
+    order, as ``np.cumsum(axis=0)`` of the padded copy would add them.
     """
-    head, tail = (data[0], data[-1]) if edge else (np.zeros(data.shape[1]),) * 2
-    rows = chain(repeat(head, before), data, repeat(tail, after))
-    buf = np.empty((BOX_BLOCK_ROWS + reach, data.shape[1]))
+    padded = _padded(rows, before, after, edge)
+    first = next(padded)
+    buf = np.empty((BOX_BLOCK_ROWS + reach, len(first)))
     slots = list(buf)  # views made once: the row loop makes no array object per row
-    buf[0] = next(rows)
+    buf[0] = first
     i0, fill = 0, 1
-    for row in rows:
+    for row in padded:
         np.add(slots[fill - 1], row, out=slots[fill])
         fill += 1
         if fill == len(buf):
@@ -84,6 +84,17 @@ def _running_sums(
             i0, fill = i0 + fill - reach, reach
     if fill > reach:
         yield i0, buf[:fill]
+
+
+def _padded(rows: Iterable[np.ndarray], before: int, after: int, edge: bool) -> Iterator:
+    """``rows`` after ``before`` and before ``after`` copies of its end rows, or of zeros."""
+    rows = iter(rows)
+    row = next(rows)
+    pad = row if edge else np.zeros_like(row)
+    yield from chain(repeat(pad, before), [row])
+    for row in rows:
+        yield row
+    yield from repeat(row if edge else pad, after)
 
 
 def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:

@@ -16,8 +16,10 @@ which share the tile budget, whether or not it streams the kept rows to a
 distance file, where the whole match would hold two Q x R matrices. Row
 scales hold one block of squares at a time, not a squared copy of the series. A span bank keeps its
 source and its norms and takes them from blocks of rows, never building a
-member, and matching two banks holds two Q x R matrices plus blocks of rows,
-with a wide query source centred a block of rows at a time, not copied whole.
+member. Matching a reference bank holds one Q x R matrix, the result, which
+holds the product and then the best, plus blocks of rows; a query of several
+members adds one product, and a wide query source is centred a block of rows
+at a time, not copied whole. The result is adopted without a copy.
 """
 
 import tracemalloc
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 import deltadesc.cli
+import deltadesc.matching
 import deltadesc.reduction
 
 from deltadesc import (
@@ -201,24 +204,54 @@ def test_delta_bank_keeps_its_source_and_the_scales(square_series):
     assert kept <= sum(s.nbytes for s in bank.row_scales) + 8192
 
 
-def test_two_span_banks_hold_two_matrices():
+def filter_rows(spans, q_pad):
+    """Rows of the span-bank filters, each R wide: per reference span, the query filter's
+    running sums with their 2 * q_pad carried rows (none for member queries) and one
+    block of its delta along the rows; then the shared padded sums and output block."""
+    sums = BOX_BLOCK_ROWS + 2 * q_pad if q_pad else 0
+    return len(spans) * (sums + SEQ_BLOCK_ROWS) + 2 * SEQ_BLOCK_ROWS
+
+
+def test_two_span_banks_hold_one_matrix_and_blocks():
     rng = np.random.default_rng(6)
     qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(FRAMES, 16))), (2, 4)) for _ in "qr")
-    # measured 2.268: the product and the running best, or the running best and the
-    # result; the reference filter's blocks, as in delta_bank; and the column filter's
-    # buffers, measured at 4 * SEQ_BLOCK_ROWS rows
-    bound = 2.0 + blocks(BOX_BLOCK_ROWS + 8, BOX_BLOCK_ROWS, BOX_BLOCK_ROWS, 4 * SEQ_BLOCK_ROWS)
-    assert peak_matrices(multi_delta_distance, qb, rb) <= bound + 0.02
+    # measured 1.230, where a product and a running best beside it held 2.268. The result
+    # holds the product, then the best. 0.03 covers numpy's buffers for strided operands,
+    # up to 16000 values (0.016), and the vectors of Q or R entries.
+    bound = 1.0 + blocks(filter_rows(rb.spans, 4)) + 0.03
+    assert peak_matrices(multi_delta_distance, qb, rb) <= bound
+
+
+def test_member_queries_hold_the_result_and_one_product():
+    rng = np.random.default_rng(6)
+    qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(FRAMES, 16))), (2, 4)) for _ in "qr")
+    # four members, measured 2.085: the second member's product is a temporary, reused by
+    # every later one
+    bound = 2.0 + blocks(filter_rows(rb.spans, 0)) + 0.03
+    assert peak_matrices(multi_delta_distance, list(qb) + list(qb), rb) <= bound
+
+
+def test_a_bank_result_is_adopted_without_a_copy(monkeypatch):
+    rng = np.random.default_rng(6)
+    qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(50, 4))), (2, 4)) for _ in "qr")
+    made, bank_distances = [], deltadesc.matching._bank_distances
+
+    def keep(*args):
+        made.append(bank_distances(*args))
+        return made[-1]
+
+    monkeypatch.setattr(deltadesc.matching, "_bank_distances", keep)
+    assert multi_delta_distance(qb, rb).values is made[0]
 
 
 def test_a_wide_query_bank_is_centred_in_blocks_no_larger_than_the_product():
     frames, dim = 200, 800
     rng = np.random.default_rng(9)
     qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(frames, dim))), (2, 4, 8)) for _ in "qr")
-    # measured 3.48 R x Q matrices, where a centred copy of the whole query source held
-    # 5.23. The centring holds the product and one block of centred rows, 56 x 800 (1.12);
-    # the peak is the filter phase, with the same buffers as two span banks above, each
-    # 200 wide. 0.2 covers the vectors of R or Q entries, 1/200 of a matrix each here.
-    rows = BOX_BLOCK_ROWS + 16 + 2 * BOX_BLOCK_ROWS + 4 * SEQ_BLOCK_ROWS
+    # measured 2.95 R x Q matrices, where a running best beside the product held 3.48 and a
+    # centred copy of the whole query source 5.23. The centring holds the result and one
+    # block of centred rows, 56 x 800 (1.12); the peak is the filter phase, each block 200
+    # wide. 0.4 covers numpy's buffers for strided operands, up to 2 x 16 x 200 values
+    # (0.16), the running sums' row views (0.08) and the vectors of R or Q entries.
     peak = peak_matrices(multi_delta_distance, qb, rb) * MATRIX_BYTES / (frames * frames * 8)
-    assert peak <= 2.0 + rows / frames + 0.2
+    assert peak <= 1.0 + filter_rows(rb.spans, 8) / frames + 0.4

@@ -287,6 +287,29 @@ class TestRunCommand:
         assert alive_at_pca == [[("ref.dvpr", False)]]
         assert [name for name, _ in loaded] == ["ref.dvpr", "query.dvpr"]
 
+    def test_a_csv_query_is_parsed_once_under_a_reference_fit(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        # a CSV has no header to read for the frame count, so the query is read up front
+        ref, query, gt = synth_files
+        csv_query = tmp_path / "query.csv"
+        np.savetxt(csv_query, read_descriptors(query).data, delimiter=",", fmt="%.17g")
+        args = ("--ref", ref, "--gt", gt, "--transform", "delta", "--window", 8,
+                "--seqmatch-length", 4, "--pca-k", 6, "--radius", 2)
+        assert run_cli("run", "--query", query, *args, "--out-dir", tmp_path / "binary") == 0
+        parsed, load_csv = [], deltadesc.io._load_csv
+
+        def count(path, *a, **k):
+            parsed.append(Path(path).name)
+            return load_csv(path, *a, **k)
+
+        monkeypatch.setattr(deltadesc.io, "_load_csv", count)
+        assert run_cli("run", "--query", csv_query, *args, "--out-dir", tmp_path / "csv") == 0
+        assert parsed.count("query.csv") == 1
+        for name in ("matches.csv", "pr.csv", "summary.json", "pca_model.bin"):
+            got, want = (tmp_path / d / name for d in ("csv", "binary"))
+            assert got.read_bytes() == want.read_bytes(), name
+
     @pytest.mark.parametrize("fit_on", ["ref", "query", "both"])
     def test_pca_fit_sources_write_the_library_oracle_bytes(self, synth_files, tmp_path, fit_on):
         ref, query, gt = synth_files

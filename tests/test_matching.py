@@ -441,6 +441,42 @@ def stationary_walk(rng, frames, dims, offset):
     return DescriptorSeries(walk)
 
 
+def filter_columns(vals, spans, scales, best, block_rows):
+    """The query filter as it ran before the filters moved into the result: raise ``best``
+    to each span's delta of ``vals`` along its columns, times its scales, from the
+    running sums of one copy of each block, edge-padded by the largest span."""
+    pad, cols = max(spans), vals.shape[1]
+    for b0 in range(0, len(vals), block_rows):
+        block, top = vals[b0 : b0 + block_rows], best[b0 : b0 + block_rows]
+        sums = np.concatenate([np.repeat(block[:, :1], pad, 1), block,
+                               np.repeat(block[:, -1:], pad, 1)], axis=1)
+        np.cumsum(sums, axis=1, out=sums)
+        for span, scale in zip(spans, scales):
+            if span:
+                mid = sums[:, pad : pad + cols]
+                o = np.subtract(sums[:, pad + span : pad + span + cols], mid)
+                o -= mid
+                o += sums[:, pad - span : pad - span + cols]
+                o *= scale
+            else:
+                o = block * scale
+            np.maximum(top, o, out=top)
+
+
+def two_matrix_filters(products, sources, bank, block_rows):
+    """The reference delta down each R x Q product with ``_delta_blocks``, the query filter
+    into an R x Q running best, then 1 - x of its transpose: the filters' former oracle."""
+    sims = np.full(products[0].shape, -np.inf)
+    for gram, (_, _, spans, scales) in zip(products, sources):
+        scales = [scale / span if span else scale for span, scale in zip(spans, scales)]
+        for span, r_scale in zip(bank.spans, bank.row_scales):
+            for t0, rows in deltadesc.transform._delta_blocks(gram, span, 0, len(gram)):
+                rows *= r_scale[t0 : t0 + len(rows), None]
+                filter_columns(rows, spans, scales, sims[t0 : t0 + len(rows)], block_rows)
+    dist = np.subtract(1.0, sims.T, order="C")
+    return np.clip(dist, 0.0, 2.0, out=dist)
+
+
 class TestFactoredBank:
     """A reference span bank matched through its Gram matrix, against the direct n*m path."""
 
@@ -500,6 +536,53 @@ class TestFactoredBank:
         clear = ranked[:, 1] - ranked[:, 0] > 2 * FACTORED_BOUND if r_count > 1 else True
         assert np.array_equal(got.argmin(axis=1)[clear], direct.argmin(axis=1)[clear])
         assert np.all(direct[q, got.argmin(axis=1)] - ranked[:, 0] <= 2 * FACTORED_BOUND)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q_count=st.integers(1, 70),
+        r_count=st.integers(1, 70),
+        dim=st.integers(1, 6),
+        # spans past a block of 1, 3, 16 or 64 rows, and past either series
+        q_spans=st.lists(
+            st.one_of(st.integers(1, 8), st.integers(17, 90)), min_size=1, max_size=3, unique=True
+        ),
+        r_spans=st.lists(
+            st.one_of(st.integers(1, 8), st.integers(17, 90)), min_size=2, max_size=3, unique=True
+        ),
+        query_bank=st.booleans(),
+        box_rows=st.sampled_from([1, 3, deltadesc.transform.BOX_BLOCK_ROWS]),
+        seq_rows=st.sampled_from([1, 3, deltadesc.matching.SEQ_BLOCK_ROWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(q_count=40, r_count=37, dim=3, q_spans=[2, 5, 9], r_spans=[1, 4], query_bank=False,
+             box_rows=3, seq_rows=1, seed=1)
+    def test_filters_in_the_result_equal_the_two_matrix_filters(
+        self, q_count, r_count, dim, q_spans, r_spans, query_bank, box_rows, seq_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ref = DescriptorSeries(rng.normal(size=(r_count, dim)) + 3.0)
+        qb = delta_bank(DescriptorSeries(rng.normal(size=(q_count, dim)) + 3.0), q_spans)
+        rb = delta_bank(ref, r_spans)
+        # a member query has one source per member: its products after the first are made
+        # in a temporary
+        q_members = qb if query_bank else list(qb)
+        # the same products reach both: the GEMM into the result's transposed view may round
+        # differently from one into an R x Q array
+        products, centred_product = [], deltadesc.matching._centred_product
+
+        def same_product(source, mean, q, q_mean, out):
+            products.append(np.empty(out.shape))
+            centred_product(source, mean, q, q_mean, products[-1])
+            out[...] = products[-1]
+
+        with mock.patch.object(deltadesc.matching, "_centred_product", same_product), \
+                mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", box_rows), \
+                mock.patch.object(deltadesc.matching, "SEQ_BLOCK_ROWS", seq_rows):
+            got = deltadesc.matching._bank_distances(q_members, rb)
+            sources = list(deltadesc.matching._query_sources(q_members))
+            want = two_matrix_filters(products, sources, rb, seq_rows)
+        assert len(products) == (1 if query_bank else len(q_spans))
+        assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(

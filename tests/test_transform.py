@@ -153,6 +153,18 @@ class TestBoxSumKernel:
         assert end == count
         assert np.array_equal(got, csum)
 
+        # rows handed over one at a time through one reused buffer, as the span-bank
+        # filters hand them, give the same sums
+        def one_buffer():
+            buf = np.empty(dims)
+            for row in rows:
+                buf[:] = row
+                yield buf
+
+        with streamed(block_rows):
+            for i0, sums in _running_sums(one_buffer(), *pad, width, edge):
+                assert np.array_equal(sums, csum[i0 : i0 + len(sums)])
+
 
 class TestSmooth:
     def test_constant_series_unchanged(self):

@@ -29,8 +29,8 @@ from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision
 from .evaluation import median_pair_products, rank_dimensions
 from .matching import MatchSet, _bank_shape
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
-from .reduction import pca_fit, pca_transform
-from .series import DescriptorSeries, GroundTruth, _seal, apply_permutation
+from .reduction import PcaModel, pca_fit, pca_transform
+from .series import DescriptorSeries, GroundTruth, _check_radius, _seal, apply_permutation
 from .synth import SynthParams, generate_traverse_pair
 from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, SpanBank, delta, delta_bank
 from .transform import delta_valid_range, smooth
@@ -132,8 +132,7 @@ class RunConfig:
             raise ValueError(f"--pca-fit {self.pca_fit_on} is read only with --pca-k")
         if self.radius_mode not in ("frames", "meters"):
             raise ValueError(f"radius_mode must be 'frames' or 'meters', got {self.radius_mode!r}")
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+        _check_radius(self.radius)
         unread = self.radius or self.radius_mode == "meters" or self.positions_path
         if unread and not self.gt_path:
             raise ValueError("--radius, --radius-mode meters and --ref-positions need --gt")
@@ -168,6 +167,12 @@ def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> 
     if fit_on == "both":
         return DescriptorSeries(_seal(np.vstack([tr.data, tq.data])))
     return tr if fit_on == "ref" else tq
+
+
+def _project(models: Sequence[PcaModel], members: list) -> None:
+    """Replace each member with its model's projection, so no name keeps a pre-PCA member alive."""
+    for i, model in enumerate(models):
+        members[i] = pca_transform(model, members[i])
 
 
 def _check_ground_truth(
@@ -282,20 +287,19 @@ def run_pipeline(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Fitted on the reference alone, the models are fitted and the reference projected
-    # before the query is read, so neither the query nor its delta is resident during
-    # the fit; the checks below take the query's frame count from its header. A CSV
-    # query has no header, so it is read once, here. Every other run reads both files
-    # first: reading one side at a time raised long-route's peak RSS from 129 to 143 MiB.
-    fit_first = cfg.pca_k is not None and cfg.pca_fit_on in (None, "ref")
-    query = None
+    # Each side is transformed once, the reference first. Under a model fitted on the
+    # reference alone, a query file whose header io reads alone is read once the reference
+    # is projected, so neither the query nor its delta is resident during the fit. Any other
+    # query (a CSV table, a pipe) is read here, before the loaded reference is released:
+    # reading one side at a time raised long-route's peak RSS from 129 to 143 MiB.
+    ref_fit = cfg.pca_k is not None and cfg.pca_fit_on in (None, "ref")
     with _stage("load"):
         ref = ddio.read_descriptors(cfg.ref_path)
-        if fit_first and Path(cfg.query_path).suffix.lower() != ".csv":
-            q_count = ddio.read_descriptor_shape(cfg.query_path)[0]
-        else:
-            query = ddio.read_descriptors(cfg.query_path)
-            q_count = query.frame_count
+        shape = ddio.read_descriptor_shape(cfg.query_path) if ref_fit else None
+        query = None if shape else ddio.read_descriptors(cfg.query_path)
+        q_count, q_dim = shape or query.data.shape
+        if q_dim != ref.dim:
+            raise ddio.DataError(f"{cfg.query_path}: {q_dim} dimensions, the reference has {ref.dim}")
         gt = ref_positions = None
         if cfg.gt_path:
             gt = ddio.read_ground_truth(cfg.gt_path, radius_mode=cfg.radius_mode, radius=cfg.radius)
@@ -310,46 +314,34 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     # the one place that orders a span bank: distinct spans, shortest first
     spans = sorted({int(s) for s in cfg.spans or ()})
+    # A side is a span bank, its source and no member, only where multi_delta_distance
+    # matches it through its source: two or more spans without PCA, and a query of one
+    # match tile. The members replace each loaded series, which is released once they exist.
+    bank = cfg.transform == "multi-delta" and len(spans) > 1 and cfg.pca_k is None
+    q_bank = bank and q_count <= _tile_rows(ref.frame_count)
     with _stage("transform"):
         # frame-aligned members; valid-only restricts scoring to the unpadded queries
-        scored = None
-        if cfg.padding == VALID_ONLY:
-            scored = delta_valid_range(q_count, cfg.window)
-        # the members replace the loaded series, which are released as soon as they
-        # exist: a loaded query's before the reference is transformed. A side is a span bank,
-        # its source and no member, only where multi_delta_distance matches it through
-        # its source: two or more spans without PCA, and a query of one match tile.
-        bank = cfg.transform == "multi-delta" and len(spans) > 1 and cfg.pca_k is None
-        if not fit_first:
-            q_bank = bank and q_count <= _tile_rows(ref.frame_count)
-            q_members = _transform_members(query, cfg.transform, cfg.window, spans, q_bank)
-            del query
+        scored = delta_valid_range(q_count, cfg.window) if cfg.padding == VALID_ONLY else None
         r_members = _transform_members(ref, cfg.transform, cfg.window, spans, bank)
         del ref
-    models = []
+    with _stage("pca"):
+        models = [pca_fit(r, cfg.pca_k) for r in r_members] if ref_fit else []
+        _project(models, r_members)
+    with _stage("load"):
+        query = ddio.read_descriptors(cfg.query_path) if query is None else query
+    with _stage("transform"):
+        q_members = _transform_members(query, cfg.transform, cfg.window, spans, q_bank)
+        del query
     if cfg.pca_k is not None:
         with _stage("pca"):
-            # one model per bank member; members are replaced in place so that no
-            # name keeps a pre-PCA member alive
-            if fit_first:
-                models = [pca_fit(r, cfg.pca_k) for r in r_members]
-            else:
+            if not models:  # fitted on the query or on both sides, one model per bank member
                 models = [
                     pca_fit(_pca_fit_series(q, r, cfg.pca_fit_on), cfg.pca_k)
                     for q, r in zip(q_members, r_members)
                 ]
+                _project(models, r_members)
+            _project(models, q_members)
             for i, model in enumerate(models):
-                r_members[i] = pca_transform(model, r_members[i])
-    if fit_first:
-        with _stage("load"):
-            query = ddio.read_descriptors(cfg.query_path) if query is None else query
-        with _stage("transform"):
-            q_members = _transform_members(query, cfg.transform, cfg.window, spans)
-            del query
-    if models:
-        with _stage("pca"):
-            for i, model in enumerate(models):
-                q_members[i] = pca_transform(model, q_members[i])
                 # saved once the query has loaded, so a bad query file leaves no model
                 name = f"pca_model_span{spans[i]}.bin" if len(models) > 1 else "pca_model.bin"
                 ddio.save_pca_model(out_dir / name, model)
@@ -445,6 +437,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_radius(args.radius)
     _check_positions_flag(args.ref_positions, args.radius_mode)
     annotations = (args.transform, args.window, args.seqmatch_length, args.pca_k)
     if annotations != (None, None, 1, None) and not args.out_summary:

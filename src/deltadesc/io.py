@@ -16,11 +16,12 @@ explained variances. Blocks are read and written CHUNK_BYTES of the file at a
 time, straight between the stream and the float64 matrix, so neither side
 holds a copy of the payload, and a distance file takes rows as they come. A
 short or overlong file is found by reading to its end, so a pipe works as well
-as a regular file. ``read_descriptor_shape`` reads a file's header alone, with
-the same checks, so a caller can check a series' shape before it reads the
-payload. A CSV table is a header row, optional for descriptor input (any path
-ending in ``.csv``, whose shape is read as the whole table), then a
-comma-separated row per item; one without rows is a DataError naming the file.
+as a regular file. ``read_descriptor_shape`` reads a regular file's header
+alone, with the same checks, so a caller can check a series' shape before it
+reads the payload; a CSV table or a pipe (a FIFO, ``/dev/fd/N``) cannot give
+its shape unconsumed and gives None. A CSV table is a header row, optional for
+descriptor input (any path ending in ``.csv``), then a comma-separated row per
+item; one without rows is a DataError naming the file.
 Tables are written with LF endings and shortest-roundtrip floats, so identical
 runs produce byte-identical files.
 """
@@ -175,11 +176,11 @@ def read_descriptors(path: PathLike) -> DescriptorSeries:
         return DescriptorSeries(values)
 
 
-def read_descriptor_shape(path: PathLike) -> tuple[int, int]:
-    """(T, D) of a descriptor file: from its header alone, or from the table of a CSV."""
+def read_descriptor_shape(path: PathLike) -> Optional[tuple[int, int]]:
+    """(T, D) of a container file from its header alone; None for a CSV table or a pipe."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _load_csv(path, "CSV matrix", np.float64, optional_header=True).shape
+    if path.suffix.lower() == ".csv" or not path.is_file():
+        return None
     with open(path, "rb") as fh:
         t_count, dim, _ = _read_header(fh, str(path))
     return t_count, dim

@@ -99,6 +99,14 @@ class DescriptorSeries:
         return _seal(_row_scales(self.data))
 
 
+def _check_radius(radius: float) -> float:
+    """``radius`` as a float; raise unless it is finite and non-negative."""
+    radius = float(radius)
+    if not np.isfinite(radius) or radius < 0:
+        raise ValueError(f"radius must be finite and non-negative, got {radius}")
+    return radius
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """True reference frame index per query, plus the localization radius.
@@ -120,10 +128,7 @@ class GroundTruth:
         object.__setattr__(self, "pairs", pairs)
         if self.radius_mode not in ("frames", "meters"):
             raise ValueError(f"radius_mode must be 'frames' or 'meters', got {self.radius_mode!r}")
-        radius = float(self.radius)
-        if not np.isfinite(radius) or radius < 0:
-            raise ValueError(f"radius must be finite and non-negative, got {radius}")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _check_radius(self.radius))
 
     @property
     def query_count(self) -> int:

@@ -54,6 +54,17 @@ class TestSelfDistanceProfile:
             self_distance_profile(series, 0)
 
 
+    @pytest.mark.parametrize("offsets, medians, message", [
+        ([1, 2, 3], [0.1, 0.2], "one median per offset"),
+        ([], [], "one median per offset"),
+        ([1, 3, 2], [0.1, 0.2, 0.3], "offsets must be strictly increasing"),
+        ([1, 2], [0.1, 2.5], r"median distances must lie in \[0, 2\]"),
+    ], ids=["lengths-differ", "empty", "unordered", "above-two"])
+    def test_profile_rejected(self, offsets, medians, message):
+        with pytest.raises(ValueError, match=message):
+            SelfDistanceProfile(np.array(offsets, dtype=np.int64), np.array(medians, dtype=float))
+
+
 class TestEstimateSpan:
     def test_constructed_crossing(self):
         values = np.array([0.1, 0.2, 0.4, 0.69, 0.7, 0.9])

@@ -3,8 +3,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from unittest import mock
 
@@ -310,6 +311,40 @@ class TestRunCommand:
             got, want = (tmp_path / d / name for d in ("csv", "binary"))
             assert got.read_bytes() == want.read_bytes(), name
 
+    def test_a_fifo_query_under_a_reference_fit_finishes(self, synth_files, tmp_path):
+        # a named pipe cannot give its header without being consumed, so it is read whole
+        # at load; a second open would wait for a writer that never comes
+        ref, query, gt = synth_files
+        fifo = tmp_path / "query.fifo"
+        os.mkfifo(fifo)
+        args = ("--ref", ref, "--gt", gt, "--transform", "delta", "--window", 8,
+                "--seqmatch-length", 4, "--pca-k", 6, "--radius", 2)
+        assert run_cli("run", "--query", query, *args, "--out-dir", tmp_path / "file") == 0
+
+        def write():
+            with suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                fh.write(query.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        env = {**os.environ, "PYTHONPATH": str(Path(deltadesc.cli.__file__).parents[1])}
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "deltadesc", "run", "--query", str(fifo),
+                 *map(str, args), "--out-dir", str(tmp_path / "fifo")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        finally:
+            writer.join(timeout=10)
+            if writer.is_alive():  # the run never opened the pipe: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (out.returncode, out.stderr) == (0, "")
+        for name in ("matches.csv", "pr.csv", "summary.json", "pca_model.bin"):
+            got, want = (tmp_path / d / name for d in ("fifo", "file"))
+            assert got.read_bytes() == want.read_bytes(), name
+
     @pytest.mark.parametrize("fit_on", ["ref", "query", "both"])
     def test_pca_fit_sources_write_the_library_oracle_bytes(self, synth_files, tmp_path, fit_on):
         ref, query, gt = synth_files
@@ -330,7 +365,7 @@ class TestRunCommand:
         for name in ("matches.csv", "pr.csv", "pca_model.bin"):
             assert (out / name).read_bytes() == (oracle / name).read_bytes(), name
 
-    def test_loaded_query_is_released_before_the_reference_is_transformed(
+    def test_loaded_reference_is_released_before_the_query_is_transformed(
         self, synth_files, tmp_path, monkeypatch
     ):
         ref, query, gt = synth_files
@@ -352,8 +387,9 @@ class TestRunCommand:
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "delta", "--window", 8, "--out-dir", tmp_path / "o",
         ) == 0
-        # the reference is read first and transformed second, once the query is gone
-        assert alive_at_delta == [[True, True], [True, False]]
+        # both files are read up front; the reference is transformed first, and the query
+        # second, once the reference's loaded series is gone
+        assert alive_at_delta == [[True, True], [False, True]]
 
     def test_each_bank_keeps_its_source_and_no_member(self, synth_files, tmp_path, monkeypatch):
         ref, query, gt = synth_files
@@ -791,17 +827,75 @@ class TestExitCodes:
         (("--radius-mode", "meters"), "need --gt"),
         (("--ref-positions", "pos.csv"), "need --gt"),
         (("--gt", "gt.csv", "--ref-positions", "pos.csv"), "--ref-positions"),
+        (("--transform", "multi-delta"), "multi-delta needs a non-empty --spans list"),
     ], ids=["delta-spans", "smooth-spans", "multi-delta-window", "raw-window",
             "smooth-padding", "raw-padding", "pca-fit-without-k", "pca-fit-ref-without-k",
             "radius-meters-without-gt", "radius-without-gt", "meters-without-gt",
             "positions-without-gt",
-            "positions-in-frames-mode"])
+            "positions-in-frames-mode", "multi-delta-without-spans"])
     def test_unread_flag_is_config_error_before_loading(self, tmp_path, capsys, flags, named):
         missing = tmp_path / "nothere.dvpr"
         code = run_cli("run", "--ref", missing, "--query", missing, *flags,
                        "--out-dir", tmp_path / "o")
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_bad_radius_is_config_error_before_reading(self, tmp_path, capsys, command, radius):
+        # the flag is blamed, not the ground-truth file, and no file is opened
+        missing = tmp_path / "nothere.csv"
+        if command == "run":
+            args = ["--ref", missing, "--query", missing, "--out-dir", tmp_path / "o"]
+        else:
+            args = ["--matches", missing, "--out-pr", tmp_path / "pr.csv"]
+        code = run_cli(command, *args, "--gt", missing, "--radius", radius)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: radius must be finite and non-negative, got {float(radius)}" in err
+        assert not (tmp_path / "o" / "matches.csv").exists() and not (tmp_path / "pr.csv").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("padding", "bogus", "unknown padding 'bogus'"),
+        ("pca_fit_on", "bogus", "pca fit source must be one of"),
+        ("radius_mode", "bogus", "radius_mode must be 'frames' or 'meters', got 'bogus'"),
+    ], ids=["padding", "pca-fit-source", "radius-mode"])
+    def test_run_pipeline_rejects_a_bad_config_before_reading(
+        self, tmp_path, field, value, message
+    ):
+        # values that the parser's choices keep out of the CLI, given to the library directly
+        missing = str(tmp_path / "nothere.dvpr")
+        cfg = deltadesc.cli.RunConfig(missing, missing, str(tmp_path / "o"), gt_path=missing,
+                                      pca_k=4, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            deltadesc.cli.run_pipeline(cfg)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("pca", [(), ("--pca-k", 4)], ids=["loaded", "header"])
+    def test_query_of_another_dimension_is_data_error_before_transform(
+        self, synth_files, tmp_path, capsys, monkeypatch, pca
+    ):
+        # without a reference fit the loaded query gives its D; under one, its header does
+        ref, query, gt = synth_files
+        narrow = tmp_path / "narrow.dvpr"
+        write_descriptors(narrow, DescriptorSeries(read_descriptors(query).data[:, :8]))
+        calls = []
+        monkeypatch.setattr(deltadesc.cli, "delta", lambda *a: calls.append(a))
+        code = run_cli("run", "--ref", ref, "--query", narrow, "--gt", gt, "--transform", "delta",
+                       "--window", 4, *pca, "--out-dir", tmp_path / "o")
+        assert code == 3
+        assert f"[load] {narrow}: 8 dimensions, the reference has 24" in capsys.readouterr().err
+        assert calls == []
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_match_of_another_dimension_stays_config_error(self, synth_files, tmp_path, capsys):
+        ref, query, _ = synth_files
+        narrow = tmp_path / "narrow.dvpr"
+        write_descriptors(narrow, DescriptorSeries(read_descriptors(query).data[:, :8]))
+        code = run_cli("match", "--query", narrow, "--ref", ref, "--out-matches", tmp_path / "m.csv")
+        assert code == 2
+        assert "[distance] dimension mismatch: query D=8, reference D=24" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_evaluate_rejects_positions_in_frames_mode_before_loading(self, tmp_path, capsys):
         missing = tmp_path / "nothere.csv"

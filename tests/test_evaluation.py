@@ -196,6 +196,23 @@ class TestMedianPairProducts:
             median_pair_products(series, DescriptorSeries(np.ones((3, 4))), GroundTruth([0, 1, 2]))
 
 
+class TestRejectedInputs:
+    def test_empty_valid_range(self):
+        matches, gt = hand_case()
+        with pytest.raises(ValueError, match=r"query_valid_range \(2, 2\) selects no queries"):
+            evaluate_pr(matches, gt, query_valid_range=(2, 2))
+
+    @pytest.mark.parametrize("indices, positions, message", [
+        ([0, 1], np.zeros((4, 3)), r"reference positions must be R x 2, got shape \(4, 3\)"),
+        ([0, 7], np.zeros((4, 2)), "match index out of range for the given positions"),
+    ], ids=["positions-not-r-by-2", "match-beyond-positions"])
+    def test_meters_mode_positions(self, indices, positions, message):
+        matches = MatchSet(indices, [0.1, 0.2])
+        gt = GroundTruth([0, 1], radius_mode="meters", radius=5.0)
+        with pytest.raises(ValueError, match=message):
+            correct_matches(matches, gt, positions)
+
+
 class TestCorrectMatches:
     def test_frames_radius(self):
         matches = MatchSet(ref_indices=[0, 3, 6], distances=[0.1, 0.1, 0.1])

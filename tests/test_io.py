@@ -105,6 +105,12 @@ class TestBinaryErrors:
         with pytest.raises(DataError, match="truncated header"):
             read_descriptors(path)
 
+    def test_write_rejects_an_unknown_dtype(self, tmp_path):
+        path = tmp_path / "half.dvpr"
+        with pytest.raises(ValueError, match="dtype must be 'float32' or 'float64', got 'float16'"):
+            write_descriptors(path, DescriptorSeries(np.ones((2, 2))), dtype="float16")
+        assert not path.exists()
+
     def test_unsupported_dtype_code(self, tmp_path):
         path = tmp_path / "odd.dvpr"
         path.write_bytes(struct.pack("<4sIQQI", b"DVPR", 1, 1, 1, 9) + bytes(4))
@@ -133,15 +139,29 @@ class TestDescriptorShape:
         path.write_bytes(path.read_bytes()[:28])  # the payload is never read
         assert deltadesc.io.read_descriptor_shape(path) == (7, 3)
 
-    def test_csv_shape_is_its_table(self, tmp_path):
+    def test_csv_table_gives_no_shape(self, tmp_path):
+        # a table has no header to read alone, so the caller reads it whole
         path = tmp_path / "table.csv"
         path.write_text("d0,d1\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        assert deltadesc.io.read_descriptor_shape(path) == (3, 2)
+        assert deltadesc.io.read_descriptor_shape(path) is None
+
+    def test_a_pipe_gives_no_shape_and_is_left_unread(self):
+        # a pipe's header cannot be read without consuming it, so the caller reads it whole
+        data = np.arange(6.0).reshape(3, 2)
+        r, w = os.pipe()
+        os.write(w, struct.pack("<4sIQQI", b"DVPR", 1, 3, 2, 2) + data.tobytes())  # 76 bytes
+        os.close(w)
+        try:
+            assert deltadesc.io.read_descriptor_shape(f"/dev/fd/{r}") is None
+            np.testing.assert_array_equal(read_descriptors(f"/dev/fd/{r}").data, data)
+        finally:
+            os.close(r)
 
     @pytest.mark.parametrize("head, message", [
         (b"NOPE" + bytes(24), "bad magic"),
         (b"DVPR\x01", "truncated header, expected 28 bytes, got 5"),
-    ], ids=["bad-magic", "short-header"])
+        (struct.pack("<4sIQQI", b"DVPR", 2, 1, 1, 1), "unsupported format version 2"),
+    ], ids=["bad-magic", "short-header", "format-version"])
     def test_bad_header_rejected(self, tmp_path, head, message):
         path = tmp_path / "bad.dvpr"
         path.write_bytes(head)

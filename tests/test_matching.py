@@ -13,6 +13,7 @@ from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
     DistanceMatrix,
+    MatchSet,
     cosine_distance,
     delta,
     delta_bank,
@@ -203,6 +204,12 @@ class TestDistanceMatrixAdoption(_AdoptionCases):
         with pytest.raises(ValueError, match="non-finite"):
             DistanceMatrix(values)
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 0), (1, 2, 2)],
+                             ids=["1-d", "no-rows", "no-columns", "3-d"])
+    def test_non_matrix_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="distance matrix must be Q x R, got shape"):
+            DistanceMatrix(np.full(shape, 0.5))
+
     def test_results_are_adopted_read_only(self):
         rng = np.random.default_rng(8)
         q = DescriptorSeries(rng.normal(size=(5, 3)))
@@ -210,6 +217,19 @@ class TestDistanceMatrixAdoption(_AdoptionCases):
         for m in (distance_matrix(q, r), multi_delta_distance([q, q], [r]),
                   seq_match(distance_matrix(q, r), 3)):
             assert m.values.flags.owndata and not m.values.flags.writeable
+
+
+class TestMatchSet:
+    @pytest.mark.parametrize("indices, distances, message", [
+        ([0, 1], [0.1], r"one \(index, distance\) pair per query"),
+        ([], [], r"one \(index, distance\) pair per query"),
+        ([0, -1], [0.1, 0.2], "indices must be non-negative"),
+        ([0], [2.5], r"distances must lie in \[0, 2\]"),
+        ([0], [np.nan], r"distances must lie in \[0, 2\]"),
+    ], ids=["lengths-differ", "empty", "negative-index", "distance-above-two", "nan-distance"])
+    def test_rejected(self, indices, distances, message):
+        with pytest.raises(ValueError, match=message):
+            MatchSet(np.array(indices, dtype=np.int64), np.array(distances, dtype=np.float64))
 
 
 class TestSeqMatch:

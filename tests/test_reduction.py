@@ -205,6 +205,16 @@ class TestPcaModel:
                 explained_variance=np.array([1.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("components, variance, message", [
+        (np.eye(3)[:, :2], [2.0, 1.0], "components must be D x k with D matching the mean"),
+        (np.ones(2), [1.0], "components must be D x k with D matching the mean"),
+        (np.eye(2), [1.0], "need one explained variance per retained component"),
+        (np.eye(2)[:, :0], [], "need one explained variance per retained component"),
+    ], ids=["dim-differs", "one-dimensional", "variance-count", "no-components"])
+    def test_rejects_bad_shapes(self, components, variance, message):
+        with pytest.raises(ValueError, match=message):
+            PcaModel(np.zeros(2), components, np.array(variance, dtype=float))
+
     def test_rejects_increasing_variance(self):
         with pytest.raises(ValueError):
             PcaModel(

@@ -109,6 +109,15 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth([0, 1], radius=-1.0)
 
+    @pytest.mark.parametrize("pairs, radius, message", [
+        ([], 0.0, "one reference index per query"),
+        ([0, 1], np.nan, "radius must be finite and non-negative, got nan"),
+        ([0, 1], np.inf, "radius must be finite and non-negative, got inf"),
+    ], ids=["empty", "nan-radius", "inf-radius"])
+    def test_rejects_with_a_message(self, pairs, radius, message):
+        with pytest.raises(ValueError, match=message):
+            GroundTruth(np.array(pairs, dtype=np.int64), radius=radius)
+
 
 def _first_seed_with_permutation(size, wanted):
     for seed in range(5000):

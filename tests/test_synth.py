@@ -132,6 +132,11 @@ class TestGenerator:
             SynthParams(frames=10, dims=4, warp=((0.0, 0.0),))
 
 
+def test_latent_smooth_window_below_one_rejected():
+    with pytest.raises(ValueError, match="latent_smooth_window must be >= 1"):
+        SynthParams(frames=10, dims=4, latent_smooth_window=0)
+
+
 def test_gt_radius_widened_with_replace():
     params = SynthParams(frames=30, dims=4, latent_smooth_window=3, seed=1)
     _, _, gt = generate_traverse_pair(params)

@@ -196,6 +196,10 @@ class TestSmooth:
         with pytest.raises(ValueError, match="window exceeds series"):
             smooth(DescriptorSeries(np.ones((4, 2))), 5)
 
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+            smooth(DescriptorSeries(np.ones((4, 2))), 0)
+
     def test_full_cover_window_gives_global_mean(self):
         # at T=2 the two-frame window covers the series from every row
         rng = np.random.default_rng(1)

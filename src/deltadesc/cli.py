@@ -5,9 +5,10 @@ One subcommand per procedure: ``synth``, ``transform``, ``match``,
 chains transform -> (PCA) -> query tiles of distances -> (seqmatch) ->
 retrieve -> evaluate in a single invocation. Staged invocations with float64
 intermediate files reproduce the single-invocation outputs byte for byte,
-except for span banks of two or more spans without PCA: ``run`` keeps each
-such bank as its series and spans and matches it through products of the
-series, and the distances agree only within rounding.
+except for span banks of two or more spans without PCA: ``run`` keeps both
+sides as their series and spans, matches them through products of the two
+series, and tiles a long query by slices of its series, so the distances
+agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error or out of memory, 3 data error.
 """
@@ -37,17 +38,11 @@ from .transform import delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
-# bytes of a query tile's live Q x R matrices. Under seqmatch a member query's distances
-# and seq_match's output share it, half each. A query span bank, whose tiles would build
-# its members, keeps it whole, and so does run's choice of a query bank: at 32 MiB a
-# 2000 x 2000 bank is one tile, and a 16 MiB budget split such a bank into its members
-# and cost more than it saved.
+# bytes of a query tile's live Q x R matrices. Under seqmatch a tile's distances and
+# seq_match's output share it, half each, except in a query span bank that fits one tile
+# of the whole budget: at 32 MiB a 2000 x 2000 bank is one tile, and splitting it under a
+# 16 MiB budget cost more time and memory than it saved.
 MATCH_TILE_BYTES = 32 * 2**20
-
-
-def _tile_rows(r_count: int, matrices: int = 1) -> int:
-    """Query rows per tile when ``matrices`` Q x R matrices share the budget: at least one."""
-    return max(1, MATCH_TILE_BYTES // (8 * matrices * r_count))
 
 
 @contextmanager
@@ -164,9 +159,8 @@ def _transform_members(
 
 
 def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> DescriptorSeries:
-    if fit_on == "both":
-        return DescriptorSeries(_seal(np.vstack([tr.data, tq.data])))
-    return tr if fit_on == "ref" else tq
+    """The series a query or both-sides fit takes; a reference fit takes the reference members."""
+    return DescriptorSeries(_seal(np.vstack([tr.data, tq.data]))) if fit_on == "both" else tq
 
 
 def _project(models: Sequence[PcaModel], members: list) -> None:
@@ -196,31 +190,38 @@ def _match(
     Query rows are matched in tiles, each widened by seqmatch's halo, L//2 rows
     before and ceil(L/2) - 1 after, so every kept row sums the same in-bounds
     shifts as the Q x R matrix would. A tile's distances and seq_match's output
-    are live together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each.
-    Tiles slice the query members' data, so a query ``SpanBank`` (``run`` passes
-    one only when it fits one tile of the whole budget) keeps the whole budget:
-    over several tiles it would build its members once per tile. The
-    ``out_distances`` file, if named, checks the free disk before the first tile
-    and then takes each tile's kept rows as soon as they exist.
+    are live together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each,
+    unless the query is a ``SpanBank`` that fits one tile of the whole budget.
+    Tiles slice the query members' data, or a query ``SpanBank``'s source, whose
+    slice is widened by its longest span on each side and is a bank of its own:
+    each delta of a row in the seqmatch halo then sees the frames the whole
+    series' delta sees, or the series' own edges. The ``out_distances`` file, if
+    named, checks the free disk before the first tile and then takes each
+    tile's kept rows as soon as they exist.
     """
     length = int(seqmatch_length)
     pairings = len(q_members) * len(r_members)
     with _stage("distance"):
         # tiles slice every query member alike, so their frame counts must agree up front
         q_count, r_count = _bank_shape(q_members)[0], _bank_shape(r_members)[0]
-    shared = length > 1 and not isinstance(q_members, SpanBank)
-    rows = _tile_rows(r_count, 2 if shared else 1)
+    bank = isinstance(q_members, SpanBank)
+    halo = max(q_members.spans) if bank else 0
+    rows = max(1, MATCH_TILE_BYTES // (8 * r_count))  # query rows of the whole budget
+    if length > 1 and not (bank and q_count <= rows):
+        rows = max(1, rows // 2)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:
         for b0 in range(0, q_count, rows):
             b1 = min(b0 + rows, q_count)
-            a0, a1 = max(0, b0 - length // 2), min(q_count, b1 + (length + 1) // 2 - 1)
-            tile = q_members
-            if (a0, a1) != (0, q_count):
-                tile = [DescriptorSeries(q.data[a0:a1]) for q in q_members]
+            a0 = max(0, b0 - length // 2 - halo)
+            a1 = min(q_count, b1 + (length + 1) // 2 - 1 + halo)
             m = None  # release the last tile's matrix before this one is built
             with _stage("distance"):
+                tile = q_members
+                if (a0, a1) != (0, q_count):
+                    tile = (SpanBank(DescriptorSeries(tile.source.data[a0:a1]), tile.spans) if bank
+                            else [DescriptorSeries(q.data[a0:a1]) for q in tile])
                 if pairings == 1:
                     m = distance_matrix(tile[0], r_members[0])
                 else:
@@ -314,11 +315,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     # the one place that orders a span bank: distinct spans, shortest first
     spans = sorted({int(s) for s in cfg.spans or ()})
-    # A side is a span bank, its source and no member, only where multi_delta_distance
-    # matches it through its source: two or more spans without PCA, and a query of one
-    # match tile. The members replace each loaded series, which is released once they exist.
+    # Both sides are span banks, each its source and no member, where multi_delta_distance
+    # matches them through their sources: two or more spans without PCA. The members
+    # replace each loaded series, which is released once they exist.
     bank = cfg.transform == "multi-delta" and len(spans) > 1 and cfg.pca_k is None
-    q_bank = bank and q_count <= _tile_rows(ref.frame_count)
     with _stage("transform"):
         # frame-aligned members; valid-only restricts scoring to the unpadded queries
         scored = delta_valid_range(q_count, cfg.window) if cfg.padding == VALID_ONLY else None
@@ -330,7 +330,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     with _stage("load"):
         query = ddio.read_descriptors(cfg.query_path) if query is None else query
     with _stage("transform"):
-        q_members = _transform_members(query, cfg.transform, cfg.window, spans, q_bank)
+        q_members = _transform_members(query, cfg.transform, cfg.window, spans, bank)
         del query
     if cfg.pca_k is not None:
         with _stage("pca"):

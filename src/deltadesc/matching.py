@@ -167,18 +167,18 @@ def multi_delta_distance(
     n*m distances. ``np.minimum`` is exact, so the member order does not change
     a bit.
 
-    A reference ``SpanBank`` of two or more spans is matched by
-    ``_bank_distances`` through products with its source, made and filtered in
-    the Q x R result: one product in all when the query is a ``SpanBank`` too
-    (GEMMs over blocks of its rows), else one per query member. Anything else
-    takes one GEMM per pairing, which is the factored path's oracle.
+    A query ``SpanBank`` against a reference ``SpanBank`` of two or more spans is
+    matched by ``_bank_distances`` through one product of the two sources, made
+    and filtered in the Q x R result. Anything else, a list of members on
+    either side included, takes one GEMM per pairing, which is the factored
+    path's oracle.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")
     q_dim, r_dim = _bank_shape(q_members)[1], _bank_shape(r_members)[1]
     if q_dim != r_dim:
         raise ValueError(f"dimension mismatch: query D={q_dim}, reference D={r_dim}")
-    if isinstance(r_members, SpanBank) and len(r_members) > 1:
+    if isinstance(q_members, SpanBank) and isinstance(r_members, SpanBank) and len(r_members) > 1:
         return DistanceMatrix(_seal(_bank_distances(q_members, r_members)))
     refs = list(r_members)  # a bank builds its members once, not once per query member
     best = None
@@ -199,120 +199,90 @@ def _bank_shape(members: Sequence[DescriptorSeries]) -> tuple[int, int]:
     return first.data.shape
 
 
-def _bank_distances(q_members: Sequence[DescriptorSeries], bank: SpanBank) -> np.ndarray:
-    """Q x R minimum over pairings from one GEMM per query source, made in the result.
+def _bank_distances(q_bank: SpanBank, bank: SpanBank) -> np.ndarray:
+    """Q x R minimum over pairings from one product of the two sources, made in the result.
 
     A delta is a linear filter along time, so the dot products of the span-l
     reference member with the span-k query member are the product of the two
     sources, filtered by the span-l delta along its reference axis and by the
-    span-k delta along its query axis. A query ``SpanBank`` is one source with
-    its spans; each member of any other query is a source of its own with the
-    identity filter, written as span 0. The reference source and a query
-    bank's source are centred by their column means, with no centred copy
-    (``_centred_product``): a delta's weights sum to zero, so the result is
-    unchanged in exact arithmetic, and the filters' running sums stay small.
-    The scales are the members' own ``_row_scales``, so rows below
-    ``ZERO_NORM`` still compare at exactly 1.0. ``_filter_product`` writes the
-    best over the rows of the first product, so the result is the only Q x R
-    matrix; later query members' products take one more. The result is
-    within rounding of the direct path, and that rounding grows with the
-    reference length: the largest difference seen was 3.9e-12 at 20-60 frames,
-    the lengths ``FACTORED_BOUND`` (1e-11) in the tests covers, 4.3e-11 at
-    150-200, and 2.6e-10 over 3000 random draws at 400-500, which is not a
-    worst case (see ``LONG_REFERENCE_ERROR`` in the tests). Argmins moved only
-    between near-ties.
+    span-k delta along its query axis. Both sources are centred by their column
+    means, with no centred copy (``_centred_product``): a delta's weights sum to
+    zero, so the result is unchanged in exact arithmetic, and the filters'
+    running sums stay small. The scales are the members' own ``_row_scales``,
+    so rows below ``ZERO_NORM`` still compare at exactly 1.0.
+    ``_filter_product`` writes the best over the rows of the product, so the
+    result is the only Q x R matrix. The result is within rounding of the
+    direct path, and that rounding grows with the reference length: the
+    largest difference seen was 3.9e-12 at 20-60 frames, the lengths
+    ``FACTORED_BOUND`` (1e-11) in the tests covers, 4.3e-11 at 150-200, and
+    2.6e-10 over 3000 random draws at 400-500, which is not a worst case (see
+    ``LONG_REFERENCE_ERROR`` in the tests). Argmins moved only between
+    near-ties.
     """
-    source = bank.source.data
-    mean = source.mean(axis=0)
-    dist = gram = np.empty((_bank_shape(q_members)[0], len(source)))
-    for i, (q, q_mean, q_spans, q_scales) in enumerate(_query_sources(q_members)):
-        if i == 1:
-            gram = np.empty_like(dist)
-        _centred_product(source, mean, q, q_mean, gram.T)
-        q_scales = [scale / span if span else scale for span, scale in zip(q_spans, q_scales)]
-        _filter_product(gram, bank, q_spans, q_scales, dist, fresh=i == 0)
+    source, q = bank.source.data, q_bank.source.data
+    dist = np.empty((len(q), len(source)))
+    _centred_product(source, q, dist.T)
+    q_scales = [scale / span for span, scale in zip(q_bank.spans, q_bank.row_scales)]
+    _filter_product(dist, bank, q_bank.spans, q_scales)
     # 1 - x is monotone, so the largest scaled dot product gives the smallest distance
     np.subtract(1.0, dist, out=dist)
     return np.clip(dist, 0.0, 2.0, out=dist)
 
 
-def _query_sources(q_members: Sequence[DescriptorSeries]):
-    """Yield (source data, column mean, spans, row scales) per query source.
+def _centred_product(source: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Write the R x Q product of the reference and query sources, each centred by its
+    column means, into ``out``, the transposed view of the Q x R result.
 
-    A ``SpanBank`` is its raw source, centred by ``_centred_product``; each member
-    of any other query is its data with no mean and span 0, the identity.
+    Neither centred source is copied whole. The query is centred into one reused
+    buffer ceil(D / R) blocks of rows at a time, so no block is much larger than
+    the product, and at most 256 rows: 8 MiB at D = 4096, about what the
+    filters hold at R = 2000. Blocks are whole 8-row panels: on OpenBLAS that
+    keeps the 2000 x 4096 bench product the same bits as one GEMM of a centred
+    copy (667 rows did not).
     """
-    if isinstance(q_members, SpanBank):
-        data = q_members.source.data
-        yield data, data.mean(axis=0), q_members.spans, q_members.row_scales
-    else:
-        for qs in q_members:
-            yield qs.data, None, (0,), (qs.row_scales,)
-
-
-def _centred_product(
-    source: np.ndarray, mean: np.ndarray, q: np.ndarray, q_mean: np.ndarray | None,
-    out: np.ndarray,
-) -> None:
-    """Write the R x Q product of the centred reference with the query, centred where
-    it has a mean, into ``out``, the transposed view of the Q x R result.
-
-    Neither centred source is copied whole. A query with a mean is centred into
-    one reused buffer ceil(D / R) blocks of rows at a time, so no block is much
-    larger than the product, and at most 256 rows: 8 MiB at D = 4096, about
-    what the filters hold at R = 2000. Blocks are whole 8-row panels: on
-    OpenBLAS that keeps the 2000 x 4096 bench product the same bits as one
-    GEMM of a centred copy (667 rows did not).
-    """
-    step = len(q)
-    if q_mean is not None:
-        step = -(-step // -(-q.shape[1] // len(source)))  # ceil(Q / ceil(D / R))
-        step = min(-(-step // 8) * 8, 256)
-        buf = np.empty((min(step, len(q)), q.shape[1]))
+    mean, q_mean = source.mean(axis=0), q.mean(axis=0)
+    step = -(-len(q) // -(-q.shape[1] // len(source)))  # ceil(Q / ceil(D / R))
+    step = min(-(-step // 8) * 8, 256)
+    buf = np.empty((min(step, len(q)), q.shape[1]))
     for j0 in range(0, len(q), step):
         rows = q[j0 : j0 + step]
-        if q_mean is not None:
-            rows = np.subtract(rows, q_mean, out=buf[: len(rows)])
+        rows = np.subtract(rows, q_mean, out=buf[: len(rows)])
         cols = out[:, j0 : j0 + len(rows)]
         np.matmul(source, rows.T, out=cols)
         cols -= mean @ rows.T
 
 
 def _filter_product(
-    gram: np.ndarray, bank: SpanBank, spans: Sequence[int], scales: Sequence[np.ndarray],
-    best: np.ndarray, fresh: bool,
+    gram: np.ndarray, bank: SpanBank, spans: Sequence[int], scales: Sequence[np.ndarray]
 ) -> None:
-    """Raise ``best`` to each pairing's scaled dot products, filtered from the Q x R
-    product ``gram``, or set it to them when ``fresh``.
+    """Overwrite the Q x R product ``gram`` with the largest of each pairing's scaled
+    dot products filtered from it.
 
     The reference spans' deltas run along the rows (``_reference_deltas``) in
-    lockstep; a query bank's run down them, through ``_running_sums`` padded by
-    its largest span, with each 1/k folded into ``scales``. ``best`` is written
-    ``SEQ_BLOCK_ROWS`` rows at a time, once every stream has read those rows of
-    ``gram``, so it may be ``gram``.
+    lockstep; the query spans' run down them, through ``_running_sums`` padded
+    by the largest query span, with each 1/k folded into ``scales``. A block of
+    ``SEQ_BLOCK_ROWS`` rows of ``gram`` is written once every stream has read
+    those rows.
     """
     pad, width = max(spans), gram.shape[1]
     # scratch that every stream spends before it yields; the query filters use out too
     padded = np.empty((SEQ_BLOCK_ROWS, width + 2 * max(bank.spans)))
     out = np.empty((SEQ_BLOCK_ROWS, width))
     streams = [_reference_deltas(gram, *lr, padded, out) for lr in zip(bank.spans, bank.row_scales)]
-    if pad:
-        rows = (chain.from_iterable(block for _, block in s) for s in streams)
-        streams = [_running_sums(r, pad, pad, 2 * pad, edge=True) for r in rows]
+    rows = (chain.from_iterable(block for _, block in s) for s in streams)
+    streams = [_running_sums(r, pad, pad, 2 * pad, edge=True) for r in rows]
     for blocks in zip(*streams):
         t0, t1 = blocks[0][0], blocks[0][0] + len(blocks[0][1]) - 2 * pad
         for b0 in range(t0, t1, SEQ_BLOCK_ROWS):
             n, j = min(SEQ_BLOCK_ROWS, t1 - b0), b0 - t0 + pad  # j: row b0 in the sums
-            top, o = best[b0 : b0 + n], out[:n]
-            if fresh:
-                top.fill(-np.inf)
+            top, o = gram[b0 : b0 + n], out[:n]
+            top.fill(-np.inf)
             for _, sums in blocks:
                 for span, scale in zip(spans, scales):
-                    if span:
-                        np.subtract(sums[j + span : j + span + n], sums[j : j + n], out=o)
-                        o -= sums[j : j + n]
-                        o += sums[j - span : j - span + n]
-                    np.multiply(o if span else sums[j : j + n], scale[b0 : b0 + n, None], out=o)
+                    np.subtract(sums[j + span : j + span + n], sums[j : j + n], out=o)
+                    o -= sums[j : j + n]
+                    o += sums[j - span : j - span + n]
+                    o *= scale[b0 : b0 + n, None]
                     np.maximum(top, o, out=top)
 
 

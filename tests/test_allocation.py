@@ -16,10 +16,11 @@ which share the tile budget, whether or not it streams the kept rows to a
 distance file, where the whole match would hold two Q x R matrices. Row
 scales hold one block of squares at a time, not a squared copy of the series. A span bank keeps its
 source and its norms and takes them from blocks of rows, never building a
-member. Matching a reference bank holds one Q x R matrix, the result, which
-holds the product and then the best, plus blocks of rows; a query of several
-members adds one product, and a wide query source is centred a block of rows
-at a time, not copied whole. The result is adopted without a copy.
+member. Matching two banks holds one Q x R matrix, the result, which holds
+the product and then the best, plus blocks of rows; a wide query source is
+centred a block of rows at a time, not copied whole. The result is adopted
+without a copy. A query bank over several tiles holds one tile's matrices, one
+slice of its source and the filters' blocks, and builds no member.
 """
 
 import tracemalloc
@@ -30,6 +31,7 @@ import pytest
 import deltadesc.cli
 import deltadesc.matching
 import deltadesc.reduction
+import deltadesc.transform
 
 from deltadesc import (
     VALID_ONLY,
@@ -206,10 +208,9 @@ def test_delta_bank_keeps_its_source_and_the_scales(square_series):
 
 def filter_rows(spans, q_pad):
     """Rows of the span-bank filters, each R wide: per reference span, the query filter's
-    running sums with their 2 * q_pad carried rows (none for member queries) and one
-    block of its delta along the rows; then the shared padded sums and output block."""
-    sums = BOX_BLOCK_ROWS + 2 * q_pad if q_pad else 0
-    return len(spans) * (sums + SEQ_BLOCK_ROWS) + 2 * SEQ_BLOCK_ROWS
+    running sums with their 2 * q_pad carried rows and one block of its delta along the
+    rows; then the shared padded sums and output block."""
+    return len(spans) * (BOX_BLOCK_ROWS + 2 * q_pad + SEQ_BLOCK_ROWS) + 2 * SEQ_BLOCK_ROWS
 
 
 def test_two_span_banks_hold_one_matrix_and_blocks():
@@ -220,15 +221,6 @@ def test_two_span_banks_hold_one_matrix_and_blocks():
     # up to 16000 values (0.016), and the vectors of Q or R entries.
     bound = 1.0 + blocks(filter_rows(rb.spans, 4)) + 0.03
     assert peak_matrices(multi_delta_distance, qb, rb) <= bound
-
-
-def test_member_queries_hold_the_result_and_one_product():
-    rng = np.random.default_rng(6)
-    qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(FRAMES, 16))), (2, 4)) for _ in "qr")
-    # four members, measured 2.085: the second member's product is a temporary, reused by
-    # every later one
-    bound = 2.0 + blocks(filter_rows(rb.spans, 0)) + 0.03
-    assert peak_matrices(multi_delta_distance, list(qb) + list(qb), rb) <= bound
 
 
 def test_a_bank_result_is_adopted_without_a_copy(monkeypatch):
@@ -255,3 +247,24 @@ def test_a_wide_query_bank_is_centred_in_blocks_no_larger_than_the_product():
     # (0.16), the running sums' row views (0.08) and the vectors of R or Q entries.
     peak = peak_matrices(multi_delta_distance, qb, rb) * MATRIX_BYTES / (frames * frames * 8)
     assert peak <= 1.0 + filter_rows(rb.spans, 8) / frames + 0.4
+
+
+def test_a_query_bank_over_several_tiles_holds_one_tile(monkeypatch):
+    rng = np.random.default_rng(10)
+    qb, rb = (delta_bank(DescriptorSeries(rng.normal(size=(FRAMES, 16))), (2, 4)) for _ in "qr")
+    rows, length = 100, 5
+    monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * FRAMES * 8)
+    builds = []
+    monkeypatch.setattr(deltadesc.transform, "delta", lambda *args: builds.append(args))
+    # the bank does not fit one tile, so under seqmatch it shares the budget: two matrices
+    # of rows / 2 kept rows, each widened by seqmatch's halo and by the longest span on
+    # either side
+    tile = rows // 2 + length - 1 + 2 * max(qb.spans)
+    matrices = 2 * tile * FRAMES + 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's counts too
+    # measured 0.296 matrices, where the whole match would hold two Q x R matrices. Tiles of
+    # built members held 0.195 and their members 0.032 more: at D = 16 the query filter's
+    # running sums weigh more than the members. 0.03 covers the tile bank's norms, numpy's
+    # buffers for strided operands and the per-query vectors.
+    bound = (matrices + tile * qb.source.dim) * 8 / MATRIX_BYTES + blocks(filter_rows(rb.spans, 4))
+    assert peak_matrices(deltadesc.cli._match, qb, rb, length) <= bound + 0.03
+    assert builds == []

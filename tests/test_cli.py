@@ -357,7 +357,7 @@ class TestRunCommand:
         oracle = tmp_path / "oracle"
         oracle.mkdir()
         tq, tr = (delta(read_descriptors(p), DeltaConfig(8)) for p in (query, ref))
-        model = pca_fit(deltadesc.cli._pca_fit_series(tq, tr, fit_on), 6)
+        model = pca_fit(tr if fit_on == "ref" else deltadesc.cli._pca_fit_series(tq, tr, fit_on), 6)
         matches = deltadesc.cli._match([pca_transform(model, tq)], [pca_transform(model, tr)], 4)
         deltadesc.cli._score(matches, read_ground_truth(gt, radius=2), None,
                              oracle / "matches.csv", oracle / "pr.csv")
@@ -446,9 +446,7 @@ class TestRunCommand:
         # one span is one delta a side: no bank, and no norms but the members' own
         assert banks.call_count == 0 and scales.call_count == 0
 
-    def test_a_query_over_several_tiles_is_matched_as_members(
-        self, synth_files, tmp_path, monkeypatch
-    ):
+    def test_a_query_over_several_tiles_stays_a_bank(self, synth_files, tmp_path, monkeypatch):
         ref, query, gt = synth_files
         banks = mock.Mock(wraps=delta_bank)
         scales = mock.Mock(wraps=deltadesc.transform._delta_scales)
@@ -458,18 +456,22 @@ class TestRunCommand:
         monkeypatch.setattr(deltadesc.transform, "_delta_scales", scales)
         monkeypatch.setattr(deltadesc.cli, "delta", transformed)
         monkeypatch.setattr(deltadesc.transform, "delta", built)
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 100 * 8 * 300)  # three tiles
+        # six tiles of 50 kept rows: the bank does not fit one tile, so under seqmatch it
+        # shares the budget
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 100 * 8 * 300)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 4, 8, 16, "--seqmatch-length", 4,
             "--radius", 2, "--out-dir", tmp_path / "o",
         ) == 0
-        # the reference alone is a bank and takes its three norms; the query's three
-        # members are built once, before matching, and no bank member is built
-        (call,) = banks.call_args_list
-        assert np.array_equal(call.args[0].data, read_descriptors(ref).data)
-        assert scales.call_count == 3
-        assert transformed.call_count == 3 and built.call_count == 0
+        # each side is one bank of its loaded series, the reference first, and no member
+        # is built: the query's tiles are banks of slices of its source
+        assert len(banks.call_args_list) == 2
+        for call, path in zip(banks.call_args_list, (ref, query)):
+            assert np.array_equal(call.args[0].data, read_descriptors(path).data)
+        assert transformed.call_count == 0 and built.call_count == 0
+        # the three spans' norms of each side, then of each query tile
+        assert scales.call_count == 3 * (2 + 6)
 
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files
@@ -633,12 +635,19 @@ class TestTiledMatch:
         spy = mock.Mock(wraps=deltadesc.series._norm_scales)
         monkeypatch.setattr(deltadesc.series, "_norm_scales", spy)
         monkeypatch.setattr(deltadesc.transform, "_norm_scales", spy)
-        # a bank takes its members' norms when it is built, and keeps them
-        r_members = [ref] if spans is None else delta_bank(ref, spans)
-        deltadesc.cli._match([query], r_members, 3)
-        # one call per reference member, one per query tile of 11 or 12 halo-widened rows
+        # a bank takes its members' norms when it is built, and keeps them; against a
+        # reference bank the query is a bank too, as run makes it
+        if spans is None:
+            q_members, r_members = [query], [ref]
+            tiles = [11, 11, 12, 12, 12]  # one query tile of 11 or 12 halo-widened rows each
+        else:
+            q_members, r_members = delta_bank(query, spans), delta_bank(ref, spans)
+            # per span: the whole query, then each tile, widened by the longest span too
+            tiles = [50, 50] + [15, 20, 20, 20, 15] * 2
+        deltadesc.cli._match(q_members, r_members, 3)
+        # one call per reference member, however many tiles
         sizes = sorted(len(call.args[0]) for call in spy.call_args_list)
-        assert sizes == [11, 11, 12, 12, 12] + [30] * len(r_members)
+        assert sizes == sorted(tiles + [30] * len(r_members))
 
     def test_a_one_row_budget_halved_still_takes_one_row_a_tile(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -679,7 +688,7 @@ class TestTiledMatch:
 
         q_members, r_members = bank(q_count, banks[0]), bank(r_count, banks[1])
         if data.draw(st.booleans(), label="reference as a span bank"):
-            # matched through its Gram matrix when it has two or more spans
+            # against these member queries it is matched member by member too
             r_members = delta_bank(r_members[0], range(1, banks[1] + 1))
         # the oracle: the library's whole Q x R matrix, seqmatch at L = 1 changing no bit
         dense = seq_match(multi_delta_distance(q_members, r_members), length)

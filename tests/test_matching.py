@@ -14,6 +14,7 @@ from deltadesc import (
     DescriptorSeries,
     DistanceMatrix,
     MatchSet,
+    SpanBank,
     cosine_distance,
     delta,
     delta_bank,
@@ -472,33 +473,30 @@ def filter_columns(vals, spans, scales, best, block_rows):
                                np.repeat(block[:, -1:], pad, 1)], axis=1)
         np.cumsum(sums, axis=1, out=sums)
         for span, scale in zip(spans, scales):
-            if span:
-                mid = sums[:, pad : pad + cols]
-                o = np.subtract(sums[:, pad + span : pad + span + cols], mid)
-                o -= mid
-                o += sums[:, pad - span : pad - span + cols]
-                o *= scale
-            else:
-                o = block * scale
+            mid = sums[:, pad : pad + cols]
+            o = np.subtract(sums[:, pad + span : pad + span + cols], mid)
+            o -= mid
+            o += sums[:, pad - span : pad - span + cols]
+            o *= scale
             np.maximum(top, o, out=top)
 
 
-def two_matrix_filters(products, sources, bank, block_rows):
-    """The reference delta down each R x Q product with ``_delta_blocks``, the query filter
+def two_matrix_filters(gram, q_bank, bank, block_rows):
+    """The reference delta down the R x Q product with ``_delta_blocks``, the query filter
     into an R x Q running best, then 1 - x of its transpose: the filters' former oracle."""
-    sims = np.full(products[0].shape, -np.inf)
-    for gram, (_, _, spans, scales) in zip(products, sources):
-        scales = [scale / span if span else scale for span, scale in zip(spans, scales)]
-        for span, r_scale in zip(bank.spans, bank.row_scales):
-            for t0, rows in deltadesc.transform._delta_blocks(gram, span, 0, len(gram)):
-                rows *= r_scale[t0 : t0 + len(rows), None]
-                filter_columns(rows, spans, scales, sims[t0 : t0 + len(rows)], block_rows)
+    sims = np.full(gram.shape, -np.inf)
+    scales = [scale / span for span, scale in zip(q_bank.spans, q_bank.row_scales)]
+    for span, r_scale in zip(bank.spans, bank.row_scales):
+        for t0, rows in deltadesc.transform._delta_blocks(gram, span, 0, len(gram)):
+            rows *= r_scale[t0 : t0 + len(rows), None]
+            filter_columns(rows, q_bank.spans, scales, sims[t0 : t0 + len(rows)], block_rows)
     dist = np.subtract(1.0, sims.T, order="C")
     return np.clip(dist, 0.0, 2.0, out=dist)
 
 
 class TestFactoredBank:
-    """A reference span bank matched through its Gram matrix, against the direct n*m path."""
+    """Two span banks matched through the product of their sources, against the direct n*m
+    path."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -510,13 +508,12 @@ class TestFactoredBank:
         r_spans=st.lists(
             st.one_of(st.integers(2, 8), st.integers(60, 250)), min_size=1, max_size=3, unique=True
         ),
-        query_bank=st.booleans(),
         wide=st.booleans(),
         block_rows=st.sampled_from([1, 3, deltadesc.transform.BOX_BLOCK_ROWS]),
         data=st.data(),
     )
     def test_factored_equals_direct_within_bound(
-        self, q_count, r_count, dim, q_spans, r_spans, query_bank, wide, block_rows, data
+        self, q_count, r_count, dim, q_spans, r_spans, wide, block_rows, data
     ):
         # D in (R, 4R]: a query bank's source is centred in two or more blocks of rows. The
         # worst error seen over 1500 random wide query banks was 7.9e-14.
@@ -526,18 +523,18 @@ class TestFactoredBank:
         rng = np.random.default_rng(seed)
         ref = stationary_walk(rng, r_count, dim, offset=5.0)
         query = stationary_walk(rng, q_count, dim, offset=5.0)
-        # a query bank is filtered through its source too; a list is matched member by member
+        # the query bank is filtered through its source too
         gemms = mock.Mock(wraps=np.matmul)
         with mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", block_rows):
             qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
             with mock.patch.object(deltadesc.matching.np, "matmul", gemms):
-                got = multi_delta_distance(qb if query_bank else list(qb), rb).values
-        # one GEMM per block of centred query rows, one per query member
-        assert gemms.call_count >= (2 if wide and query_bank else 1)
+                got = multi_delta_distance(qb, rb).values
+        # one GEMM per block of centred query rows
+        assert gemms.call_count >= (2 if wide else 1)
         direct = multi_delta_distance(list(qb), list(rb)).values
         np.testing.assert_allclose(got, direct, rtol=0, atol=FACTORED_BOUND)
         # the block size of the streamed running sums changes no bit
-        assert np.array_equal(got, multi_delta_distance(qb if query_bank else list(qb), rb).values)
+        assert np.array_equal(got, multi_delta_distance(qb, rb).values)
 
         # where every pairing has a row below ZERO_NORM, the cell is exactly 1.0
         def dead(members):
@@ -569,39 +566,32 @@ class TestFactoredBank:
         r_spans=st.lists(
             st.one_of(st.integers(1, 8), st.integers(17, 90)), min_size=2, max_size=3, unique=True
         ),
-        query_bank=st.booleans(),
         box_rows=st.sampled_from([1, 3, deltadesc.transform.BOX_BLOCK_ROWS]),
         seq_rows=st.sampled_from([1, 3, deltadesc.matching.SEQ_BLOCK_ROWS]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(q_count=40, r_count=37, dim=3, q_spans=[2, 5, 9], r_spans=[1, 4], query_bank=False,
-             box_rows=3, seq_rows=1, seed=1)
     def test_filters_in_the_result_equal_the_two_matrix_filters(
-        self, q_count, r_count, dim, q_spans, r_spans, query_bank, box_rows, seq_rows, seed
+        self, q_count, r_count, dim, q_spans, r_spans, box_rows, seq_rows, seed
     ):
         rng = np.random.default_rng(seed)
         ref = DescriptorSeries(rng.normal(size=(r_count, dim)) + 3.0)
         qb = delta_bank(DescriptorSeries(rng.normal(size=(q_count, dim)) + 3.0), q_spans)
         rb = delta_bank(ref, r_spans)
-        # a member query has one source per member: its products after the first are made
-        # in a temporary
-        q_members = qb if query_bank else list(qb)
-        # the same products reach both: the GEMM into the result's transposed view may round
+        # the same product reaches both: the GEMM into the result's transposed view may round
         # differently from one into an R x Q array
         products, centred_product = [], deltadesc.matching._centred_product
 
-        def same_product(source, mean, q, q_mean, out):
+        def same_product(source, q, out):
             products.append(np.empty(out.shape))
-            centred_product(source, mean, q, q_mean, products[-1])
+            centred_product(source, q, products[-1])
             out[...] = products[-1]
 
         with mock.patch.object(deltadesc.matching, "_centred_product", same_product), \
                 mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", box_rows), \
                 mock.patch.object(deltadesc.matching, "SEQ_BLOCK_ROWS", seq_rows):
-            got = deltadesc.matching._bank_distances(q_members, rb)
-            sources = list(deltadesc.matching._query_sources(q_members))
-            want = two_matrix_filters(products, sources, rb, seq_rows)
-        assert len(products) == (1 if query_bank else len(q_spans))
+            got = deltadesc.matching._bank_distances(qb, rb)
+            (product,) = products
+            want = two_matrix_filters(product, qb, rb, seq_rows)
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -613,17 +603,16 @@ class TestFactoredBank:
         r_spans=st.lists(
             st.one_of(st.integers(2, 8), st.integers(60, 250)), min_size=1, max_size=3, unique=True
         ),
-        query_bank=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_long_reference_argmins_equal_direct_outside_near_ties(
-        self, q_count, r_count, dim, q_spans, r_spans, query_bank, seed
+        self, q_count, r_count, dim, q_spans, r_spans, seed
     ):
         rng = np.random.default_rng(seed)
         ref = stationary_walk(rng, r_count, dim, offset=5.0)
         query = stationary_walk(rng, q_count, dim, offset=5.0)
         qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
-        got = multi_delta_distance(qb if query_bank else list(qb), rb).values
+        got = multi_delta_distance(qb, rb).values
         direct = multi_delta_distance(list(qb), list(rb)).values
         ranked = np.sort(direct, axis=1)
         clear = ranked[:, 1] - ranked[:, 0] > 2 * LONG_REFERENCE_ERROR
@@ -669,26 +658,23 @@ class TestFactoredBank:
         # the oracle matches deltas of the walks without their offsets: equal in exact
         # arithmetic. No span is 1, whose last edge-replicate delta is exactly zero: the
         # direct path turns that zero into rounding noise above ZERO_NORM at this offset.
+        # A list of query members would take the direct path, whose deltas carry the offset
+        # (ROADMAP item 6), so the query is a bank with an offset of its own.
         rng = np.random.default_rng(5)
         walk = np.cumsum(rng.normal(size=(400, 32)), axis=0) * 0.3
         ref = DescriptorSeries(walk + rng.normal(size=32) * 1000.0)
         oracle_ref = list(delta_bank(DescriptorSeries(walk), (2, 8)))
-        query = [DescriptorSeries(rng.normal(size=(100, 32)))]
-        oracle = multi_delta_distance(query, oracle_ref)
-        got = multi_delta_distance(query, delta_bank(ref, (2, 8)))
-        # centred: 1.2e-11, from the members' own norms; uncentred: 1.1e-10
-        np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=3e-11)
         q_walk = np.cumsum(rng.normal(size=(100, 32)), axis=0) * 0.3
         query = DescriptorSeries(q_walk + rng.normal(size=32) * 1000.0)
         oracle = multi_delta_distance(list(delta_bank(DescriptorSeries(q_walk), (2, 8))), oracle_ref)
         got = multi_delta_distance(delta_bank(query, (2, 8)), delta_bank(ref, (2, 8)))
-        # both sources centred: 1.5e-11, against 5.2e-11 for the direct path
+        # both sources centred: 1.3e-11, against 7.3e-11 for the direct path
         np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=3e-11)
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_a_query_bank_over_several_tiles_equals_one_tile(self, length, monkeypatch):
-        # one tile filters the query source; over several tiles run passes the built
-        # members, which the tiles slice
+        # one tile filters the query source; several tiles each filter a slice of it,
+        # widened by the longest span, and build no member
         rng = np.random.default_rng(13)
         query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
         ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
@@ -700,9 +686,10 @@ class TestFactoredBank:
         # five tiles: with seqmatch the distances and its output share the budget
         shared = 2 if length > 1 else 1
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 16 * 8 * 50)
-        tiled = deltadesc.cli._match(list(query), ref, length)
-        assert spy.call_count == 5 and all(type(c.args[0]) is list for c in spy.call_args_list)
-        assert builds.call_count == 3  # each query member once, no reference member
+        tiled = deltadesc.cli._match(query, ref, length)
+        assert spy.call_count == 5
+        assert all(isinstance(c.args[0], SpanBank) for c in spy.call_args_list)
+        assert builds.call_count == 0
         np.testing.assert_allclose(
             tiled.distances, one_tile.distances, rtol=0, atol=FACTORED_BOUND
         )
@@ -714,8 +701,8 @@ class TestFactoredBank:
         assert np.array_equal(tiled.ref_indices[clear], one_tile.ref_indices[clear])
 
     def test_a_query_bank_keeps_the_whole_tile_budget_under_seqmatch(self, monkeypatch):
-        # member tiles halve the budget under seqmatch; a bank's tiles would build its
-        # members, so a bank that fits the whole budget stays one tile
+        # other tiles halve the budget under seqmatch; splitting a bank that fits the whole
+        # budget costs more than it saves, so such a bank stays one tile
         rng = np.random.default_rng(17)
         query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
         ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
@@ -731,6 +718,40 @@ class TestFactoredBank:
         assert call.args[0] is query and builds.call_count == 0
         assert np.array_equal(got.ref_indices, want.ref_indices)
         assert np.array_equal(got.distances, want.distances)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q_count=st.integers(20, 89),
+        r_count=st.integers(20, 60),
+        dim=st.integers(2, 8),
+        # spans shorter than a tile, and up to twice the longest tile
+        q_spans=st.lists(
+            st.one_of(st.integers(1, 8), st.integers(9, 39)), min_size=1, max_size=3, unique=True
+        ),
+        r_spans=st.lists(st.integers(2, 8), min_size=1, max_size=2, unique=True),
+        length=st.integers(1, 8),
+        rows=st.integers(1, 19),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_tiled_query_bank_equals_the_dense_direct_match(
+        self, q_count, r_count, dim, q_spans, r_spans, length, rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ref = stationary_walk(rng, r_count, dim, offset=5.0)
+        query = stationary_walk(rng, q_count, dim, offset=5.0)
+        qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
+        dense = seq_match(multi_delta_distance(list(qb), list(rb)), length)
+        want = retrieve_best(dense)
+        # tiles of ``rows`` kept rows, unless under seqmatch the bank fits the whole budget
+        shared = 2 if length > 1 else 1
+        with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", shared * rows * 8 * r_count):
+            got = deltadesc.cli._match(qb, rb, length)
+        np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=FACTORED_BOUND)
+        # argmins agree except where the dense best is a near-tie
+        q, ranked = np.arange(q_count), np.sort(dense.values, axis=1)
+        clear = ranked[:, 1] - ranked[:, 0] > 2 * FACTORED_BOUND
+        assert np.array_equal(got.ref_indices[clear], want.ref_indices[clear])
+        assert np.all(dense.values[q, got.ref_indices] - ranked[:, 0] <= 2 * FACTORED_BOUND)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -755,12 +776,15 @@ class TestFactoredBank:
 
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", no_factoring)
         series = DescriptorSeries(np.random.default_rng(11).normal(size=(30, 8)))
-        multi_delta_distance(list(delta_bank(series, (2, 4))), delta_bank(series, (4,)))
+        multi_delta_distance(delta_bank(series, (2, 4)), delta_bank(series, (4,)))
         multi_delta_distance(list(delta_bank(series, (2, 4))), list(delta_bank(series, (2, 4))))
+        # a list of members against a reference bank is matched member by member too
+        multi_delta_distance(list(delta_bank(series, (2, 4))), delta_bank(series, (2, 4)))
+        multi_delta_distance(delta_bank(series, (2, 4)), list(delta_bank(series, (2, 4))))
         monkeypatch.undo()
         spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
-        multi_delta_distance(list(delta_bank(series, (2, 4))), delta_bank(series, (2, 4)))
+        multi_delta_distance(delta_bank(series, (2, 4)), delta_bank(series, (2, 4)))
         assert spy.call_count == 1
 
 

@@ -195,9 +195,11 @@ def _match(
     Tiles slice the query members' data, or a query ``SpanBank``'s source, whose
     slice is widened by its longest span on each side and is a bank of its own:
     each delta of a row in the seqmatch halo then sees the frames the whole
-    series' delta sees, or the series' own edges. The ``out_distances`` file, if
-    named, checks the free disk before the first tile and then takes each
-    tile's kept rows as soon as they exist.
+    series' delta sees, or the series' own edges. A bank's halos, H = L - 1 + 2 *
+    max(spans) rows, come out of a tile budget of B rows while H <= B/2; then
+    it keeps min(B, H) rows, at most doubling the work where H < B. The
+    ``out_distances`` file, if named, checks the free disk before the first
+    tile and then takes each tile's kept rows as soon as they exist.
     """
     length = int(seqmatch_length)
     pairings = len(q_members) * len(r_members)
@@ -209,6 +211,8 @@ def _match(
     rows = max(1, MATCH_TILE_BYTES // (8 * r_count))  # query rows of the whole budget
     if length > 1 and not (bank and q_count <= rows):
         rows = max(1, rows // 2)
+    if bank and q_count > rows:  # the budget less the halos, or as many as them up to it
+        rows = max(rows - 2 * halo - length + 1, min(rows, 2 * halo + length - 1))
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:

@@ -171,7 +171,8 @@ def multi_delta_distance(
     matched by ``_bank_distances`` through one product of the two sources, made
     and filtered in the Q x R result. Anything else, a list of members on
     either side included, takes one GEMM per pairing, which is the factored
-    path's oracle.
+    path's oracle, and builds a reference bank's members and norms on each
+    call: pass ``list(bank)`` once built to match many queries against it.
     """
     if not q_members or not r_members:
         raise ValueError("empty bank")

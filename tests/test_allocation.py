@@ -257,14 +257,15 @@ def test_a_query_bank_over_several_tiles_holds_one_tile(monkeypatch):
     builds = []
     monkeypatch.setattr(deltadesc.transform, "delta", lambda *args: builds.append(args))
     # the bank does not fit one tile, so under seqmatch it shares the budget: two matrices
-    # of rows / 2 kept rows, each widened by seqmatch's halo and by the longest span on
-    # either side
-    tile = rows // 2 + length - 1 + 2 * max(qb.spans)
+    # of rows / 2 rows, whose kept rows are widened by seqmatch's halo and by the longest
+    # span on either side
+    tile = rows // 2
     matrices = 2 * tile * FRAMES + 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's counts too
-    # measured 0.296 matrices, where the whole match would hold two Q x R matrices. Tiles of
-    # built members held 0.195 and their members 0.032 more: at D = 16 the query filter's
-    # running sums weigh more than the members. 0.03 covers the tile bank's norms, numpy's
-    # buffers for strided operands and the per-query vectors.
+    # measured 0.284 matrices, where the whole match would hold two Q x R matrices, and 0.296
+    # with the halos on top of the budget. Tiles of built members held 0.195 and their
+    # members 0.032 more: at D = 16 the query filter's running sums weigh more than the
+    # members. 0.03 covers the tile bank's norms, numpy's buffers for strided operands and
+    # the per-query vectors.
     bound = (matrices + tile * qb.source.dim) * 8 / MATRIX_BYTES + blocks(filter_rows(rb.spans, 4))
     assert peak_matrices(deltadesc.cli._match, qb, rb, length) <= bound + 0.03
     assert builds == []

@@ -457,8 +457,8 @@ class TestRunCommand:
         monkeypatch.setattr(deltadesc.cli, "delta", transformed)
         monkeypatch.setattr(deltadesc.transform, "delta", built)
         # six tiles of 50 kept rows: the bank does not fit one tile, so under seqmatch it
-        # shares the budget
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 100 * 8 * 300)
+        # shares the budget, and each tile's halos, 2 * 16 + 3 rows, come out of its share
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 85 * 8 * 300)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 4, 8, 16, "--seqmatch-length", 4,
@@ -629,8 +629,10 @@ class TestTiledMatch:
         rng = np.random.default_rng(9)
         query = DescriptorSeries(rng.normal(size=(50, 4)))
         ref = DescriptorSeries(rng.normal(size=(30, 4)))
-        # five tiles: at L = 3 the distances and seq_match's output share the budget
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 10 * 8 * 30)
+        # five tiles of 10 kept rows: at L = 3 the distances and seq_match's output share
+        # the budget, and a bank's halos, 2 * 4 + 2 rows, come out of its share
+        halos = 0 if spans is None else 10
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * (10 + halos) * 8 * 30)
         # the zero-norm rule, which every norm pass ends in: a series' or a bank's
         spy = mock.Mock(wraps=deltadesc.series._norm_scales)
         monkeypatch.setattr(deltadesc.series, "_norm_scales", spy)
@@ -648,6 +650,20 @@ class TestTiledMatch:
         # one call per reference member, however many tiles
         sizes = sorted(len(call.args[0]) for call in spy.call_args_list)
         assert sizes == sorted(tiles + [30] * len(r_members))
+
+    @pytest.mark.parametrize("spans, tile", [((2, 8), 40), ((2, 16), 70), ((2, 24), 91)])
+    def test_a_query_bank_tile_takes_its_halos_from_the_budget(self, spans, tile, monkeypatch):
+        rng = np.random.default_rng(14)
+        qb = delta_bank(DescriptorSeries(rng.normal(size=(200, 4))), spans)
+        rb = delta_bank(DescriptorSeries(rng.normal(size=(30, 4))), (2, 4))
+        # 40 rows a tile under seqmatch at L = 4: halos of 2 * 8 + 3 rows leave 21 kept rows.
+        # Halos of 2 * 16 + 3 rows would leave 5, so the tile keeps as many rows as its halos,
+        # 35; halos of 2 * 24 + 3 rows pass the budget, whose 40 rows the tile keeps.
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 40 * 8 * 30)
+        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
+        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
+        deltadesc.cli._match(qb, rb, 4)
+        assert max(len(call.args[0].source.data) for call in spy.call_args_list) == tile
 
     def test_a_one_row_budget_halved_still_takes_one_row_a_tile(self, monkeypatch):
         rng = np.random.default_rng(12)

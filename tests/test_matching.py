@@ -627,20 +627,18 @@ class TestFactoredBank:
         r_spans=st.lists(
             st.one_of(st.integers(1, 8), st.integers(60, 350)), min_size=2, max_size=3, unique=True
         ),
-        query_bank=st.booleans(),
         block_rows=st.sampled_from([1, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_block_size_changes_no_bit_of_a_long_reference(
-        self, r_count, r_spans, query_bank, block_rows, seed
+        self, r_count, r_spans, block_rows, seed
     ):
         rng = np.random.default_rng(seed)
         ref, query = stationary_walk(rng, r_count, 5, 5.0), stationary_walk(rng, 30, 5, 5.0)
         qb = delta_bank(query, (2, 6))
-        q_members = qb if query_bank else list(qb)
-        want = multi_delta_distance(q_members, delta_bank(ref, r_spans)).values
+        want = multi_delta_distance(qb, delta_bank(ref, r_spans)).values
         with mock.patch.object(deltadesc.transform, "BOX_BLOCK_ROWS", block_rows):
-            got = multi_delta_distance(q_members, delta_bank(ref, r_spans)).values
+            got = multi_delta_distance(qb, delta_bank(ref, r_spans)).values
         assert np.array_equal(got, want)
 
     def test_stationary_reference_rows_compare_at_exactly_one(self):
@@ -649,7 +647,7 @@ class TestFactoredBank:
         ref_data[20:60] = ref_data[20]  # spans up to 8 see only this row at t = 27 .. 51
         ref, query = DescriptorSeries(ref_data), DescriptorSeries(rng.normal(size=(50, 6)))
         rb = delta_bank(ref, (1, 4, 8))
-        got = multi_delta_distance(list(delta_bank(query, (2, 4))), rb).values
+        got = multi_delta_distance(delta_bank(query, (2, 4)), rb).values
         assert all(np.linalg.norm(m.data[27:52], axis=1).max() < 1e-12 for m in rb)
         assert np.all(got[:, 27:52] == 1.0)
         assert np.all(got[:, :19] != 1.0)
@@ -683,11 +681,13 @@ class TestFactoredBank:
         monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
         builds = mock.Mock(wraps=deltadesc.transform.delta)
         monkeypatch.setattr(deltadesc.transform, "delta", builds)
-        # five tiles: with seqmatch the distances and its output share the budget
+        # tiles of 30 rows: with seqmatch the distances and its output share the budget. The
+        # halos, 2 * 8 + length - 1 rows, take more than half of a tile, so each tile keeps
+        # as many rows as its halos: five tiles at L = 1, four at L = 5
         shared = 2 if length > 1 else 1
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 16 * 8 * 50)
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 30 * 8 * 50)
         tiled = deltadesc.cli._match(query, ref, length)
-        assert spy.call_count == 5
+        assert spy.call_count == (5 if length == 1 else 4)
         assert all(isinstance(c.args[0], SpanBank) for c in spy.call_args_list)
         assert builds.call_count == 0
         np.testing.assert_allclose(
@@ -730,7 +730,8 @@ class TestFactoredBank:
         ),
         r_spans=st.lists(st.integers(2, 8), min_size=1, max_size=2, unique=True),
         length=st.integers(1, 8),
-        rows=st.integers(1, 19),
+        # budgets whose halos take part of it, more than half of it, or all of it
+        rows=st.integers(1, 99),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_a_tiled_query_bank_equals_the_dense_direct_match(
@@ -742,7 +743,7 @@ class TestFactoredBank:
         qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
         dense = seq_match(multi_delta_distance(list(qb), list(rb)), length)
         want = retrieve_best(dense)
-        # tiles of ``rows`` kept rows, unless under seqmatch the bank fits the whole budget
+        # a budget of ``rows`` rows a tile, unless under seqmatch the bank fits the whole budget
         shared = 2 if length > 1 else 1
         with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", shared * rows * 8 * r_count):
             got = deltadesc.cli._match(qb, rb, length)
@@ -766,8 +767,8 @@ class TestFactoredBank:
         query = stationary_walk(rng, 30, 5, offset=5.0)
         q_order = data.draw(st.permutations(q_spans))
         r_order = data.draw(st.permutations(r_spans))
-        want = multi_delta_distance(list(delta_bank(query, q_spans)), delta_bank(ref, r_spans))
-        got = multi_delta_distance(list(delta_bank(query, q_order)), delta_bank(ref, r_order))
+        want = multi_delta_distance(delta_bank(query, q_spans), delta_bank(ref, r_spans))
+        got = multi_delta_distance(delta_bank(query, q_order), delta_bank(ref, r_order))
         assert np.array_equal(got.values, want.values)
 
     def test_singletons_and_lists_take_the_direct_path(self, monkeypatch):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -292,47 +292,42 @@ def run_pipeline(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each side is transformed once, the reference first. Under a model fitted on the
-    # reference alone, a query file whose header io reads alone is read once the reference
-    # is projected, so neither the query nor its delta is resident during the fit. Any other
-    # query (a CSV table, a pipe) is read here, before the loaded reference is released:
-    # reading one side at a time raised long-route's peak RSS from 129 to 143 MiB.
+    # One order for every run: load the reference and open the query, whose header the checks
+    # read; transform the reference, and fit and project it under a reference fit; then read
+    # the query's payload. The loaded reference goes before a fit, else once the query's
+    # payload exists: released before that read, it raised long-route from 129 to 143 MiB.
     ref_fit = cfg.pca_k is not None and cfg.pca_fit_on in (None, "ref")
-    with _stage("load"):
-        ref = ddio.read_descriptors(cfg.ref_path)
-        shape = ddio.read_descriptor_shape(cfg.query_path) if ref_fit else None
-        query = None if shape else ddio.read_descriptors(cfg.query_path)
-        q_count, q_dim = shape or query.data.shape
-        if q_dim != ref.dim:
-            raise ddio.DataError(f"{cfg.query_path}: {q_dim} dimensions, the reference has {ref.dim}")
-        gt = ref_positions = None
-        if cfg.gt_path:
-            gt = ddio.read_ground_truth(cfg.gt_path, radius_mode=cfg.radius_mode, radius=cfg.radius)
-            _check_ground_truth(gt, cfg.gt_path, q_count, ref.frame_count)
-        if cfg.positions_path:
-            ref_positions = ddio.read_positions(cfg.positions_path)
-            if len(ref_positions) != ref.frame_count:
-                raise ddio.DataError(
-                    f"{cfg.positions_path}: {len(ref_positions)} positions for "
-                    f"{ref.frame_count} reference frames"
-                )
-
     # the one place that orders a span bank: distinct spans, shortest first
     spans = sorted({int(s) for s in cfg.spans or ()})
     # Both sides are span banks, each its source and no member, where multi_delta_distance
-    # matches them through their sources: two or more spans without PCA. The members
-    # replace each loaded series, which is released once they exist.
+    # matches them through their sources: two or more spans without PCA.
     bank = cfg.transform == "multi-delta" and len(spans) > 1 and cfg.pca_k is None
-    with _stage("transform"):
-        # frame-aligned members; valid-only restricts scoring to the unpadded queries
-        scored = delta_valid_range(q_count, cfg.window) if cfg.padding == VALID_ONLY else None
-        r_members = _transform_members(ref, cfg.transform, cfg.window, spans, bank)
-        del ref
-    with _stage("pca"):
-        models = [pca_fit(r, cfg.pca_k) for r in r_members] if ref_fit else []
-        _project(models, r_members)
-    with _stage("load"):
-        query = ddio.read_descriptors(cfg.query_path) if query is None else query
+    with ExitStack() as stack:  # closes the query on every exit path
+        with _stage("load"):
+            ref = ddio.read_descriptors(cfg.ref_path)
+            (q_count, q_dim), q_read = stack.enter_context(ddio.open_descriptors(cfg.query_path))
+            if q_dim != ref.dim:
+                raise ddio.DataError(f"{cfg.query_path}: {q_dim} dimensions, "
+                                     f"the reference has {ref.dim}")
+            gt = ref_positions = None
+            if cfg.gt_path:
+                gt = ddio.read_ground_truth(cfg.gt_path, cfg.radius_mode, cfg.radius)
+                _check_ground_truth(gt, cfg.gt_path, q_count, ref.frame_count)
+            if cfg.positions_path:
+                ref_positions = ddio.read_positions(cfg.positions_path)
+                if len(ref_positions) != ref.frame_count:
+                    raise ddio.DataError(f"{cfg.positions_path}: {len(ref_positions)} positions "
+                                         f"for {ref.frame_count} reference frames")
+        with _stage("transform"):
+            # frame-aligned members; valid-only restricts scoring to the unpadded queries
+            scored = delta_valid_range(q_count, cfg.window) if cfg.padding == VALID_ONLY else None
+            r_members = _transform_members(ref, cfg.transform, cfg.window, spans, bank)
+        with _stage("pca"):
+            ref = None if ref_fit else ref
+            models = [pca_fit(r, cfg.pca_k) for r in r_members] if ref_fit else []
+            _project(models, r_members)
+        with _stage("load"):
+            query, ref = q_read(), None
     with _stage("transform"):
         q_members = _transform_members(query, cfg.transform, cfg.window, spans, bank)
         del query

@@ -16,12 +16,12 @@ explained variances. Blocks are read and written CHUNK_BYTES of the file at a
 time, straight between the stream and the float64 matrix, so neither side
 holds a copy of the payload, and a distance file takes rows as they come. A
 short or overlong file is found by reading to its end, so a pipe works as well
-as a regular file. ``read_descriptor_shape`` reads a regular file's header
-alone, with the same checks, so a caller can check a series' shape before it
-reads the payload; a CSV table or a pipe (a FIFO, ``/dev/fd/N``) cannot give
-its shape unconsumed and gives None. A CSV table is a header row, optional for
-descriptor input (any path ending in ``.csv``), then a comma-separated row per
-item; one without rows is a DataError naming the file.
+as a regular file. ``open_descriptors`` opens a file once and checks its header
+on entry, so a caller can check a series' shape, a pipe's (``/dev/fd/N``) too,
+before it reads the payload from the same handle. A CSV table, parsed whole on
+entry, is a header row, optional for descriptor input (any path ending in
+``.csv``), then a comma-separated row per item; one without rows is a
+DataError naming the file.
 Tables are written with LF endings and shortest-roundtrip floats, so identical
 runs produce byte-identical files.
 """
@@ -117,9 +117,9 @@ def _read_header(fh: BinaryIO, where: str) -> tuple[int, int, np.dtype]:
     return t_count, dim, _DTYPE_CODES[code]
 
 
-def _read_block(fh: BinaryIO, where: str) -> np.ndarray:
-    """Read one container block into a new float64 matrix, CHUNK_BYTES of the file at a time."""
-    t_count, dim, dtype = _read_header(fh, where)
+def _read_block(fh: BinaryIO, where: str, header: Optional[tuple] = None) -> np.ndarray:
+    """One block, or the payload after its read ``header``, as float64, CHUNK_BYTES at a time."""
+    t_count, dim, dtype = header or _read_header(fh, where)
     payload = t_count * dim * dtype.itemsize
 
     def truncated(got: int) -> DataError:
@@ -165,25 +165,34 @@ def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "fl
         _block_writer(fh, *series.data.shape, _CODE_FOR_NAME[dtype])(series.data)
 
 
-def read_descriptors(path: PathLike) -> DescriptorSeries:
-    """Read a descriptor series from the binary container or from CSV."""
+@contextmanager
+def open_descriptors(path: PathLike) -> Iterator[tuple[tuple[int, int], Callable]]:
+    """Open a descriptor file once; yield its (T, D), read and checked on entry, and a function
+    that reads its series from the same handle. A CSV table is parsed and checked on entry."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         values = _load_csv(path, "CSV matrix", np.float64, optional_header=True)
-    else:
-        (values,) = _read_blocks(path, 1, "payload")
-    with _data_errors(path):
-        return DescriptorSeries(values)
-
-
-def read_descriptor_shape(path: PathLike) -> Optional[tuple[int, int]]:
-    """(T, D) of a container file from its header alone; None for a CSV table or a pipe."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv" or not path.is_file():
-        return None
+        with _data_errors(path):
+            series = DescriptorSeries(values)
+        yield series.data.shape, [series].pop  # hands the series over once, keeping none
+        return
     with open(path, "rb") as fh:
-        t_count, dim, _ = _read_header(fh, str(path))
-    return t_count, dim
+        header = _read_header(fh, str(path))
+
+        def read() -> DescriptorSeries:
+            values = _read_block(fh, str(path), header)
+            if trailing := _bytes_left(fh):
+                raise DataError(f"{path}: {trailing} trailing bytes after payload")
+            with _data_errors(path):
+                return DescriptorSeries(values)
+
+        yield header[:2], read
+
+
+def read_descriptors(path: PathLike) -> DescriptorSeries:
+    """Read a descriptor series from the binary container or from CSV."""
+    with open_descriptors(path) as (_, read):
+        return read()
 
 
 def read_positions(path: PathLike) -> np.ndarray:

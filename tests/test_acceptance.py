@@ -302,3 +302,43 @@ def test_criterion_11_span_bank_robust_to_velocity_change():
     assert elapsed < 30.0, f"velocity scenario took {elapsed:.1f}s, budget 30s"
     report(11, f"span bank {VELOCITY_BANK} beats every single span under a velocity "
                f"change: {'; '.join(lines)} in {elapsed:.1f}s")
+
+
+# frozen from the first oracle run of the criterion-15 scenario, per seed: max F1 of
+# raw + seqmatch 16 and of delta 8, each without the warp and with it
+FROZEN_CAMERA_MOTION_MAX_F1 = {
+    1: (0.9692849949647533, 0.7754172989377845, 1.0, 0.9765),
+    2: (0.9375, 0.728732747804266, 1.0, 0.9745),
+    7: (0.973, 0.774, 1.0, 0.978),
+}
+
+
+def test_criterion_15_delta_robust_to_camera_motion():
+    # the paper's claim against sequential filtering, which assumes the query's speed:
+    # criterion 11's velocity change costs raw + seqmatch 16 far more F1 than delta 8
+    start = time.perf_counter()
+    lines = []
+    for seed, frozen in FROZEN_CAMERA_MOTION_MAX_F1.items():
+        f1 = []
+        for warp in (None, VELOCITY_WARP):
+            params = dd.SynthParams(
+                frames=2000, dims=128, latent_smooth_window=20, offset_scale=0.25,
+                noise_scale=0.5, warp=warp, seed=seed,
+            )
+            ref, query, gt = dd.generate_traverse_pair(params)
+            gt = replace(gt, radius=2.0)
+            cfg = dd.DeltaConfig(8)
+            f1 += [max_f1_of(query, ref, gt, seqmatch=16),
+                   max_f1_of(dd.delta(query, cfg), dd.delta(ref, cfg), gt)]
+        seq_still, delta_still, seq_warped, delta_warped = f1
+        assert delta_warped > seq_warped, f"seed {seed}: delta {delta_warped} vs {seq_warped}"
+        seq_loss, delta_loss = seq_still - seq_warped, delta_still - delta_warped
+        assert delta_loss <= seq_loss / 4, f"seed {seed}: losses {delta_loss} vs {seq_loss}"
+        got = (seq_still, seq_warped, delta_still, delta_warped)
+        assert got == pytest.approx(frozen, abs=REGRESSION_TOL)
+        lines.append(f"seed {seed} raw+seq16 {seq_still:.3f}->{seq_warped:.3f}, "
+                     f"delta8 {delta_still:.3f}->{delta_warped:.3f}")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0, f"camera-motion scenario took {elapsed:.1f}s, budget 30s"
+    report(15, f"delta 8 loses at most a quarter of raw + seqmatch 16's F1 under a velocity "
+               f"change: {'; '.join(lines)} in {elapsed:.1f}s")

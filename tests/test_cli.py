@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 import weakref
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +47,46 @@ from deltadesc.cli import main
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def watch_reads(monkeypatch, on_read=lambda name: None):
+    """(file name, weakref) of each series read through ``io.open_descriptors``, in read
+    order; ``on_read`` is called with the file name just before each read."""
+    loaded, opener = [], deltadesc.io.open_descriptors
+
+    @contextmanager
+    def open_and_watch(path):
+        with opener(path) as (shape, read):
+
+            def read_and_watch():
+                on_read(Path(path).name)
+                series = read()
+                loaded.append((Path(path).name, weakref.ref(series)))
+                return series
+
+            yield shape, read_and_watch
+
+    monkeypatch.setattr(deltadesc.io, "open_descriptors", open_and_watch)
+    return loaded
+
+
+@contextmanager
+def piped(path):
+    """``path``'s bytes as ``/dev/fd/N``, the read end of an os.pipe fed by a thread."""
+    r, w = os.pipe()
+
+    def feed():
+        with suppress(BrokenPipeError), open(w, "wb") as fh:
+            fh.write(Path(path).read_bytes())
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)  # a feeder the run never drained gets a broken pipe
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
 
 
 @pytest.fixture()
@@ -263,30 +303,28 @@ class TestRunCommand:
             expected_mean = delta(ref_series, DeltaConfig(span)).data.mean(axis=0)
             np.testing.assert_allclose(model.mean, expected_mean, atol=1e-12)
 
-    def test_loaded_series_are_released_before_pca(self, synth_files, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_loaded_series_are_released_before_pca(
+        self, synth_files, tmp_path, monkeypatch, source
+    ):
         ref, query, gt = synth_files
-        loaded, alive_at_pca = [], []
-        read, fit = deltadesc.io.read_descriptors, deltadesc.cli.pca_fit
-
-        def read_and_watch(path):
-            series = read(path)
-            loaded.append((Path(path).name, weakref.ref(series)))
-            return series
+        alive_at_pca, fit = [], deltadesc.cli.pca_fit
+        loaded = watch_reads(monkeypatch)
 
         def fit_and_check(*args, **kwargs):
             alive_at_pca.append([(name, w() is not None) for name, w in loaded])
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
         monkeypatch.setattr(deltadesc.cli, "pca_fit", fit_and_check)
-        assert run_cli(
-            "run", "--ref", ref, "--query", query, "--gt", gt,
-            "--transform", "delta", "--window", 8, "--pca-k", 6, "--out-dir", tmp_path / "o",
-        ) == 0
-        # fitted on the reference: the query is not yet read when the model is fitted,
-        # and the reference's loaded series is already gone
+        with piped(query) if source == "pipe" else nullcontext(query) as query_path:
+            assert run_cli(
+                "run", "--ref", ref, "--query", query_path, "--gt", gt, "--transform", "delta",
+                "--window", 8, "--pca-k", 6, "--out-dir", tmp_path / "o",
+            ) == 0
+        # fitted on the reference: the query, from a file or a pipe alike, is not yet read
+        # when the model is fitted, and the reference's loaded series is already gone
         assert alive_at_pca == [[("ref.dvpr", False)]]
-        assert [name for name, _ in loaded] == ["ref.dvpr", "query.dvpr"]
+        assert [name for name, _ in loaded] == ["ref.dvpr", Path(query_path).name]
 
     def test_a_csv_query_is_parsed_once_under_a_reference_fit(
         self, synth_files, tmp_path, monkeypatch
@@ -312,38 +350,40 @@ class TestRunCommand:
             assert got.read_bytes() == want.read_bytes(), name
 
     def test_a_fifo_query_under_a_reference_fit_finishes(self, synth_files, tmp_path):
-        # a named pipe cannot give its header without being consumed, so it is read whole
-        # at load; a second open would wait for a writer that never comes
+        # a named pipe is opened once: its header is read at load and its payload, from the
+        # same handle, once the reference is done, with a reference fit or without one; a
+        # second open would wait for a writer that never comes
         ref, query, gt = synth_files
         fifo = tmp_path / "query.fifo"
         os.mkfifo(fifo)
-        args = ("--ref", ref, "--gt", gt, "--transform", "delta", "--window", 8,
-                "--seqmatch-length", 4, "--pca-k", 6, "--radius", 2)
-        assert run_cli("run", "--query", query, *args, "--out-dir", tmp_path / "file") == 0
-
-        def write():
-            with suppress(BrokenPipeError), open(fifo, "wb") as fh:
-                fh.write(query.read_bytes())
-
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
         env = {**os.environ, "PYTHONPATH": str(Path(deltadesc.cli.__file__).parents[1])}
-        try:
-            out = subprocess.run(
-                [sys.executable, "-m", "deltadesc", "run", "--query", str(fifo),
-                 *map(str, args), "--out-dir", str(tmp_path / "fifo")],
-                env=env, capture_output=True, text=True, timeout=60,
-            )
-        finally:
-            writer.join(timeout=10)
-            if writer.is_alive():  # the run never opened the pipe: release the writer
-                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        args = ("--ref", ref, "--gt", gt, "--transform", "delta", "--window", 8,
+                "--seqmatch-length", 4, "--radius", 2)
+        for pca, names in [(("--pca-k", 6), ("pca_model.bin",)), ((), ())]:
+            file_dir, fifo_dir = tmp_path / f"file{len(pca)}", tmp_path / f"fifo{len(pca)}"
+            assert run_cli("run", "--query", query, *args, *pca, "--out-dir", file_dir) == 0
+
+            def write():
+                with suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                    fh.write(query.read_bytes())
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            try:
+                out = subprocess.run(
+                    [sys.executable, "-m", "deltadesc", "run", "--query", str(fifo),
+                     *map(str, args + pca), "--out-dir", str(fifo_dir)],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+            finally:
                 writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert (out.returncode, out.stderr) == (0, "")
-        for name in ("matches.csv", "pr.csv", "summary.json", "pca_model.bin"):
-            got, want = (tmp_path / d / name for d in ("fifo", "file"))
-            assert got.read_bytes() == want.read_bytes(), name
+                if writer.is_alive():  # the run never opened the pipe: release the writer
+                    os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                    writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert (out.returncode, out.stderr) == (0, "")
+            for name in ("matches.csv", "pr.csv", "summary.json", *names):
+                assert (fifo_dir / name).read_bytes() == (file_dir / name).read_bytes(), name
 
     @pytest.mark.parametrize("fit_on", ["ref", "query", "both"])
     def test_pca_fit_sources_write_the_library_oracle_bytes(self, synth_files, tmp_path, fit_on):
@@ -369,38 +409,57 @@ class TestRunCommand:
         self, synth_files, tmp_path, monkeypatch
     ):
         ref, query, gt = synth_files
-        loaded, alive_at_delta = [], []
-        read, transform = deltadesc.io.read_descriptors, deltadesc.cli.delta
-
-        def read_and_watch(path):
-            series = read(path)
-            loaded.append(weakref.ref(series))
-            return series
+        alive_at_delta, transform = [], deltadesc.cli.delta
+        loaded = watch_reads(monkeypatch)
 
         def delta_and_check(*args, **kwargs):
-            alive_at_delta.append([w() is not None for w in loaded])
+            alive_at_delta.append([w() is not None for _, w in loaded])
             return transform(*args, **kwargs)
 
-        monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
         monkeypatch.setattr(deltadesc.cli, "delta", delta_and_check)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "delta", "--window", 8, "--out-dir", tmp_path / "o",
         ) == 0
-        # both files are read up front; the reference is transformed first, and the query
+        # the reference is transformed before the query's payload is read, and the query
         # second, once the reference's loaded series is gone
-        assert alive_at_delta == [[True, True], [False, True]]
+        assert alive_at_delta == [[True], [False, True]]
+
+    def test_the_query_is_read_after_the_reference_is_transformed(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        # one order with or without a fit: the query's payload is read once the reference is
+        # transformed, while the loaded reference is alive; it goes before the query's
+        # transform. Released before that read, it raised long-route's peak RSS 129 -> 143 MiB
+        ref, query, gt = synth_files
+        events, transform = [], deltadesc.cli.delta
+
+        def alive():
+            return [(name, w() is not None) for name, w in loaded]
+
+        loaded = watch_reads(monkeypatch, lambda name: events.append(("read", name, alive())))
+
+        def delta_and_check(*args, **kwargs):
+            events.append(("delta", alive()))
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(deltadesc.cli, "delta", delta_and_check)
+        assert run_cli(
+            "run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
+            "--window", 8, "--seqmatch-length", 4, "--out-dir", tmp_path / "o",
+        ) == 0
+        assert events == [
+            ("read", "ref.dvpr", []),
+            ("delta", [("ref.dvpr", True)]),
+            ("read", "query.dvpr", [("ref.dvpr", True)]),
+            ("delta", [("ref.dvpr", False), ("query.dvpr", True)]),
+        ]
 
     def test_each_bank_keeps_its_source_and_no_member(self, synth_files, tmp_path, monkeypatch):
         ref, query, gt = synth_files
-        loaded, members, alive_at_match = [], [], []
-        read, build = deltadesc.io.read_descriptors, deltadesc.transform.delta
-        match = deltadesc.cli.multi_delta_distance
-
-        def read_and_watch(path):
-            series = read(path)
-            loaded.append(weakref.ref(series))
-            return series
+        members, alive_at_match = [], []
+        build, match = deltadesc.transform.delta, deltadesc.cli.multi_delta_distance
+        loaded = watch_reads(monkeypatch)
 
         def build_and_watch(*args):
             member = build(*args)
@@ -408,12 +467,12 @@ class TestRunCommand:
             return member
 
         def match_and_check(q_members, r_members):
-            alive_at_match.append([w() is not None for w in loaded + members])
+            (_, ref_read), (_, query_read) = loaded
+            alive_at_match.append([w() is not None for w in (ref_read, query_read, *members)])
             assert isinstance(q_members, SpanBank) and isinstance(r_members, SpanBank)
-            assert q_members.source is loaded[1]() and r_members.source is loaded[0]()
+            assert q_members.source is query_read() and r_members.source is ref_read()
             return match(q_members, r_members)
 
-        monkeypatch.setattr(deltadesc.io, "read_descriptors", read_and_watch)
         monkeypatch.setattr(deltadesc.transform, "delta", build_and_watch)
         monkeypatch.setattr(deltadesc.cli, "multi_delta_distance", match_and_check)
         assert run_cli(
@@ -900,7 +959,7 @@ class TestExitCodes:
     def test_query_of_another_dimension_is_data_error_before_transform(
         self, synth_files, tmp_path, capsys, monkeypatch, pca
     ):
-        # without a reference fit the loaded query gives its D; under one, its header does
+        # with a reference fit or without one, the query's header gives its D at load
         ref, query, gt = synth_files
         narrow = tmp_path / "narrow.dvpr"
         write_descriptors(narrow, DescriptorSeries(read_descriptors(query).data[:, :8]))

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import threading
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -133,29 +134,49 @@ class TestBinaryErrors:
 
 
 class TestDescriptorShape:
+    """``open_descriptors``: the shape on entry, then the series from the same handle."""
+
     def test_container_shape_comes_from_the_header_alone(self, tmp_path):
         path = tmp_path / "head.dvpr"
         write_descriptors(path, DescriptorSeries(np.ones((7, 3))))
-        path.write_bytes(path.read_bytes()[:28])  # the payload is never read
-        assert deltadesc.io.read_descriptor_shape(path) == (7, 3)
+        path.write_bytes(path.read_bytes()[:28])  # no payload: entry never reads one
+        with deltadesc.io.open_descriptors(path) as (shape, read):
+            assert shape == (7, 3)
+            with pytest.raises(DataError, match="truncated payload, expected 84 bytes, got 0"):
+                read()
 
-    def test_csv_table_gives_no_shape(self, tmp_path):
-        # a table has no header to read alone, so the caller reads it whole
+    def test_csv_table_is_parsed_and_checked_on_entry(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("d0,d1\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        assert deltadesc.io.read_descriptor_shape(path) is None
+        with deltadesc.io.open_descriptors(path) as (shape, read):
+            assert shape == (3, 2)
+            path.unlink()  # parsed whole on entry, so the file is not read again
+            np.testing.assert_array_equal(read().data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        bad = tmp_path / "nan.csv"
+        bad.write_text("1.0,2.0\n3.0,nan\n")
+        with pytest.raises(DataError, match="nan.csv: .*row 1, column 1"):
+            with deltadesc.io.open_descriptors(bad):
+                pytest.fail("a non-finite table was opened")
 
-    def test_a_pipe_gives_no_shape_and_is_left_unread(self):
-        # a pipe's header cannot be read without consuming it, so the caller reads it whole
-        data = np.arange(6.0).reshape(3, 2)
+    def test_a_pipe_gives_its_shape_then_its_payload_from_one_open(self):
+        # 160 kB, more than a pipe holds: the feeder blocks until the payload is read
+        data = np.random.default_rng(3).normal(size=(200, 100))
         r, w = os.pipe()
-        os.write(w, struct.pack("<4sIQQI", b"DVPR", 1, 3, 2, 2) + data.tobytes())  # 76 bytes
-        os.close(w)
+
+        def feed():
+            with open(w, "wb") as fh:
+                fh.write(struct.pack("<4sIQQI", b"DVPR", 1, 200, 100, 2) + data.tobytes())
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
         try:
-            assert deltadesc.io.read_descriptor_shape(f"/dev/fd/{r}") is None
-            np.testing.assert_array_equal(read_descriptors(f"/dev/fd/{r}").data, data)
+            with deltadesc.io.open_descriptors(f"/dev/fd/{r}") as (shape, read):
+                assert shape == (200, 100)
+                assert read().data.tobytes() == data.tobytes()
         finally:
+            feeder.join(timeout=30)
             os.close(r)
+        assert not feeder.is_alive()
 
     @pytest.mark.parametrize("head, message", [
         (b"NOPE" + bytes(24), "bad magic"),
@@ -166,7 +187,28 @@ class TestDescriptorShape:
         path = tmp_path / "bad.dvpr"
         path.write_bytes(head)
         with pytest.raises(DataError, match=message):
-            deltadesc.io.read_descriptor_shape(path)
+            with deltadesc.io.open_descriptors(path):
+                pytest.fail("a bad header was opened")
+
+    @pytest.mark.parametrize("exit_by", ["unread", "read", "raise"])
+    def test_the_handle_is_closed_on_exit(self, tmp_path, monkeypatch, exit_by):
+        path = tmp_path / "series.dvpr"
+        write_descriptors(path, DescriptorSeries(np.ones((4, 2))))
+        handles = []
+
+        def open_and_keep(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(deltadesc.io, "open", open_and_keep, raising=False)
+        with pytest.raises(RuntimeError) if exit_by == "raise" else nullcontext():
+            with deltadesc.io.open_descriptors(path) as (_, read):
+                assert len(handles) == 1 and not handles[0].closed
+                if exit_by == "read":
+                    np.testing.assert_array_equal(read().data, np.ones((4, 2)))
+                if exit_by == "raise":
+                    raise RuntimeError("the caller failed")
+        assert len(handles) == 1 and handles[0].closed
 
 
 class TestCsvDescriptors:

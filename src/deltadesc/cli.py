@@ -3,12 +3,17 @@
 One subcommand per procedure: ``synth``, ``transform``, ``match``,
 ``calibrate``, ``evaluate``, ``rank-dims``, ``shuffle``, plus ``run`` which
 chains transform -> (PCA) -> query tiles of distances -> (seqmatch) ->
-retrieve -> evaluate in a single invocation. Staged invocations with float64
-intermediate files reproduce the single-invocation outputs byte for byte,
-except for span banks of two or more spans without PCA: ``run`` keeps both
-sides as their series and spans, matches them through products of the two
-series, and tiles a long query by slices of its series, so the distances
-agree only within rounding.
+retrieve -> evaluate in a single invocation. ``run`` and ``match`` read the
+query from its file as its tiles are matched: its rows go through the
+transform and any reference-fitted projection into the tiles, so neither holds
+a Q x D array. ``run`` reads the query whole only where the whole is needed: a
+query span bank, matched through its whole source, and a PCA fit on the query
+or on both sides. A CSV query is parsed whole when it is opened. Staged
+invocations with float64 intermediate files reproduce the single-invocation
+outputs byte for byte, except for span banks of two or more spans without
+PCA: ``run`` keeps both sides as their series and spans, matches them through
+products of the two series, and tiles a long query by slices of its series, so
+the distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error or out of memory, 3 data error.
 """
@@ -17,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, fields
+from itertools import chain, islice, tee
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,11 +37,11 @@ from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision
 from .evaluation import median_pair_products, rank_dimensions
 from .matching import MatchSet, _bank_shape
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
-from .reduction import PcaModel, pca_fit, pca_transform
+from .reduction import PcaModel, pca_fit, pca_transform, project_rows
 from .series import DescriptorSeries, GroundTruth, _check_radius, _seal, apply_permutation
 from .synth import SynthParams, generate_traverse_pair
 from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, SpanBank, delta, delta_bank
-from .transform import delta_valid_range, smooth
+from .transform import _smooth_blocks, delta_rows, delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
@@ -47,13 +54,25 @@ MATCH_TILE_BYTES = 32 * 2**20
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise stage failures with the stage name so the CLI diagnostic names it."""
+    """Re-raise stage failures with the stage name so the CLI diagnostic names it. A failure
+    that a stage has named keeps its one name: a query's late read fault, raised where the
+    match stage asks for its rows, stays a ``[load]`` fault."""
     try:
         yield
-    except (ValueError, ddio.DataError, OSError) as exc:
-        raise type(exc)(f"[{name}] {exc}") from exc
-    except MemoryError as exc:  # numpy's _ArrayMemoryError is not built from a message
-        raise MemoryError(f"[{name}] {exc}") from exc
+    except (ValueError, ddio.DataError, OSError, MemoryError) as exc:
+        if hasattr(exc, "stage"):
+            raise
+        # numpy's _ArrayMemoryError is not built from a message
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        named = kind(f"[{name}] {exc}")
+        named.stage = name
+        raise named from exc
+
+
+def _staged(rows: Iterable, name: str) -> Iterator:
+    """``rows``, with any failure while they are made named by stage ``name``."""
+    with _stage(name):
+        yield from rows
 
 
 def _check_transform_flags(transform: str, window, spans, padding: str) -> None:
@@ -158,6 +177,45 @@ def _transform_members(
     return [series]
 
 
+class QueryRows(NamedTuple):
+    """A query that ``_match`` reads as it matches: its frame count, each member's dimension,
+    and its frames in order, each a tuple of the members' rows, valid until the next frame
+    is asked for."""
+
+    count: int
+    dims: tuple[int, ...]
+    frames: Iterator[tuple[np.ndarray, ...]]
+
+
+def _query_rows(
+    blocks: Iterator[np.ndarray],
+    shape: tuple[int, int],
+    transform: str,
+    window: Optional[int],
+    spans: Sequence[int],
+    models: Sequence[PcaModel],
+) -> QueryRows:
+    """``_transform_members`` of the query whose row blocks ``blocks`` yields, projected by
+    ``models`` if there are any, each row made as ``_match`` asks for it: no member and no
+    loaded query is built."""
+    count, dim = shape
+    # the spans' deltas of a multi-delta list read the rows at different lags, so there each
+    # block is copied, to stay whole until the last of them has read it
+    rows = chain.from_iterable(map(np.copy, blocks) if transform == "multi-delta" else blocks)
+    if transform == "multi-delta":
+        members = [delta_rows(r, span) for r, span in zip(tee(rows, len(spans)), spans)]
+    elif transform == "smooth":
+        members = [chain.from_iterable(_smooth_blocks(rows, count, window))]
+    elif transform == "delta":
+        members = [delta_rows(rows, window)]
+    else:
+        members = [rows]
+    if models:
+        members = [project_rows(m, r, count) for m, r in zip(models, members)]
+    dims = tuple(m.k for m in models) or (dim,) * len(members)
+    return QueryRows(count, dims, zip(*members))
+
+
 def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> DescriptorSeries:
     """The series a query or both-sides fit takes; a reference fit takes the reference members."""
     return DescriptorSeries(_seal(np.vstack([tr.data, tq.data]))) if fit_on == "both" else tq
@@ -180,53 +238,60 @@ def _check_ground_truth(
 
 
 def _match(
-    q_members: Sequence[DescriptorSeries],
+    query: Union[QueryRows, SpanBank, Sequence[DescriptorSeries]],
     r_members: Sequence[DescriptorSeries],
     seqmatch_length: int,
     out_distances: Optional[str] = None,
 ) -> MatchSet:
     """Distances (min over pairings for banks), optional seqmatch, best reference per query.
 
-    Query rows are matched in tiles, each widened by seqmatch's halo, L//2 rows
-    before and ceil(L/2) - 1 after, so every kept row sums the same in-bounds
-    shifts as the Q x R matrix would. A tile's distances and seq_match's output
-    are live together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each,
-    unless the query is a ``SpanBank`` that fits one tile of the whole budget.
-    Tiles slice the query members' data, or a query ``SpanBank``'s source, whose
-    slice is widened by its longest span on each side and is a bank of its own:
-    each delta of a row in the seqmatch halo then sees the frames the whole
-    series' delta sees, or the series' own edges. A bank's halos, H = L - 1 + 2 *
-    max(spans) rows, come out of a tile budget of B rows while H <= B/2; then
-    it keeps min(B, H) rows, at most doubling the work where H < B. The
-    ``out_distances`` file, if named, checks the free disk before the first
-    tile and then takes each tile's kept rows as soon as they exist.
+    The query is a ``QueryRows`` stream, read as the tiles need it; a list of
+    members, whose rows are read in the same way; or a ``SpanBank``. Query rows
+    are matched in tiles, each widened by seqmatch's halo, L//2 rows before and
+    ceil(L/2) - 1 after, so every kept row sums the same in-bounds shifts as the
+    Q x R matrix would. A tile's distances and seq_match's output are live
+    together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each, unless the
+    query is a ``SpanBank`` that fits one tile of the whole budget.
+
+    A member tile is a new array per member, which its series adopts: it takes
+    the rows it shares with the tile before, at most L - 1, from that tile and
+    the rest from the stream, so no Q x D array of the query is ever made. A
+    ``SpanBank`` query's tiles slice its source, widened by its longest span on
+    each side, and each is a bank of its own: each delta of a row in the seqmatch
+    halo then sees the frames the whole series' delta sees, or the series' own
+    edges. A bank's halos, H = L - 1 + 2 * max(spans) rows, come out of a tile
+    budget of B rows while H <= B/2; then it keeps min(B, H) rows, at most
+    doubling the work where H < B. The ``out_distances`` file, if named, checks
+    the free disk before the first tile and then takes each tile's kept rows as
+    soon as they exist.
     """
     length = int(seqmatch_length)
-    pairings = len(q_members) * len(r_members)
+    bank = isinstance(query, SpanBank)
     with _stage("distance"):
-        # tiles slice every query member alike, so their frame counts must agree up front
-        q_count, r_count = _bank_shape(q_members)[0], _bank_shape(r_members)[0]
-    bank = isinstance(q_members, SpanBank)
-    halo = max(q_members.spans) if bank else 0
+        if not (bank or isinstance(query, QueryRows)):
+            # tiles read every member's rows alike, so their frame counts must agree up front
+            q_count, dim = _bank_shape(query)
+            query = QueryRows(q_count, (dim,) * len(query), zip(*(q.data for q in query)))
+        q_count = query.source.frame_count if bank else query.count
+        r_count = _bank_shape(r_members)[0]
+    halo = max(query.spans) if bank else 0
     rows = max(1, MATCH_TILE_BYTES // (8 * r_count))  # query rows of the whole budget
     if length > 1 and not (bank and q_count <= rows):
         rows = max(1, rows // 2)
     if bank and q_count > rows:  # the budget less the halos, or as many as them up to it
         rows = max(rows - 2 * halo - length + 1, min(rows, 2 * halo + length - 1))
+    kept = [(b0, min(b0 + rows, q_count)) for b0 in range(0, q_count, rows)]
+    widened = [(max(0, b0 - length // 2 - halo), min(q_count, b1 + (length + 1) // 2 - 1 + halo))
+               for b0, b1 in kept]
+    tiles = _bank_tiles(query, widened) if bank else _row_tiles(query, widened)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:
-        for b0 in range(0, q_count, rows):
-            b1 = min(b0 + rows, q_count)
-            a0 = max(0, b0 - length // 2 - halo)
-            a1 = min(q_count, b1 + (length + 1) // 2 - 1 + halo)
+        for (b0, b1), (a0, a1) in zip(kept, widened):
             m = None  # release the last tile's matrix before this one is built
             with _stage("distance"):
-                tile = q_members
-                if (a0, a1) != (0, q_count):
-                    tile = (SpanBank(DescriptorSeries(tile.source.data[a0:a1]), tile.spans) if bank
-                            else [DescriptorSeries(q.data[a0:a1]) for q in tile])
-                if pairings == 1:
+                tile = next(tiles)
+                if len(tile) * len(r_members) == 1:
                     m = distance_matrix(tile[0], r_members[0])
                 else:
                     m = multi_delta_distance(tile, r_members)
@@ -239,6 +304,32 @@ def _match(
             idx[b0:b1], dist[b0:b1] = best.ref_indices[keep], best.distances[keep]
             write_rows(m.values[keep])
     return MatchSet(_seal(idx), _seal(dist))
+
+
+def _bank_tiles(bank: SpanBank, widened: Sequence[tuple[int, int]]) -> Iterator[SpanBank]:
+    """For each (a0, a1) of ``widened``, the bank of its source's rows [a0, a1)."""
+    for a0, a1 in widened:
+        whole = (a0, a1) == (0, bank.source.frame_count)
+        yield bank if whole else SpanBank(DescriptorSeries(bank.source.data[a0:a1]), bank.spans)
+
+
+def _row_tiles(
+    query: QueryRows, widened: Sequence[tuple[int, int]]
+) -> Iterator[list[DescriptorSeries]]:
+    """For each (a0, a1) of ``widened``, in order, the members' rows [a0, a1) as a list of
+    series: rows it shares with the tile before come from that tile, the rest from
+    ``query.frames``."""
+    last, l0 = [], 0  # the tile before and its first row
+    for a0, a1 in widened:
+        tile = [np.empty((a1 - a0, dim)) for dim in query.dims]
+        shared = l0 + len(last[0]) - a0 if last else 0
+        for new, old in zip(tile, last):
+            new[:shared] = old[a0 - l0 :]
+        for i, frame in enumerate(islice(query.frames, a1 - a0 - shared), shared):
+            for new, row in zip(tile, frame):
+                new[i] = row
+        last, l0 = tile, a0
+        yield [DescriptorSeries(_seal(t)) for t in tile]
 
 
 def _score(
@@ -294,9 +385,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     # One order for every run: load the reference and open the query, whose header the checks
     # read; transform the reference, and fit and project it under a reference fit; then read
-    # the query's payload. The loaded reference goes before a fit, else once the query's
-    # payload exists: released before that read, it raised long-route from 129 to 143 MiB.
+    # the query. The loaded reference goes before a fit, else once the query's first rows
+    # exist: released before that read, it raised long-route from 129 to 143 MiB.
     ref_fit = cfg.pca_k is not None and cfg.pca_fit_on in (None, "ref")
+    query_fit = cfg.pca_k is not None and not ref_fit
     # the one place that orders a span bank: distinct spans, shortest first
     spans = sorted({int(s) for s in cfg.spans or ()})
     # Both sides are span banks, each its source and no member, where multi_delta_distance
@@ -305,7 +397,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     with ExitStack() as stack:  # closes the query on every exit path
         with _stage("load"):
             ref = ddio.read_descriptors(cfg.ref_path)
-            (q_count, q_dim), q_read = stack.enter_context(ddio.open_descriptors(cfg.query_path))
+            q_shape, q_rows = stack.enter_context(ddio.open_descriptors(cfg.query_path))
+            q_count, q_dim = q_shape
             if q_dim != ref.dim:
                 raise ddio.DataError(f"{cfg.query_path}: {q_dim} dimensions, "
                                      f"the reference has {ref.dim}")
@@ -326,26 +419,36 @@ def run_pipeline(cfg: RunConfig) -> dict:
             ref = None if ref_fit else ref
             models = [pca_fit(r, cfg.pca_k) for r in r_members] if ref_fit else []
             _project(models, r_members)
-        with _stage("load"):
-            query, ref = q_read(), None
-    with _stage("transform"):
-        q_members = _transform_members(query, cfg.transform, cfg.window, spans, bank)
-        del query
-    if cfg.pca_k is not None:
-        with _stage("pca"):
-            if not models:  # fitted on the query or on both sides, one model per bank member
-                models = [
-                    pca_fit(_pca_fit_series(q, r, cfg.pca_fit_on), cfg.pca_k)
-                    for q, r in zip(q_members, r_members)
-                ]
-                _project(models, r_members)
-            _project(models, q_members)
-            for i, model in enumerate(models):
-                # saved once the query has loaded, so a bad query file leaves no model
-                name = f"pca_model_span{spans[i]}.bin" if len(models) > 1 else "pca_model.bin"
-                ddio.save_pca_model(out_dir / name, model)
-
-    matches = _match(q_members, r_members, cfg.seqmatch_length)
+        if bank or query_fit:
+            # read whole: a query bank is matched through its whole source, and a fit on the
+            # query reads every row before the first is projected
+            with _stage("load"):
+                query, ref = ddio.read_series(cfg.query_path, q_shape, q_rows), None
+            with _stage("transform"):
+                q_members = _transform_members(query, cfg.transform, cfg.window, spans, bank)
+                del query
+            if query_fit:
+                with _stage("pca"):  # fitted on the query or on both sides, one per member
+                    models = [
+                        pca_fit(_pca_fit_series(q, r, cfg.pca_fit_on), cfg.pca_k)
+                        for q, r in zip(q_members, r_members)
+                    ]
+                    _project(models, r_members)
+                    _project(models, q_members)
+        else:
+            with _stage("load"):
+                blocks = _staged(q_rows(), "load")
+                first, ref = next(blocks), None
+            with _stage("transform"):
+                q_members = _query_rows(
+                    chain([first], blocks), q_shape, cfg.transform, cfg.window, spans, models
+                )
+        matches = _match(q_members, r_members, cfg.seqmatch_length)
+    with _stage("pca"):
+        for i, model in enumerate(models):
+            # saved once the query has been read to its end, so a bad query leaves no model
+            name = f"pca_model_span{spans[i]}.bin" if len(models) > 1 else "pca_model.bin"
+            ddio.save_pca_model(out_dir / name, model)
 
     curve = None
     if gt is None:
@@ -413,9 +516,16 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     _check_seqmatch_length(args.seqmatch_length)
-    queries = [ddio.read_descriptors(p) for p in args.query]
-    refs = [ddio.read_descriptors(p) for p in args.ref]
-    matches = _match(queries, refs, args.seqmatch_length, args.out_distances)
+    with ExitStack() as stack:  # closes the query files on every exit path
+        opened = [stack.enter_context(ddio.open_descriptors(p)) for p in args.query]
+        refs = [ddio.read_descriptors(p) for p in args.ref]
+        shapes = [shape for shape, _ in opened]
+        with _stage("distance"):  # read in step, the files must agree in shape up front
+            if len(set(shapes)) > 1:
+                raise ValueError("bank members must share frame count and dimension")
+        members = [chain.from_iterable(_staged(rows(), "load")) for _, rows in opened]
+        query = QueryRows(shapes[0][0], tuple(dim for _, dim in shapes), zip(*members))
+        matches = _match(query, refs, args.seqmatch_length, args.out_distances)
     ddio.write_matches_csv(args.out_matches, matches)
     print(f"wrote {args.out_matches}")
     return 0

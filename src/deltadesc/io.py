@@ -18,10 +18,14 @@ holds a copy of the payload, and a distance file takes rows as they come. A
 short or overlong file is found by reading to its end, so a pipe works as well
 as a regular file. ``open_descriptors`` opens a file once and checks its header
 on entry, so a caller can check a series' shape, a pipe's (``/dev/fd/N``) too,
-before it reads the payload from the same handle. A CSV table, parsed whole on
-entry, is a header row, optional for descriptor input (any path ending in
-``.csv``), then a comma-separated row per item; one without rows is a
-DataError naming the file.
+before it reads the payload from the same handle as float64 row blocks. A
+caller may transform and match those blocks as they come, so no T x D matrix
+of the series is made, or fill one matrix with them (``read_series``); a late
+fault, such as a payload cut short, trailing bytes or a value that is not
+finite, raises when its block is read. A CSV table, parsed whole on entry, is
+a header row, optional for descriptor input (any path ending in ``.csv``),
+then a comma-separated row per item; one without rows is a DataError naming
+the file.
 Tables are written with LF endings and shortest-roundtrip floats, so identical
 runs produce byte-identical files.
 """
@@ -43,7 +47,7 @@ from .calibration import SelfDistanceProfile
 from .evaluation import PrCurve
 from .matching import DistanceMatrix, MatchSet
 from .reduction import PcaModel
-from .series import DescriptorSeries, GroundTruth, _seal
+from .series import DescriptorSeries, GroundTruth, _check_finite, _seal
 
 MAGIC = b"DVPR"
 FORMAT_VERSION = 1
@@ -117,34 +121,63 @@ def _read_header(fh: BinaryIO, where: str) -> tuple[int, int, np.dtype]:
     return t_count, dim, _DTYPE_CODES[code]
 
 
-def _read_block(fh: BinaryIO, where: str, header: Optional[tuple] = None) -> np.ndarray:
-    """One block, or the payload after its read ``header``, as float64, CHUNK_BYTES at a time."""
-    t_count, dim, dtype = header or _read_header(fh, where)
-    payload = t_count * dim * dtype.itemsize
+def _payload_blocks(
+    fh: BinaryIO, where: str, header: tuple, out: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """Yield the payload after its read ``header`` as float64 row blocks, CHUNK_BYTES of the
+    file at a time: views of ``out`` where given, else of one reused buffer, each valid until
+    the next. A short payload raises at the block where it ends."""
+    t_count, dim, dtype = header
+    row_bytes = dim * dtype.itemsize
+    payload = t_count * row_bytes
+    step = max(1, min(t_count, CHUNK_BYTES // max(row_bytes, 1)))  # rows a block
 
     def truncated(got: int) -> DataError:
         return DataError(f"{where}: truncated payload, expected {payload} bytes, got {got}")
 
     try:
-        values = np.empty((t_count, dim))
+        chunk = memoryview(bytearray(step * row_bytes))
+        buf = np.empty((step, dim)) if out is None else out
     except (MemoryError, ValueError, OverflowError):
         # a header that claims more than memory holds is most often a damaged one
         got = _bytes_left(fh)
         if got < payload:
             raise truncated(got) from None
         raise
-    flat = values.reshape(-1)
-    step = CHUNK_BYTES // dtype.itemsize
-    chunk = memoryview(bytearray(min(payload, step * dtype.itemsize)))
-    for start in range(0, flat.size, step):
-        count = min(step, flat.size - start)
-        view = chunk[: count * dtype.itemsize]
+    for t0 in range(0, t_count, step):
+        n = min(step, t_count - t0)
+        view = chunk[: n * row_bytes]
         # a buffered readinto fills the view unless the stream ends first
         got = fh.readinto(view)
         if got < len(view):
-            raise truncated(start * dtype.itemsize + got)
-        flat[start : start + count] = np.frombuffer(view, dtype=dtype)
+            raise truncated(t0 * row_bytes + got)
+        block = buf[:n] if out is None else out[t0 : t0 + n]
+        block[...] = np.frombuffer(view, dtype=dtype).reshape(n, dim)
+        yield block
+
+
+def _filled(shape: tuple[int, int], blocks: Callable) -> np.ndarray:
+    """A new ``shape`` float64 matrix, sealed once ``blocks(out)`` has filled it.
+
+    A header that claims more than memory holds is most often a damaged one, so
+    if the matrix cannot be made, ``blocks()`` is read through, one block at a
+    time: its truncation, if it has one, is what raises.
+    """
+    try:
+        values = np.empty(shape)
+    except (MemoryError, ValueError, OverflowError):
+        for _ in blocks():
+            pass
+        raise
+    for _ in blocks(values):
+        pass
     return _seal(values)
+
+
+def _read_block(fh: BinaryIO, where: str) -> np.ndarray:
+    """One block, header and payload, as float64, CHUNK_BYTES of the file at a time."""
+    header = _read_header(fh, where)
+    return _filled(header[:2], partial(_payload_blocks, fh, where, header))
 
 
 def _read_blocks(path: PathLike, count: int, after: str) -> list[np.ndarray]:
@@ -168,31 +201,63 @@ def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "fl
 @contextmanager
 def open_descriptors(path: PathLike) -> Iterator[tuple[tuple[int, int], Callable]]:
     """Open a descriptor file once; yield its (T, D), read and checked on entry, and a function
-    that reads its series from the same handle. A CSV table is parsed and checked on entry."""
+    that reads its rows from the same handle.
+
+    Called as ``rows(out=None)``, that function yields the series as float64
+    row blocks in order, CHUNK_BYTES of the file at a time: views of a T x D
+    ``out`` where given, else of one reused buffer, each valid until the next.
+    The last block is yielded only once no byte follows it. Each block of a
+    stream is checked to be finite, naming the file, row and column; a matrix
+    that the blocks fill is checked whole, as a series, by ``read_series``. A CSV
+    table is parsed and checked on entry, and its rows are the one block of the
+    parsed table.
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
         values = _load_csv(path, "CSV matrix", np.float64, optional_header=True)
         with _data_errors(path):
-            series = DescriptorSeries(values)
-        yield series.data.shape, [series].pop  # hands the series over once, keeping none
+            DescriptorSeries(values)  # checks the table's shape and values
+
+        def table_rows(out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+            if out is not None:
+                out[...] = values
+            yield values if out is None else out
+
+        yield values.shape, table_rows
         return
     with open(path, "rb") as fh:
         header = _read_header(fh, str(path))
+        t_count, dim = header[:2]
+        if t_count < 1 or dim < 1:
+            raise DataError(f"{path}: descriptor data must be T x D with T, D >= 1, "
+                            f"got shape {(t_count, dim)}")
 
-        def read() -> DescriptorSeries:
-            values = _read_block(fh, str(path), header)
-            if trailing := _bytes_left(fh):
-                raise DataError(f"{path}: {trailing} trailing bytes after payload")
-            with _data_errors(path):
-                return DescriptorSeries(values)
+        def rows(out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+            t0 = 0
+            for block in _payload_blocks(fh, str(path), header, out):
+                if out is None:
+                    with _data_errors(path):
+                        _check_finite(block, "descriptor", t0)
+                t0 += len(block)
+                # one byte read while the block's chunk is live; the rest only to count them
+                if t0 == t_count and fh.read(1):
+                    raise DataError(f"{path}: {1 + _bytes_left(fh)} trailing bytes after payload")
+                yield block
 
-        yield header[:2], read
+        yield (t_count, dim), rows
+
+
+def read_series(path: PathLike, shape: tuple[int, int], rows: Callable) -> DescriptorSeries:
+    """The whole series of the file at ``path``, from the ``shape`` and ``rows`` that
+    ``open_descriptors`` gave for it: one T x D matrix that the blocks fill."""
+    with _data_errors(path):
+        return DescriptorSeries(_filled(shape, rows))
 
 
 def read_descriptors(path: PathLike) -> DescriptorSeries:
     """Read a descriptor series from the binary container or from CSV."""
-    with open_descriptors(path) as (_, read):
-        return read()
+    with open_descriptors(path) as opened:
+        return read_series(path, *opened)
 
 
 def read_positions(path: PathLike) -> np.ndarray:
@@ -205,16 +270,24 @@ def read_positions(path: PathLike) -> np.ndarray:
 
 @contextmanager
 def distance_rows_writer(path: PathLike, q_count: int, r_count: int) -> Iterator[Callable]:
-    """Check the free disk for a new Q x R float64 distance file, then yield its row appender."""
-    size, where = _HEADER.size + 8 * q_count * r_count, Path(path).parent
+    """Check the free disk for a new Q x R float64 distance file, then yield its row appender.
+    A regular file is removed again if the caller fails before its last row, such as on a
+    query file that ends short, so a failed match leaves no partial file."""
+    path = Path(path)
+    size, where = _HEADER.size + 8 * q_count * r_count, path.parent
     free = shutil.disk_usage(where).free
     if size > free:
         raise ValueError(
             f"a {q_count} x {r_count} float64 distance file takes {size / 2**30:.1f} GiB, "
             f"more than the {free / 2**30:.1f} GiB free in {where}"
         )
-    with open(path, "wb") as fh:
-        yield _block_writer(fh, q_count, r_count, _CODE_FOR_NAME["float64"])
+    try:
+        with open(path, "wb") as fh:
+            yield _block_writer(fh, q_count, r_count, _CODE_FOR_NAME["float64"])
+    except BaseException:
+        if path.is_file() and not path.is_symlink():  # never a pipe or a /dev/fd link
+            path.unlink()
+        raise
 
 
 def write_distance_matrix(path: PathLike, m: DistanceMatrix) -> None:

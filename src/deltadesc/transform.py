@@ -17,7 +17,10 @@ with the input and with ground truth), while ``valid-only`` returns only the
 T - 2l + 1 frames whose window lies fully inside the series. Every window sum,
 ``smooth``'s too, is a difference of two running sums of the padded series.
 ``_running_sums`` streams those sums in blocks without building the padded
-copy, so a call holds its output and a few blocks of rows.
+copy, so a call holds its output and a few blocks of rows. The sums take the
+series' rows in order from any iterable, so a series read as it comes, such as
+a query file's row blocks, is transformed with no T x D array at all
+(``delta_rows``, ``_smooth_blocks``).
 """
 
 from __future__ import annotations
@@ -102,14 +105,42 @@ def _window_mean(data: np.ndarray, before: int, after: int) -> np.ndarray:
     divided by the in-range count. A one-row window returns ``data`` copied bit for bit."""
     if before == after == 0:
         return data.copy()
-    width = before + after + 1
     out = np.empty_like(data)
-    # over ``before`` + 1 leading zero rows, sums[t + width] - sums[t] is the window of row t
-    for t0, sums in _running_sums(data, before + 1, after, width, edge=False):
-        np.subtract(sums[width:], sums[:-width], out=out[t0 : t0 + len(sums) - width])
-    t = np.arange(len(data))
-    out /= (np.minimum(t + after + 1, len(data)) - np.maximum(t - before, 0))[:, None]
+    for _ in _window_mean_blocks(data, len(data), before, after, out):
+        pass
     return out
+
+
+def _window_mean_blocks(
+    rows: Iterable[np.ndarray], count: int, before: int, after: int,
+    out: Optional[np.ndarray] = None,
+) -> Iterator[np.ndarray]:
+    """``_window_mean``'s rows of the ``count`` rows ``rows`` yields, in blocks: views of
+    ``out``, which holds all of them, or else of one reused buffer, valid until the next."""
+    width, scratch = before + after + 1, None
+    # over ``before`` + 1 leading zero rows, sums[t + width] - sums[t] is the window of row t
+    for t0, sums in _running_sums(rows, before + 1, after, width, edge=False):
+        n = len(sums) - width
+        if out is None and scratch is None:
+            scratch = np.empty((BOX_BLOCK_ROWS, sums.shape[1]))
+        block = scratch[:n] if out is None else out[t0 : t0 + n]
+        np.subtract(sums[width:], sums[:-width], out=block)
+        t = np.arange(t0, t0 + n)
+        block /= (np.minimum(t + after + 1, count) - np.maximum(t - before, 0))[:, None]
+        yield block
+
+
+def _smooth_blocks(
+    rows: Iterable[np.ndarray], count: int, window: int, out: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """``smooth``'s rows of the ``count`` rows ``rows`` yields, as ``_window_mean_blocks``
+    gives them; ``window`` is checked on the call."""
+    window = int(window)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if window > count:
+        raise ValueError("window exceeds series")
+    return _window_mean_blocks(rows, count, window // 2, window - window // 2, out)
 
 
 def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
@@ -118,14 +149,9 @@ def smooth(series: DescriptorSeries, window: int) -> DescriptorSeries:
     Near the boundaries the window is clipped to the series and the divisor is
     the actual number of in-range samples, so a constant series stays constant.
     """
-    window = int(window)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if window > series.frame_count:
-        raise ValueError("window exceeds series")
-    lo = window // 2
-    hi = window - lo
-    out = _window_mean(series.data, lo, hi)
+    out = np.empty_like(series.data)
+    for _ in _smooth_blocks(series.data, series.frame_count, window, out):
+        pass
     return DescriptorSeries(_seal(out))
 
 
@@ -157,30 +183,43 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
     return DescriptorSeries(_seal(out))
 
 
-def _delta_blocks(
-    data: np.ndarray, span: int, start: int, end: int, out: Optional[np.ndarray] = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t0, rows): rows t0, t0 + 1, ... of the edge-replicate span-``span`` delta.
+def delta_rows(rows: Iterable[np.ndarray], span: int) -> Iterator[np.ndarray]:
+    """The edge-replicate span-``span`` delta of the series whose rows ``rows`` yields in
+    order, row by row, each valid until the next is asked for: bit for bit the rows of
+    ``delta(series, DeltaConfig(span))``, with no T x D array made. ``span`` is checked on
+    the call."""
+    span = DeltaConfig(window=span).window
+    return chain.from_iterable(block for _, block in _delta_blocks(rows, span))
 
-    The blocks cover rows [start, end) in order. They are views of ``out``,
-    which holds rows [start, end), or else of one reused buffer, valid until
-    the next block.
+
+def _delta_blocks(
+    rows: Iterable[np.ndarray], span: int, start: int = 0, end: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t0, rows): rows t0, t0 + 1, ... of the edge-replicate span-``span`` delta of
+    the series whose rows ``rows`` yields in order.
+
+    The blocks cover rows [start, end), to the series' end by default, in order.
+    They are views of ``out``, which holds rows [start, end), or else of one
+    reused buffer, valid until the next block.
     """
-    reach = 2 * span
-    trail = np.empty((BOX_BLOCK_ROWS, data.shape[1]))
-    scratch = np.empty_like(trail) if out is None else None
-    for i0, sums in _running_sums(data, span, span, reach, edge=True):
-        t0, t1 = max(i0, start), min(i0 + len(sums) - reach, end)
+    reach, trail = 2 * span, None
+    for i0, sums in _running_sums(rows, span, span, reach, edge=True):
+        t0, t1 = max(i0, start), i0 + len(sums) - reach
+        t1 = t1 if end is None else min(t1, end)
         if t0 >= t1:
             continue
+        if trail is None:  # one block of rows each, as wide as the sums
+            trail = np.empty((BOX_BLOCK_ROWS, sums.shape[1]))
+            scratch = np.empty_like(trail) if out is None else None
         # for output row t, sums[t + 2l] - sums[t + l] is the window ahead and
         # sums[t + l] - sums[t] the window up to it
         s, n = sums[t0 - i0 : t1 - i0 + reach], t1 - t0
-        rows = scratch[:n] if out is None else out[t0 - start : t1 - start]
-        np.subtract(s[reach:], s[span:-span], out=rows)
-        rows -= np.subtract(s[span:-span], s[:-reach], out=trail[:n])
-        rows /= span
-        yield t0, rows
+        block = scratch[:n] if out is None else out[t0 - start : t1 - start]
+        np.subtract(s[reach:], s[span:-span], out=block)
+        block -= np.subtract(s[span:-span], s[:-reach], out=trail[:n])
+        block /= span
+        yield t0, block
 
 
 def _delta_scales(data: np.ndarray, span: int) -> np.ndarray:
@@ -190,7 +229,7 @@ def _delta_scales(data: np.ndarray, span: int) -> np.ndarray:
     ``DescriptorSeries`` would; such a value makes its row norm non-finite.
     """
     norms = np.empty(len(data))
-    for t0, rows in _delta_blocks(data, span, 0, len(data)):
+    for t0, rows in _delta_blocks(data, span):
         block = norms[t0 : t0 + len(rows)]
         block[:] = np.linalg.norm(rows, axis=1)
         if not np.isfinite(block).all():

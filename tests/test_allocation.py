@@ -20,7 +20,13 @@ member. Matching two banks holds one Q x R matrix, the result, which holds
 the product and then the best, plus blocks of rows; a wide query source is
 centred a block of rows at a time, not copied whole. The result is adopted
 without a copy. A query bank over several tiles holds one tile's matrices, one
-slice of its source and the filters' blocks, and builds no member.
+slice of its source and the filters' blocks, and builds no member. ``run`` and
+``match`` read a query file as its tiles are matched, so a query 20 times longer
+than its reference never takes a Q x D array: they hold one chunk of the file and
+its float64 rows, the reference and its delta, the running sums, the delta block
+and its trailing windows, two tiles of query rows (one and the one before, which
+hands over its last L - 1 rows) and one tile's distances and seq_match output
+with its counts.
 """
 
 import tracemalloc
@@ -38,6 +44,7 @@ from deltadesc import (
     DeltaConfig,
     DescriptorSeries,
     DistanceMatrix,
+    GroundTruth,
     delta,
     delta_bank,
     distance_matrix,
@@ -49,6 +56,7 @@ from deltadesc import (
     seq_match,
     smooth,
     write_descriptors,
+    write_ground_truth,
 )
 from deltadesc.calibration import PROFILE_BLOCK_ROWS
 from deltadesc.io import CHUNK_BYTES
@@ -269,3 +277,33 @@ def test_a_query_bank_over_several_tiles_holds_one_tile(monkeypatch):
     bound = (matrices + tile * qb.source.dim) * 8 / MATRIX_BYTES + blocks(filter_rows(rb.spans, 4))
     assert peak_matrices(deltadesc.cli._match, qb, rb, length) <= bound + 0.03
     assert builds == []
+
+
+def test_run_and_match_stream_a_long_query_with_no_q_by_d_array(tmp_path, monkeypatch):
+    frames, dim, window, length, rows = 200, 512, 4, 4, 100
+    rng = np.random.default_rng(11)
+    walk = np.cumsum(rng.normal(size=(frames, dim)), axis=0)
+    ref, query, gt = tmp_path / "ref.dvpr", tmp_path / "query.dvpr", tmp_path / "gt.csv"
+    write_descriptors(ref, DescriptorSeries(walk))
+    # a query 20 times longer than its reference, which sees each reference frame 20 times
+    q_count = 20 * frames
+    noise = rng.normal(size=(q_count, dim))
+    write_descriptors(query, DescriptorSeries(np.repeat(walk, 20, axis=0) + noise))
+    write_ground_truth(gt, GroundTruth(np.arange(q_count) // 20))
+    del walk, noise
+    # 40 tiles of 100 kept rows: the distances and seq_match's output share the budget
+    monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * rows * 8 * frames)
+    stream = CHUNK_BYTES + CHUNK_BYTES // (4 * dim) * dim * 8  # a float32 chunk and its rows
+    reference = 2 * frames * dim * 8
+    transform = (BOX_BLOCK_ROWS + 2 * window + 2 * BOX_BLOCK_ROWS) * dim * 8
+    tiles = 2 * (rows + length - 1) * (dim + frames) * 8 + 2 * SEQ_BLOCK_ROWS * frames * 8
+    # measured 6.34 MB for run and 5.39 MB for match, against 16.4 MB for one Q x D array;
+    # 0.05 covers the per-query vectors, the CSV text and numpy's small temporaries
+    bound = stream + reference + transform + tiles + 0.05 * MATRIX_BYTES
+    assert bound < q_count * dim * 8 / 2
+    run = ["run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
+           "--window", window, "--seqmatch-length", length, "--radius", 2, "--out-dir", tmp_path]
+    match = ["match", "--query", query, "--ref", ref, "--seqmatch-length", length,
+             "--out-matches", tmp_path / "m.csv"]
+    for argv in (run, match):
+        assert peak_matrices(deltadesc.cli.main, [str(a) for a in argv]) * MATRIX_BYTES <= bound

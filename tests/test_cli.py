@@ -50,21 +50,26 @@ def run_cli(*args):
 
 
 def watch_reads(monkeypatch, on_read=lambda name: None):
-    """(file name, weakref) of each series read through ``io.open_descriptors``, in read
-    order; ``on_read`` is called with the file name just before each read."""
+    """(file name, weakref) of each file read through ``io.open_descriptors``' row stream,
+    in read order, once its first rows exist. The weakref is to the array that holds them:
+    the loaded series' matrix for a whole read, and the stream's reused block buffer, alive
+    as long as the stream, for a streamed one. ``on_read`` is called with the file name just
+    before each read."""
     loaded, opener = [], deltadesc.io.open_descriptors
 
     @contextmanager
     def open_and_watch(path):
-        with opener(path) as (shape, read):
+        with opener(path) as (shape, rows):
 
-            def read_and_watch():
+            def rows_and_watch(*args):
                 on_read(Path(path).name)
-                series = read()
-                loaded.append((Path(path).name, weakref.ref(series)))
-                return series
+                blocks = rows(*args)
+                first = next(blocks)
+                loaded.append((Path(path).name, weakref.ref(first.base)))
+                yield first
+                yield from blocks
 
-            yield shape, read_and_watch
+            yield shape, rows_and_watch
 
     monkeypatch.setattr(deltadesc.io, "open_descriptors", open_and_watch)
     return loaded
@@ -254,14 +259,18 @@ class TestRunCommand:
         ref, query, gt = synth_files
         out = tmp_path / "bank"
         builds = mock.Mock(wraps=delta)
+        streams = mock.Mock(wraps=deltadesc.transform.delta_rows)
         monkeypatch.setattr(deltadesc.cli, "delta", builds)
         monkeypatch.setattr(deltadesc.transform, "delta", builds)
+        monkeypatch.setattr(deltadesc.cli, "delta_rows", streams)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 8, 4, "--pca-k", 6,
             "--radius", 2, "--out-dir", out,
         ) == 0
-        assert builds.call_count == 4  # each member once: projected members need no bank
+        # each member once, the reference's built and the query's streamed: projected
+        # members need no bank
+        assert builds.call_count == 2 and streams.call_count == 2
         names = sorted(p.name for p in out.glob("pca_model*.bin"))
         assert names == ["pca_model_span4.bin", "pca_model_span8.bin"]
         ref_series = read_descriptors(ref)
@@ -409,30 +418,35 @@ class TestRunCommand:
         self, synth_files, tmp_path, monkeypatch
     ):
         ref, query, gt = synth_files
-        alive_at_delta, transform = [], deltadesc.cli.delta
+        alive_at_delta, transform, stream = [], deltadesc.cli.delta, deltadesc.cli.delta_rows
         loaded = watch_reads(monkeypatch)
 
         def delta_and_check(*args, **kwargs):
             alive_at_delta.append([w() is not None for _, w in loaded])
             return transform(*args, **kwargs)
 
+        def delta_rows_and_check(*args):  # runs when the query's first delta row is asked for
+            alive_at_delta.append([w() is not None for _, w in loaded])
+            yield from stream(*args)
+
         monkeypatch.setattr(deltadesc.cli, "delta", delta_and_check)
+        monkeypatch.setattr(deltadesc.cli, "delta_rows", delta_rows_and_check)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "delta", "--window", 8, "--out-dir", tmp_path / "o",
         ) == 0
-        # the reference is transformed before the query's payload is read, and the query
-        # second, once the reference's loaded series is gone
+        # the reference is transformed before the query's rows are read, and the query's
+        # stream second, once the reference's loaded series is gone
         assert alive_at_delta == [[True], [False, True]]
 
     def test_the_query_is_read_after_the_reference_is_transformed(
         self, synth_files, tmp_path, monkeypatch
     ):
-        # one order with or without a fit: the query's payload is read once the reference is
-        # transformed, while the loaded reference is alive; it goes before the query's
+        # one order with or without a fit: the query's first rows are read once the reference
+        # is transformed, while the loaded reference is alive; it goes before the query's
         # transform. Released before that read, it raised long-route's peak RSS 129 -> 143 MiB
         ref, query, gt = synth_files
-        events, transform = [], deltadesc.cli.delta
+        events, transform, stream = [], deltadesc.cli.delta, deltadesc.cli.delta_rows
 
         def alive():
             return [(name, w() is not None) for name, w in loaded]
@@ -443,7 +457,12 @@ class TestRunCommand:
             events.append(("delta", alive()))
             return transform(*args, **kwargs)
 
+        def delta_rows_and_check(*args):  # runs when the query's first delta row is asked for
+            events.append(("delta", alive()))
+            yield from stream(*args)
+
         monkeypatch.setattr(deltadesc.cli, "delta", delta_and_check)
+        monkeypatch.setattr(deltadesc.cli, "delta_rows", delta_rows_and_check)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
             "--window", 8, "--seqmatch-length", 4, "--out-dir", tmp_path / "o",
@@ -470,7 +489,8 @@ class TestRunCommand:
             (_, ref_read), (_, query_read) = loaded
             alive_at_match.append([w() is not None for w in (ref_read, query_read, *members)])
             assert isinstance(q_members, SpanBank) and isinstance(r_members, SpanBank)
-            assert q_members.source is query_read() and r_members.source is ref_read()
+            assert q_members.source.data is query_read()
+            assert r_members.source.data is ref_read()
             return match(q_members, r_members)
 
         monkeypatch.setattr(deltadesc.transform, "delta", build_and_watch)
@@ -1161,6 +1181,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "[load]" in err and "cut.dvpr: truncated payload" in err
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("fault", ["cut", "trailing", "nan"])
+    def test_a_late_query_fault_is_one_load_error_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, fault
+    ):
+        # The query is read as its tiles are matched: in blocks of 40 rows here, in tiles of
+        # 40 kept rows, and projected 64 rows at a time, so each fault is found once the first
+        # tile is matched. It is still one [load] error naming the file, and no matches and
+        # no model are written.
+        ref, query, gt = (tmp_path / name for name in ("ref.dvpr", "query.dvpr", "gt.csv"))
+        assert run_cli("synth", "--frames", 300, "--dims", 512, "--latent-smooth-window", 10,
+                       "--noise-scale", 0.1, "--seed", 3, "--out-ref", ref, "--out-query", query,
+                       "--out-gt", gt) == 0
+        row = 512 * 4  # a float32 row
+        data = bytearray(query.read_bytes())
+        if fault == "cut":
+            data = data[: 28 + 100 * row + 50]
+        elif fault == "trailing":
+            data += b"xyz"
+        else:
+            at = 28 + (297 * 512 + 5) * 4
+            data[at : at + 4] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "bad.dvpr"
+        bad.write_bytes(bytes(data))
+        monkeypatch.setattr(deltadesc.io, "CHUNK_BYTES", 40 * row)
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 40 * 8 * 300)
+        tiles = mock.Mock(wraps=deltadesc.cli.distance_matrix)
+        monkeypatch.setattr(deltadesc.cli, "distance_matrix", tiles)
+        code = run_cli("run", "--ref", ref, "--query", bad, "--gt", gt, "--transform", "delta",
+                       "--window", 8, "--seqmatch-length", 4, "--pca-k", 64, "--radius", 2,
+                       "--out-dir", tmp_path / "o")
+        assert code == 3 and tiles.call_count >= 1
+        message = {
+            "cut": f"truncated payload, expected {300 * row} bytes, got {100 * row + 50}",
+            "trailing": "3 trailing bytes after payload",
+            "nan": "non-finite descriptor value at row 297, column 5",
+        }[fault]
+        assert capsys.readouterr().err == f"deltadesc: data error: [load] {bad}: {message}\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_a_query_cut_short_leaves_no_distance_file(self, synth_files, tmp_path, capsys):
+        # match streams its query, so the distance file exists before the cut is found
+        ref, query, _ = synth_files
+        cut = tmp_path / "cut.dvpr"
+        cut.write_bytes(query.read_bytes()[:-100])
+        code = run_cli("match", "--query", cut, "--ref", ref, "--out-matches", tmp_path / "m.csv",
+                       "--out-distances", tmp_path / "d.dvpr")
+        assert code == 3 and "[load]" in capsys.readouterr().err
+        assert not (tmp_path / "d.dvpr").exists() and not (tmp_path / "m.csv").exists()
 
     def test_evaluate_takes_a_default_seqmatch_length_without_summary(self, synth_files, tmp_path):
         ref, query, gt = synth_files

@@ -134,7 +134,8 @@ class TestBinaryErrors:
 
 
 class TestDescriptorShape:
-    """``open_descriptors``: the shape on entry, then the series from the same handle."""
+    """``open_descriptors``: the shape on entry, then the series' row blocks from the same
+    handle."""
 
     def test_container_shape_comes_from_the_header_alone(self, tmp_path):
         path = tmp_path / "head.dvpr"
@@ -143,7 +144,7 @@ class TestDescriptorShape:
         with deltadesc.io.open_descriptors(path) as (shape, read):
             assert shape == (7, 3)
             with pytest.raises(DataError, match="truncated payload, expected 84 bytes, got 0"):
-                read()
+                next(read())
 
     def test_csv_table_is_parsed_and_checked_on_entry(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -151,7 +152,8 @@ class TestDescriptorShape:
         with deltadesc.io.open_descriptors(path) as (shape, read):
             assert shape == (3, 2)
             path.unlink()  # parsed whole on entry, so the file is not read again
-            np.testing.assert_array_equal(read().data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+            series = deltadesc.io.read_series(path, shape, read)
+            np.testing.assert_array_equal(series.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         bad = tmp_path / "nan.csv"
         bad.write_text("1.0,2.0\n3.0,nan\n")
         with pytest.raises(DataError, match="nan.csv: .*row 1, column 1"):
@@ -172,7 +174,8 @@ class TestDescriptorShape:
         try:
             with deltadesc.io.open_descriptors(f"/dev/fd/{r}") as (shape, read):
                 assert shape == (200, 100)
-                assert read().data.tobytes() == data.tobytes()
+                # each block is valid until the next is read
+                assert b"".join(block.tobytes() for block in read()) == data.tobytes()
         finally:
             feeder.join(timeout=30)
             os.close(r)
@@ -202,10 +205,11 @@ class TestDescriptorShape:
 
         monkeypatch.setattr(deltadesc.io, "open", open_and_keep, raising=False)
         with pytest.raises(RuntimeError) if exit_by == "raise" else nullcontext():
-            with deltadesc.io.open_descriptors(path) as (_, read):
+            with deltadesc.io.open_descriptors(path) as (shape, read):
                 assert len(handles) == 1 and not handles[0].closed
                 if exit_by == "read":
-                    np.testing.assert_array_equal(read().data, np.ones((4, 2)))
+                    series = deltadesc.io.read_series(path, shape, read)
+                    np.testing.assert_array_equal(series.data, 1.0)
                 if exit_by == "raise":
                     raise RuntimeError("the caller failed")
         assert len(handles) == 1 and handles[0].closed

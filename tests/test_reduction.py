@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltadesc.reduction
 from deltadesc import DescriptorSeries, PcaModel, pca_fit, pca_transform
+from deltadesc.reduction import project_rows
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EPS = np.finfo(np.float64).eps
@@ -194,6 +198,26 @@ class TestPcaTransform:
         model = pca_fit(DescriptorSeries(rng.normal(size=(10, 4))), 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
             pca_transform(model, DescriptorSeries(np.ones((3, 5))))
+
+
+    @pytest.mark.parametrize("dim, k, frames, blocks", [
+        (2048, 128, 3 * 64 + 2, [64, 64, 66]),  # 4 rows are the fewest past 100³ multiply-adds
+        (512, 64, 2 * 64 + 20, [64, 84]),  # and 31 rows here
+        (24, 6, 300, [300]),  # the whole product is below the bound: one block
+    ])
+    def test_a_streamed_projection_has_the_whole_products_bits(
+        self, dim, k, frames, blocks, monkeypatch
+    ):
+        rng = np.random.default_rng(13)
+        model = pca_fit(DescriptorSeries(rng.normal(size=(300, dim))), k)
+        series = DescriptorSeries(rng.normal(size=(frames, dim)))
+        whole = pca_transform(model, series).data
+        spy = mock.Mock(wraps=deltadesc.reduction._project)
+        monkeypatch.setattr(deltadesc.reduction, "_project", spy)
+        rows = np.array(list(project_rows(model, iter(series.data), frames)))
+        # a short last block joins the one before it
+        assert [len(call.args[1]) for call in spy.call_args_list] == blocks
+        assert rows.tobytes() == whole.tobytes()
 
 
 class TestPcaModel:

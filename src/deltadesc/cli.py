@@ -4,16 +4,15 @@ One subcommand per procedure: ``synth``, ``transform``, ``match``,
 ``calibrate``, ``evaluate``, ``rank-dims``, ``shuffle``, plus ``run`` which
 chains transform -> (PCA) -> query tiles of distances -> (seqmatch) ->
 retrieve -> evaluate in a single invocation. ``run`` and ``match`` read the
-query from its file as its tiles are matched: its rows go through the
-transform and any reference-fitted projection into the tiles, so neither holds
-a Q x D array. ``run`` reads the query whole only where the whole is needed: a
-query span bank, matched through its whole source, and a PCA fit on the query
-or on both sides. A CSV query is parsed whole when it is opened. Staged
-invocations with float64 intermediate files reproduce the single-invocation
-outputs byte for byte, except for span banks of two or more spans without
-PCA: ``run`` keeps both sides as their series and spans, matches them through
-products of the two series, and tiles a long query by slices of its series, so
-the distances agree only within rounding.
+query once, from its file, as its tiles are matched: its rows go through the
+transform and any reference-fitted projection, or as a span bank's source,
+into the tiles, so no Q x D array of it is made. A fit on the query or on both
+sides takes the transformed query as one tile; only a CSV query is read whole,
+as it is opened. Staged invocations with float64 intermediate files reproduce
+the single-invocation outputs byte for byte, except for span banks of two or
+more spans without PCA: ``run`` keeps both sides as their series and spans,
+matches them through products of the two series, and tiles a long query by
+its source rows, so the distances agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error or out of memory, 3 data error.
 """
@@ -38,7 +37,8 @@ from .evaluation import median_pair_products, rank_dimensions
 from .matching import MatchSet, _bank_shape
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
 from .reduction import PcaModel, pca_fit, pca_transform, project_rows
-from .series import DescriptorSeries, GroundTruth, _check_radius, _seal, apply_permutation
+from .series import DescriptorSeries, GroundTruth, _check_finite, _check_radius, _seal
+from .series import apply_permutation
 from .synth import SynthParams, generate_traverse_pair
 from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, SpanBank, delta, delta_bank
 from .transform import _smooth_blocks, delta_rows, delta_valid_range, smooth
@@ -73,6 +73,17 @@ def _staged(rows: Iterable, name: str) -> Iterator:
     """``rows``, with any failure while they are made named by stage ``name``."""
     with _stage(name):
         yield from rows
+
+
+def _finite_rows(blocks: Iterable[np.ndarray], name: str) -> Iterator[np.ndarray]:
+    """The rows of the query's row ``blocks``, made in stage ``name``: each block is checked
+    to be finite there, and a non-finite value is named by its row in the query."""
+    t0 = 0
+    with _stage(name):
+        for block in blocks:
+            _check_finite(block, "descriptor", t0)
+            t0 += len(block)
+            yield from block
 
 
 def _check_transform_flags(transform: str, window, spans, padding: str) -> None:
@@ -179,41 +190,42 @@ def _transform_members(
 
 class QueryRows(NamedTuple):
     """A query that ``_match`` reads as it matches: its frame count, each member's dimension,
-    and its frames in order, each a tuple of the members' rows, valid until the next frame
-    is asked for."""
+    its frames in order, each a tuple of the members' rows, valid until the next frame is
+    asked for, and for a span bank its spans, whose one member is the bank's source."""
 
     count: int
     dims: tuple[int, ...]
     frames: Iterator[tuple[np.ndarray, ...]]
+    spans: tuple[int, ...] = ()
 
 
 def _query_rows(
-    blocks: Iterator[np.ndarray],
+    rows: Iterator[np.ndarray],
     shape: tuple[int, int],
     transform: str,
     window: Optional[int],
     spans: Sequence[int],
     models: Sequence[PcaModel],
+    bank: bool = False,
 ) -> QueryRows:
-    """``_transform_members`` of the query whose row blocks ``blocks`` yields, projected by
-    ``models`` if there are any, each row made as ``_match`` asks for it: no member and no
-    loaded query is built."""
+    """``_transform_members`` of the query whose rows ``rows`` yields, projected by ``models``
+    if there are any, each row made as ``_match`` asks for it: no member and no loaded query
+    is built. With ``bank``, the rows are the bank's source."""
     count, dim = shape
-    # the spans' deltas of a multi-delta list read the rows at different lags, so there each
-    # block is copied, to stay whole until the last of them has read it
-    rows = chain.from_iterable(map(np.copy, blocks) if transform == "multi-delta" else blocks)
-    if transform == "multi-delta":
-        members = [delta_rows(r, span) for r, span in zip(tee(rows, len(spans)), spans)]
-    elif transform == "smooth":
-        members = [chain.from_iterable(_smooth_blocks(rows, count, window))]
+    if transform == "smooth":
+        members = [_finite_rows(_smooth_blocks(rows, count, window), "transform")]
     elif transform == "delta":
-        members = [delta_rows(rows, window)]
-    else:
-        members = [rows]
+        members = [_finite_rows(delta_rows(rows, window), "transform")]
+    elif transform == "raw" or bank:
+        # copied as taken: a row still referenced once the stream ends must not keep its buffer
+        members = [map(np.copy, rows)]
+    else:  # the spans' deltas read the rows at different lags, so they read copied rows
+        lags = zip(tee(map(np.copy, rows), len(spans)), spans)
+        members = [_finite_rows(delta_rows(r, span), "transform") for r, span in lags]
     if models:
-        members = [project_rows(m, r, count) for m, r in zip(models, members)]
+        members = [_finite_rows(project_rows(m, r, count), "pca") for m, r in zip(models, members)]
     dims = tuple(m.k for m in models) or (dim,) * len(members)
-    return QueryRows(count, dims, zip(*members))
+    return QueryRows(count, dims, zip(*members), tuple(spans) if bank else ())
 
 
 def _pca_fit_series(tq: DescriptorSeries, tr: DescriptorSeries, fit_on: str) -> DescriptorSeries:
@@ -245,19 +257,19 @@ def _match(
 ) -> MatchSet:
     """Distances (min over pairings for banks), optional seqmatch, best reference per query.
 
-    The query is a ``QueryRows`` stream, read as the tiles need it; a list of
-    members, whose rows are read in the same way; or a ``SpanBank``. Query rows
+    The query is a ``QueryRows`` stream, read as the tiles need it, or a list of
+    members or a ``SpanBank``, whose rows are read in the same way. Query rows
     are matched in tiles, each widened by seqmatch's halo, L//2 rows before and
     ceil(L/2) - 1 after, so every kept row sums the same in-bounds shifts as the
     Q x R matrix would. A tile's distances and seq_match's output are live
     together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each, unless the
-    query is a ``SpanBank`` that fits one tile of the whole budget.
+    query is a span bank that fits one tile of the whole budget.
 
-    A member tile is a new array per member, which its series adopts: it takes
-    the rows it shares with the tile before, at most L - 1, from that tile and
-    the rest from the stream, so no Q x D array of the query is ever made. A
-    ``SpanBank`` query's tiles slice its source, widened by its longest span on
-    each side, and each is a bank of its own: each delta of a row in the seqmatch
+    A tile is a new array per member, which its series adopts: it takes the
+    rows it shares with the tile before from that tile and the rest from the
+    stream, so no Q x D array of the query is ever made. A span bank's tile is
+    a tile of its source, widened by its longest span on each side, and a bank
+    of its own, with its own column means: each delta of a row in the seqmatch
     halo then sees the frames the whole series' delta sees, or the series' own
     edges. A bank's halos, H = L - 1 + 2 * max(spans) rows, come out of a tile
     budget of B rows while H <= B/2; then it keeps min(B, H) rows, at most
@@ -266,14 +278,16 @@ def _match(
     soon as they exist.
     """
     length = int(seqmatch_length)
-    bank = isinstance(query, SpanBank)
     with _stage("distance"):
-        if not (bank or isinstance(query, QueryRows)):
+        if isinstance(query, SpanBank):
+            source = query.source.data
+            query = QueryRows(len(source), (source.shape[1],), zip(source), query.spans)
+        elif not isinstance(query, QueryRows):
             # tiles read every member's rows alike, so their frame counts must agree up front
             q_count, dim = _bank_shape(query)
             query = QueryRows(q_count, (dim,) * len(query), zip(*(q.data for q in query)))
-        q_count = query.source.frame_count if bank else query.count
-        r_count = _bank_shape(r_members)[0]
+        q_count, r_count = query.count, _bank_shape(r_members)[0]
+    bank = bool(query.spans)
     halo = max(query.spans) if bank else 0
     rows = max(1, MATCH_TILE_BYTES // (8 * r_count))  # query rows of the whole budget
     if length > 1 and not (bank and q_count <= rows):
@@ -283,7 +297,7 @@ def _match(
     kept = [(b0, min(b0 + rows, q_count)) for b0 in range(0, q_count, rows)]
     widened = [(max(0, b0 - length // 2 - halo), min(q_count, b1 + (length + 1) // 2 - 1 + halo))
                for b0, b1 in kept]
-    tiles = _bank_tiles(query, widened) if bank else _row_tiles(query, widened)
+    tiles = _row_tiles(query, widened)
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:
@@ -291,6 +305,9 @@ def _match(
             m = None  # release the last tile's matrix before this one is built
             with _stage("distance"):
                 tile = next(tiles)
+            with _stage("transform"):  # a bank tile's norms check its deltas, by query row
+                tile = SpanBank(tile[0], query.spans, a0) if bank else tile
+            with _stage("distance"):
                 if len(tile) * len(r_members) == 1:
                     m = distance_matrix(tile[0], r_members[0])
                 else:
@@ -304,13 +321,6 @@ def _match(
             idx[b0:b1], dist[b0:b1] = best.ref_indices[keep], best.distances[keep]
             write_rows(m.values[keep])
     return MatchSet(_seal(idx), _seal(dist))
-
-
-def _bank_tiles(bank: SpanBank, widened: Sequence[tuple[int, int]]) -> Iterator[SpanBank]:
-    """For each (a0, a1) of ``widened``, the bank of its source's rows [a0, a1)."""
-    for a0, a1 in widened:
-        whole = (a0, a1) == (0, bank.source.frame_count)
-        yield bank if whole else SpanBank(DescriptorSeries(bank.source.data[a0:a1]), bank.spans)
 
 
 def _row_tiles(
@@ -328,6 +338,8 @@ def _row_tiles(
         for i, frame in enumerate(islice(query.frames, a1 - a0 - shared), shared):
             for new, row in zip(tile, frame):
                 new[i] = row
+        if a1 == widened[-1][1]:  # end the stream, so its buffers go before this tile is matched
+            next(query.frames, None)
         last, l0 = tile, a0
         yield [DescriptorSeries(_seal(t)) for t in tile]
 
@@ -419,31 +431,22 @@ def run_pipeline(cfg: RunConfig) -> dict:
             ref = None if ref_fit else ref
             models = [pca_fit(r, cfg.pca_k) for r in r_members] if ref_fit else []
             _project(models, r_members)
-        if bank or query_fit:
-            # read whole: a query bank is matched through its whole source, and a fit on the
-            # query reads every row before the first is projected
-            with _stage("load"):
-                query, ref = ddio.read_series(cfg.query_path, q_shape, q_rows), None
-            with _stage("transform"):
-                q_members = _transform_members(query, cfg.transform, cfg.window, spans, bank)
-                del query
-            if query_fit:
-                with _stage("pca"):  # fitted on the query or on both sides, one per member
-                    models = [
-                        pca_fit(_pca_fit_series(q, r, cfg.pca_fit_on), cfg.pca_k)
-                        for q, r in zip(q_members, r_members)
-                    ]
-                    _project(models, r_members)
-                    _project(models, q_members)
-        else:
-            with _stage("load"):
-                blocks = _staged(q_rows(), "load")
-                first, ref = next(blocks), None
-            with _stage("transform"):
-                q_members = _query_rows(
-                    chain([first], blocks), q_shape, cfg.transform, cfg.window, spans, models
-                )
-        matches = _match(q_members, r_members, cfg.seqmatch_length)
+        with _stage("load"):
+            rows = chain.from_iterable(_staged(q_rows(), "load"))
+            rows, ref = chain([next(rows)], rows), None
+        with _stage("transform"):
+            query = _query_rows(rows, q_shape, cfg.transform, cfg.window, spans, models, bank)
+        if query_fit:
+            with _stage("transform"):  # a fit reads every row before the first is projected
+                query = next(_row_tiles(query, [(0, q_count)]))
+            with _stage("pca"):  # fitted on the query or on both sides, one per member
+                models = [
+                    pca_fit(_pca_fit_series(q, r, cfg.pca_fit_on), cfg.pca_k)
+                    for q, r in zip(query, r_members)
+                ]
+                _project(models, r_members)
+                _project(models, query)
+        matches = _match(query, r_members, cfg.seqmatch_length)
     with _stage("pca"):
         for i, model in enumerate(models):
             # saved once the query has been read to its end, so a bad query leaves no model

@@ -20,12 +20,12 @@ as a regular file. ``open_descriptors`` opens a file once and checks its header
 on entry, so a caller can check a series' shape, a pipe's (``/dev/fd/N``) too,
 before it reads the payload from the same handle as float64 row blocks. A
 caller may transform and match those blocks as they come, so no T x D matrix
-of the series is made, or fill one matrix with them (``read_series``); a late
-fault, such as a payload cut short, trailing bytes or a value that is not
-finite, raises when its block is read. A CSV table, parsed whole on entry, is
-a header row, optional for descriptor input (any path ending in ``.csv``),
-then a comma-separated row per item; one without rows is a DataError naming
-the file.
+of the series is made, or fill one matrix with them (``read_descriptors``); a
+late fault, such as a payload cut short, trailing bytes or a value that is not
+finite, raises when its block is read. A CSV table is the one input read whole:
+it is parsed on entry, a header row, optional for descriptor input (any path
+ending in ``.csv``), then a comma-separated row per item; one without rows is a
+DataError naming the file.
 Tables are written with LF endings and shortest-roundtrip floats, so identical
 runs produce byte-identical files.
 """
@@ -208,7 +208,7 @@ def open_descriptors(path: PathLike) -> Iterator[tuple[tuple[int, int], Callable
     ``out`` where given, else of one reused buffer, each valid until the next.
     The last block is yielded only once no byte follows it. Each block of a
     stream is checked to be finite, naming the file, row and column; a matrix
-    that the blocks fill is checked whole, as a series, by ``read_series``. A CSV
+    that the blocks fill is checked whole, as a series, by ``read_descriptors``. A CSV
     table is parsed and checked on entry, and its rows are the one block of the
     parsed table.
     """
@@ -247,17 +247,10 @@ def open_descriptors(path: PathLike) -> Iterator[tuple[tuple[int, int], Callable
         yield (t_count, dim), rows
 
 
-def read_series(path: PathLike, shape: tuple[int, int], rows: Callable) -> DescriptorSeries:
-    """The whole series of the file at ``path``, from the ``shape`` and ``rows`` that
-    ``open_descriptors`` gave for it: one T x D matrix that the blocks fill."""
-    with _data_errors(path):
-        return DescriptorSeries(_filled(shape, rows))
-
-
 def read_descriptors(path: PathLike) -> DescriptorSeries:
-    """Read a descriptor series from the binary container or from CSV."""
-    with open_descriptors(path) as opened:
-        return read_series(path, *opened)
+    """Read a descriptor series, binary or CSV: one T x D matrix that its row blocks fill."""
+    with open_descriptors(path) as (shape, rows), _data_errors(path):
+        return DescriptorSeries(_filled(shape, rows))
 
 
 def read_positions(path: PathLike) -> np.ndarray:

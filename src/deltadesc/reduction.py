@@ -93,7 +93,7 @@ def pca_transform(model: PcaModel, series: DescriptorSeries) -> DescriptorSeries
 
 def project_rows(model: PcaModel, rows: Iterable[np.ndarray], count: int) -> Iterator[np.ndarray]:
     """The rows of ``pca_transform`` of the series whose ``count`` rows ``rows`` yields in
-    order, row by row, with no T x D array made: the same bits, projected a block at a time.
+    order, as new row blocks in order, with no T x D array made: the same bits.
 
     A product of one row is a GEMV, and OpenBLAS multiplies one of at most 100³
     multiply-adds in its small-matrix kernel; both round differently from a
@@ -112,5 +112,5 @@ def project_rows(model: PcaModel, rows: Iterable[np.ndarray], count: int) -> Ite
         buf[fill] = row
         fill, left = fill + 1, left - 1
         if fill >= step and not 0 < left < fewest or left == 0:
-            yield from _project(model, buf[:fill])
+            yield _project(model, buf[:fill])
             fill = 0

@@ -26,7 +26,7 @@ a query file's row blocks, is transformed with no T x D array at all
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain, repeat
 from typing import Optional
 
@@ -185,11 +185,11 @@ def delta(series: DescriptorSeries, cfg: DeltaConfig) -> DescriptorSeries:
 
 def delta_rows(rows: Iterable[np.ndarray], span: int) -> Iterator[np.ndarray]:
     """The edge-replicate span-``span`` delta of the series whose rows ``rows`` yields in
-    order, row by row, each valid until the next is asked for: bit for bit the rows of
-    ``delta(series, DeltaConfig(span))``, with no T x D array made. ``span`` is checked on
-    the call."""
+    order, as row blocks in order, each valid until the next is asked for: bit for bit the
+    rows of ``delta(series, DeltaConfig(span))``, with no T x D array made. ``span`` is
+    checked on the call."""
     span = DeltaConfig(window=span).window
-    return chain.from_iterable(block for _, block in _delta_blocks(rows, span))
+    return (block for _, block in _delta_blocks(rows, span))
 
 
 def _delta_blocks(
@@ -222,18 +222,18 @@ def _delta_blocks(
         yield t0, block
 
 
-def _delta_scales(data: np.ndarray, span: int) -> np.ndarray:
+def _delta_scales(data: np.ndarray, span: int, row0: int = 0) -> np.ndarray:
     """``_row_scales`` of the span-``span`` delta of ``data``, taken from its blocks.
 
-    A delta value that is not finite raises as a built member's
-    ``DescriptorSeries`` would; such a value makes its row norm non-finite.
+    A non-finite delta value raises as a built member's series would, its row
+    counted from ``row0``; such a value makes its row norm non-finite.
     """
     norms = np.empty(len(data))
     for t0, rows in _delta_blocks(data, span):
         block = norms[t0 : t0 + len(rows)]
         block[:] = np.linalg.norm(rows, axis=1)
         if not np.isfinite(block).all():
-            _check_finite(rows, "descriptor", t0)
+            _check_finite(rows, "descriptor", row0 + t0)
     return _seal(_norm_scales(norms))
 
 
@@ -242,7 +242,8 @@ class SpanBank(Sequence):
     """Edge-replicate deltas of ``source``, one per span of ``spans``, built on demand.
 
     A bank holds its source, its spans and each member's ``_row_scales``, which
-    it takes from the member's delta blocks without building the member.
+    it takes from the member's delta blocks without building the member; a
+    non-finite delta value's row counts from ``row0``, the source's first row.
     ``multi_delta_distance`` matches a bank of two or more spans through
     products with its source and needs no member, so a bank pays off only
     where it is matched that way. Indexing or iterating builds a member, bit
@@ -251,14 +252,15 @@ class SpanBank(Sequence):
 
     source: DescriptorSeries
     spans: tuple[int, ...]
+    row0: InitVar[int] = 0
     row_scales: tuple[np.ndarray, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, row0: int) -> None:
         if not self.spans:
             raise ValueError("delta bank needs a non-empty span set")
         spans = tuple(DeltaConfig(window=s).window for s in self.spans)
         object.__setattr__(self, "spans", spans)
-        scales = tuple(_delta_scales(self.source.data, s) for s in spans)
+        scales = tuple(_delta_scales(self.source.data, s, row0) for s in spans)
         object.__setattr__(self, "row_scales", scales)
 
     def __len__(self) -> int:

@@ -26,7 +26,10 @@ than its reference never takes a Q x D array: they hold one chunk of the file an
 its float64 rows, the reference and its delta, the running sums, the delta block
 and its trailing windows, two tiles of query rows (one and the one before, which
 hands over its last L - 1 rows) and one tile's distances and seq_match output
-with its counts.
+with its counts. A query span bank is read the same way: its tiles of source
+rows, halos included, take no more rows than the member tiles, its tile norms
+take the delta's blocks, and it adds the span-bank filters' blocks and one
+block of centred query rows.
 """
 
 import tracemalloc
@@ -300,10 +303,19 @@ def test_run_and_match_stream_a_long_query_with_no_q_by_d_array(tmp_path, monkey
     # measured 6.34 MB for run and 5.39 MB for match, against 16.4 MB for one Q x D array;
     # 0.05 covers the per-query vectors, the CSV text and numpy's small temporaries
     bound = stream + reference + transform + tiles + 0.05 * MATRIX_BYTES
-    assert bound < q_count * dim * 8 / 2
-    run = ["run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
-           "--window", window, "--seqmatch-length", length, "--radius", 2, "--out-dir", tmp_path]
+    # a span bank of the same longest span: its 45 tiles of source rows, each widened by
+    # 2 * 4 + 3 halo rows, fit the member tiles' rows, and its norms the delta's blocks. It
+    # adds the filters' blocks and one block of centred query rows, ceil(100 / ceil(512 /
+    # 200)) rows in whole 8-row panels. Measured 6.33 MB.
+    filters = (filter_rows((2, 4), window) * frames + 40 * dim) * 8
+    run = ["run", "--ref", ref, "--query", query, "--gt", gt, "--seqmatch-length", length,
+           "--radius", 2, "--out-dir", tmp_path]
     match = ["match", "--query", query, "--ref", ref, "--seqmatch-length", length,
              "--out-matches", tmp_path / "m.csv"]
-    for argv in (run, match):
-        assert peak_matrices(deltadesc.cli.main, [str(a) for a in argv]) * MATRIX_BYTES <= bound
+    for argv, held in (
+        ([*run, "--transform", "delta", "--window", window], bound),
+        (match, bound),
+        ([*run, "--transform", "multi-delta", "--spans", 2, window], bound + filters),
+    ):
+        assert held < q_count * dim * 8 / 2
+        assert peak_matrices(deltadesc.cli.main, [str(a) for a in argv]) * MATRIX_BYTES <= held

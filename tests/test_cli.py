@@ -489,7 +489,8 @@ class TestRunCommand:
             (_, ref_read), (_, query_read) = loaded
             alive_at_match.append([w() is not None for w in (ref_read, query_read, *members)])
             assert isinstance(q_members, SpanBank) and isinstance(r_members, SpanBank)
-            assert q_members.source.data is query_read()
+            # the query's one tile is its source, filled from the query's stream
+            assert np.array_equal(q_members.source.data, read_descriptors(query).data)
             assert r_members.source.data is ref_read()
             return match(q_members, r_members)
 
@@ -499,10 +500,11 @@ class TestRunCommand:
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 4, 8, "--out-dir", tmp_path / "o",
         ) == 0
-        # both loaded series are held by their banks, which take their norms without
-        # building a member
+        # each bank holds its source and takes its norms without building a member: the
+        # reference's is the loaded series, and the query's stream, its reused block buffer
+        # too, has ended before its one tile is matched
         assert members == []
-        assert alive_at_match == [[True, True]]
+        assert alive_at_match == [[True, False]]
 
     def test_one_span_multi_delta_matches_exactly_like_delta(
         self, synth_files, tmp_path, monkeypatch
@@ -543,14 +545,16 @@ class TestRunCommand:
             "--transform", "multi-delta", "--spans", 4, 8, 16, "--seqmatch-length", 4,
             "--radius", 2, "--out-dir", tmp_path / "o",
         ) == 0
-        # each side is one bank of its loaded series, the reference first, and no member
-        # is built: the query's tiles are banks of slices of its source
-        assert len(banks.call_args_list) == 2
-        for call, path in zip(banks.call_args_list, (ref, query)):
-            assert np.array_equal(call.args[0].data, read_descriptors(path).data)
+        # the reference is one bank of its loaded series, the query is read from its stream,
+        # and no member is built: the query's tiles are banks of its source's rows
+        (call,) = banks.call_args_list
+        assert np.array_equal(call.args[0].data, read_descriptors(ref).data)
         assert transformed.call_count == 0 and built.call_count == 0
-        # the three spans' norms of each side, then of each query tile
-        assert scales.call_count == 3 * (2 + 6)
+        # the three spans' norms of the reference, then of each query tile, none of the
+        # whole query
+        assert scales.call_count == 3 * (1 + 6)
+        sources = [c.args[0] for c in scales.call_args_list[3:]]
+        assert all(len(s) <= 85 for s in sources)
 
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files
@@ -1219,6 +1223,40 @@ class TestExitCodes:
             "nan": "non-finite descriptor value at row 297, column 5",
         }[fault]
         assert capsys.readouterr().err == f"deltadesc: data error: [load] {bad}: {message}\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("flags, rows, tiles", [
+        (("--transform", "delta", "--window", 2), 40, 6),
+        (("--transform", "multi-delta", "--spans", 2, 4), 300, 0),
+        (("--transform", "multi-delta", "--spans", 2, 4), 200, 1),
+    ], ids=["delta-tiles", "bank-one-tile", "bank-two-tiles"])
+    def test_a_late_non_finite_delta_names_its_transform_and_query_row(
+        self, tmp_path, capsys, monkeypatch, flags, rows, tiles
+    ):
+        # alternating +-1e308 from row 250 on: each window's sum is finite until the query's
+        # last row is edge-replicated, so the first non-finite delta value is at row 298. It is
+        # found once ``tiles`` tiles are matched: a member's as its block of delta rows,
+        # [256, 300), is made for the seventh tile of 40 rows, and a bank's as the norms of
+        # the tile that holds it are taken. Either is named by its row in the query, not in
+        # its block or tile. The two bank tiles are rows [0, 196) and [188, 300); CHANGES.md
+        # says what a tile edge inside the +-1e308 rows reports.
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(300, 4))
+        data[250:, 0] = 1e308 * (-1.0) ** np.arange(50)
+        ref, query = tmp_path / "ref.dvpr", tmp_path / "query.dvpr"
+        write_descriptors(ref, DescriptorSeries(rng.normal(size=(300, 4))), dtype="float64")
+        write_descriptors(query, DescriptorSeries(data), dtype="float64")
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * 300)
+        matched = []
+        for name in ("distance_matrix", "multi_delta_distance"):
+            matched.append(mock.Mock(wraps=getattr(deltadesc.cli, name)))
+            monkeypatch.setattr(deltadesc.cli, name, matched[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("run", "--ref", ref, "--query", query, *flags,
+                           "--out-dir", tmp_path / "o")
+        assert code == 2 and sum(spy.call_count for spy in matched) == tiles
+        message = "[transform] non-finite descriptor value at row 298, column 0"
+        assert capsys.readouterr().err == f"deltadesc: config error: {message}\n"
         assert list((tmp_path / "o").iterdir()) == []
 
     def test_a_query_cut_short_leaves_no_distance_file(self, synth_files, tmp_path, capsys):

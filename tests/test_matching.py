@@ -714,8 +714,10 @@ class TestFactoredBank:
         # Q x R x 8 bytes: exactly the whole budget, twice half of it
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 70 * 50 * 8)
         got = deltadesc.cli._match(query, ref, 5)
+        # one call over all rows: a bank of the whole source, not of a slice
         (call,) = spy.call_args_list
-        assert call.args[0] is query and builds.call_count == 0
+        assert np.array_equal(call.args[0].source.data, query.source.data)
+        assert call.args[0].spans == query.spans and builds.call_count == 0
         assert np.array_equal(got.ref_indices, want.ref_indices)
         assert np.array_equal(got.distances, want.distances)
 

@@ -214,7 +214,7 @@ class TestPcaTransform:
         whole = pca_transform(model, series).data
         spy = mock.Mock(wraps=deltadesc.reduction._project)
         monkeypatch.setattr(deltadesc.reduction, "_project", spy)
-        rows = np.array(list(project_rows(model, iter(series.data), frames)))
+        rows = np.vstack(list(project_rows(model, iter(series.data), frames)))
         # a short last block joins the one before it
         assert [len(call.args[1]) for call in spy.call_args_list] == blocks
         assert rows.tobytes() == whole.tobytes()

@@ -7,12 +7,12 @@ retrieve -> evaluate in a single invocation. ``run`` and ``match`` read the
 query once, from its file, as its tiles are matched: its rows go through the
 transform and any reference-fitted projection, or as a span bank's source,
 into the tiles, so no Q x D array of it is made. A fit on the query or on both
-sides takes the transformed query as one tile; only a CSV query is read whole,
-as it is opened. Staged invocations with float64 intermediate files reproduce
-the single-invocation outputs byte for byte, except for span banks of two or
-more spans without PCA: ``run`` keeps both sides as their series and spans,
-matches them through products of the two series, and tiles a long query by
-its source rows, so the distances agree only within rounding.
+sides takes the transformed query as one tile; only a CSV query is read whole.
+Staged invocations with float64 intermediate files reproduce the
+single-invocation outputs byte for byte, except for span banks of two or more
+spans without PCA: ``run`` matches both sides through products of their
+series, with the query's filters carried from tile to tile, so the distances
+agree only within rounding.
 
 Exit codes: 0 success, 2 configuration error or out of memory, 3 data error.
 """
@@ -34,21 +34,19 @@ from . import io as ddio
 from .calibration import _check_span_args, estimate_span, self_distance_profile
 from .evaluation import PrCurve, correct_matches, evaluate_pr, max_f1, precision_at_full_recall
 from .evaluation import median_pair_products, rank_dimensions
-from .matching import MatchSet, _bank_shape
+from .matching import DistanceMatrix, MatchSet, _bank_shape, _bank_tiles
 from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_match
 from .reduction import PcaModel, pca_fit, pca_transform, project_rows
 from .series import DescriptorSeries, GroundTruth, _check_finite, _check_radius, _seal
 from .series import apply_permutation
 from .synth import SynthParams, generate_traverse_pair
 from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, SpanBank, delta, delta_bank
-from .transform import _smooth_blocks, delta_rows, delta_valid_range, smooth
+from .transform import _delta_scales, _smooth_blocks, delta_rows, delta_valid_range, smooth
 
 TRANSFORMS = ("raw", "smooth", "delta", "multi-delta")
 FIT_SOURCES = ("ref", "query", "both")
-# bytes of a query tile's live Q x R matrices. Under seqmatch a tile's distances and
-# seq_match's output share it, half each, except in a query span bank that fits one tile
-# of the whole budget: at 32 MiB a 2000 x 2000 bank is one tile, and splitting it under a
-# 16 MiB budget cost more time and memory than it saved.
+# bytes of a query tile's live Q x R matrices: under seqmatch a tile's distances and
+# seq_match's output share it, half each
 MATCH_TILE_BYTES = 32 * 2**20
 
 
@@ -258,24 +256,14 @@ def _match(
     """Distances (min over pairings for banks), optional seqmatch, best reference per query.
 
     The query is a ``QueryRows`` stream, read as the tiles need it, or a list of
-    members or a ``SpanBank``, whose rows are read in the same way. Query rows
-    are matched in tiles, each widened by seqmatch's halo, L//2 rows before and
-    ceil(L/2) - 1 after, so every kept row sums the same in-bounds shifts as the
-    Q x R matrix would. A tile's distances and seq_match's output are live
-    together, so with L > 1 they share ``MATCH_TILE_BYTES``, half each, unless the
-    query is a span bank that fits one tile of the whole budget.
-
-    A tile is a new array per member, which its series adopts: it takes the
-    rows it shares with the tile before from that tile and the rest from the
-    stream, so no Q x D array of the query is ever made. A span bank's tile is
-    a tile of its source, widened by its longest span on each side, and a bank
-    of its own, with its own column means: each delta of a row in the seqmatch
-    halo then sees the frames the whole series' delta sees, or the series' own
-    edges. A bank's halos, H = L - 1 + 2 * max(spans) rows, come out of a tile
-    budget of B rows while H <= B/2; then it keeps min(B, H) rows, at most
-    doubling the work where H < B. The ``out_distances`` file, if named, checks
-    the free disk before the first tile and then takes each tile's kept rows as
-    soon as they exist.
+    members or a ``SpanBank`` (against a reference bank of two or more spans),
+    whose rows are read in the same way. Every query takes one tile rule: tiles
+    of ``MATCH_TILE_BYTES``, halved with L > 1 for seq_match's output, each
+    widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1 after, so
+    every kept row sums the same in-bounds shifts as the Q x R matrix would.
+    Members take their tiles from ``_row_tiles``, a span bank from
+    ``_bank_matrices``. The ``out_distances`` file, if named, checks the free
+    disk before the first tile and then takes each tile's kept rows.
     """
     length = int(seqmatch_length)
     with _stage("distance"):
@@ -287,31 +275,24 @@ def _match(
             q_count, dim = _bank_shape(query)
             query = QueryRows(q_count, (dim,) * len(query), zip(*(q.data for q in query)))
         q_count, r_count = query.count, _bank_shape(r_members)[0]
-    bank = bool(query.spans)
-    halo = max(query.spans) if bank else 0
     rows = max(1, MATCH_TILE_BYTES // (8 * r_count))  # query rows of the whole budget
-    if length > 1 and not (bank and q_count <= rows):
+    if length > 1:
         rows = max(1, rows // 2)
-    if bank and q_count > rows:  # the budget less the halos, or as many as them up to it
-        rows = max(rows - 2 * halo - length + 1, min(rows, 2 * halo + length - 1))
     kept = [(b0, min(b0 + rows, q_count)) for b0 in range(0, q_count, rows)]
-    widened = [(max(0, b0 - length // 2 - halo), min(q_count, b1 + (length + 1) // 2 - 1 + halo))
+    widened = [(max(0, b0 - length // 2), min(q_count, b1 + (length + 1) // 2 - 1))
                for b0, b1 in kept]
-    tiles = _row_tiles(query, widened)
+    if query.spans:
+        tiles = _bank_matrices(query, r_members, widened)
+    else:
+        tiles = (distance_matrix(t[0], r_members[0]) if len(t) * len(r_members) == 1
+                 else multi_delta_distance(t, r_members) for t in _row_tiles(query, widened))
     idx, dist = np.empty(q_count, np.int64), np.empty(q_count)
     writer = out_distances and ddio.distance_rows_writer(out_distances, q_count, r_count)
     with writer or nullcontext(lambda rows: None) as write_rows:
         for (b0, b1), (a0, a1) in zip(kept, widened):
             m = None  # release the last tile's matrix before this one is built
             with _stage("distance"):
-                tile = next(tiles)
-            with _stage("transform"):  # a bank tile's norms check its deltas, by query row
-                tile = SpanBank(tile[0], query.spans, a0) if bank else tile
-            with _stage("distance"):
-                if len(tile) * len(r_members) == 1:
-                    m = distance_matrix(tile[0], r_members[0])
-                else:
-                    m = multi_delta_distance(tile, r_members)
+                m = next(tiles)
             if length > 1:
                 with _stage("seqmatch"):
                     m = seq_match(m, length)
@@ -321,6 +302,39 @@ def _match(
             idx[b0:b1], dist[b0:b1] = best.ref_indices[keep], best.distances[keep]
             write_rows(m.values[keep])
     return MatchSet(_seal(idx), _seal(dist))
+
+
+def _bank_matrices(
+    query: QueryRows, r_members: SpanBank, widened: Sequence[tuple[int, int]]
+) -> Iterator[DistanceMatrix]:
+    """The distances of each tile (a0, a1) of ``widened``, in order, for the query span bank
+    whose source rows ``query.frames`` yields. A bank of one tile is read whole and
+    matched as a ``SpanBank``; a longer one through ``_bank_tiles``, its rows read
+    once and each span's row scales taken from them once, a block ahead of the
+    tiles. A non-finite delta value is a ``[transform]`` fault named by its row.
+    """
+    if len(widened) == 1:
+        (source,) = next(_row_tiles(query, widened))
+        with _stage("transform"):  # the bank's norms check its deltas
+            bank = SpanBank(source, query.spans)
+        yield multi_delta_distance(bank, r_members)
+        return
+    rows, *lags = tee((frame[0] for frame in query.frames), 1 + len(query.spans))
+    scales = [np.empty(query.count) for _ in query.spans]
+    blocks = [chain.from_iterable(_staged(_delta_scales(r, span), "transform"))
+              for r, span in zip(lags, query.spans)]
+
+    def read(t0: int, t1: int) -> np.ndarray:
+        out = np.empty((t1 - t0, query.dims[0]))
+        for t, row, *values in zip(range(t0, t1), rows, *blocks):
+            out[t - t0] = row
+            for scale, value in zip(scales, values):
+                scale[t] = value
+        return out
+
+    # map keeps no tile: each goes once its seqmatch is done
+    yield from map(DistanceMatrix, map(_seal, _bank_tiles(read, query.spans, scales,
+                                                           r_members, widened)))
 
 
 def _row_tiles(

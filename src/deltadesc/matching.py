@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -210,29 +210,68 @@ def _bank_distances(q_bank: SpanBank, bank: SpanBank) -> np.ndarray:
     means, with no centred copy (``_centred_product``): a delta's weights sum to
     zero, so the result is unchanged in exact arithmetic, and the filters'
     running sums stay small. The scales are the members' own ``_row_scales``,
-    so rows below ``ZERO_NORM`` still compare at exactly 1.0.
-    ``_filter_product`` writes the best over the rows of the product, so the
-    result is the only Q x R matrix. The result is within rounding of the
-    direct path, and that rounding grows with the reference length: the
-    largest difference seen was 3.9e-12 at 20-60 frames, the lengths
-    ``FACTORED_BOUND`` (1e-11) in the tests covers, 4.3e-11 at 150-200, and
-    2.6e-10 over 3000 random draws at 400-500, which is not a worst case (see
-    ``LONG_REFERENCE_ERROR`` in the tests). Argmins moved only between
-    near-ties.
+    so rows below ``ZERO_NORM`` still compare at exactly 1.0. The result, the
+    one tile of ``_bank_tiles``, is the only Q x R matrix, and is within
+    rounding of the direct path; the rounding grows with the reference length:
+    3.9e-12 at 20-60 frames, which ``FACTORED_BOUND`` (1e-11) in the tests
+    covers, 4.3e-11 at 150-200 and 2.6e-10 at 400-500 (``LONG_REFERENCE_ERROR``).
+    Argmins moved only between near-ties.
     """
-    source, q = bank.source.data, q_bank.source.data
-    dist = np.empty((len(q), len(source)))
-    _centred_product(source, q, dist.T)
-    q_scales = [scale / span for span, scale in zip(q_bank.spans, q_bank.row_scales)]
-    _filter_product(dist, bank, q_bank.spans, q_scales)
-    # 1 - x is monotone, so the largest scaled dot product gives the smallest distance
-    np.subtract(1.0, dist, out=dist)
-    return np.clip(dist, 0.0, 2.0, out=dist)
+    q = q_bank.source.data
+    (dist,) = _bank_tiles(lambda t0, t1: q[t0:t1], q_bank.spans, q_bank.row_scales, bank,
+                          [(0, len(q))])
+    return dist
 
 
-def _centred_product(source: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """Write the R x Q product of the reference and query sources, each centred by its
-    column means, into ``out``, the transposed view of the Q x R result.
+def _bank_tiles(
+    read: Callable, spans: Sequence[int], scales: Sequence[np.ndarray], bank: SpanBank, tiles: list
+) -> Iterator[np.ndarray]:
+    """Yield ``_bank_distances``' rows [a0, a1) of each (a0, a1) of ``tiles`` in order, each a
+    new array, for the query bank of ``spans`` whose source rows [t0, t1) ``read`` gives,
+    asked for in order, and whose members' ``_row_scales`` are ``scales``, each row's
+    set once ``read`` has given the row.
+
+    A tile copies the rows it shares with the tile before. The query filters
+    carry their running sums from tile to tile, with edge padding only at the
+    query's ends, so each query row goes through the GEMM once. A row comes out
+    max(spans) product rows after its own, into the slot of a product row
+    already filtered. Every tile is centred by the first tile's column means,
+    which for one tile are ``q.mean(axis=0)``.
+    """
+    q_count, pad, width = len(scales[0]), max(spans), len(bank.source.data)
+    carry, q_mean, last, done = [None] * len(bank), None, np.empty(width), 0
+    dist, l0 = np.empty((0, width)), 0
+    for a0, a1 in tiles:
+        shared = dist[a0 - l0 :].copy()
+        dist = gram = new = None  # the tile before goes before this one is made
+        dist, l0 = np.empty((a1 - a0, width)), a0
+        dist[: len(shared)] = shared
+        while done - pad < a1:  # query row done - pad is the next to come out
+            t = max(a0, done - pad)
+            gram = dist[t - a0 : t - a0 + max(0, min(a1 - t, q_count - done))]
+            if len(gram):
+                rows = read(done, done + len(gram))
+                q_mean = rows.mean(axis=0) if q_mean is None else q_mean
+                _centred_product(bank.source.data, rows, gram.T, q_mean)
+                rows = None  # read once: gone before the filters and seqmatch
+                if done + len(gram) == q_count:
+                    last[:] = gram[-1]  # the query's last product row, for its edge copies
+            # past the query's last row, its edge copies, as many as the tile needs
+            copies = a1 + pad - done - len(gram) if done + len(gram) >= q_count else 0
+            ends = np.broadcast_to(last, (copies, width))
+            carry = _filter_product(dist, a0, (gram, ends), carry, bank, spans, scales)
+            done += len(gram) + copies
+        new = dist[len(shared) :]  # 1 - x is monotone: the largest scaled dot is the nearest
+        np.subtract(1.0, new, out=new)
+        np.clip(new, 0.0, 2.0, out=new)
+        yield dist
+
+
+def _centred_product(
+    source: np.ndarray, q: np.ndarray, out: np.ndarray, q_mean: np.ndarray
+) -> None:
+    """Write the R x Q product of the reference source, centred by its column means, and of
+    the query rows ``q``, centred by ``q_mean``, into ``out``, a transposed view of the result.
 
     Neither centred source is copied whole. The query is centred into one reused
     buffer ceil(D / R) blocks of rows at a time, so no block is much larger than
@@ -241,7 +280,7 @@ def _centred_product(source: np.ndarray, q: np.ndarray, out: np.ndarray) -> None
     keeps the 2000 x 4096 bench product the same bits as one GEMM of a centred
     copy (667 rows did not).
     """
-    mean, q_mean = source.mean(axis=0), q.mean(axis=0)
+    mean = source.mean(axis=0)
     step = -(-len(q) // -(-q.shape[1] // len(source)))  # ceil(Q / ceil(D / R))
     step = min(-(-step // 8) * 8, 256)
     buf = np.empty((min(step, len(q)), q.shape[1]))
@@ -254,52 +293,54 @@ def _centred_product(source: np.ndarray, q: np.ndarray, out: np.ndarray) -> None
 
 
 def _filter_product(
-    gram: np.ndarray, bank: SpanBank, spans: Sequence[int], scales: Sequence[np.ndarray]
-) -> None:
-    """Overwrite the Q x R product ``gram`` with the largest of each pairing's scaled
-    dot products filtered from it.
+    dist: np.ndarray, a0: int, pieces: tuple, carry: list, bank: SpanBank, spans: Sequence[int],
+    scales: Sequence[np.ndarray],
+) -> list:
+    """Feed the product rows of ``pieces`` through the filters, carried on from ``carry``,
+    and write each query row they complete, the largest of its pairings' scaled dot
+    products, into the tile ``dist`` from query row ``a0``; return the new carry.
 
     The reference spans' deltas run along the rows (``_reference_deltas``) in
-    lockstep; the query spans' run down them, through ``_running_sums`` padded
-    by the largest query span, with each 1/k folded into ``scales``. A block of
-    ``SEQ_BLOCK_ROWS`` rows of ``gram`` is written once every stream has read
-    those rows.
+    lockstep, the query spans' down them through ``_running_sums``, padded by
+    the largest query span before the first row, with each 1/k in the scales.
     """
-    pad, width = max(spans), gram.shape[1]
     # scratch that every stream spends before it yields; the query filters use out too
-    padded = np.empty((SEQ_BLOCK_ROWS, width + 2 * max(bank.spans)))
-    out = np.empty((SEQ_BLOCK_ROWS, width))
-    streams = [_reference_deltas(gram, *lr, padded, out) for lr in zip(bank.spans, bank.row_scales)]
-    rows = (chain.from_iterable(block for _, block in s) for s in streams)
-    streams = [_running_sums(r, pad, pad, 2 * pad, edge=True) for r in rows]
+    pad, padded = max(spans), np.empty((SEQ_BLOCK_ROWS, dist.shape[1] + 2 * max(bank.spans)))
+    out = np.empty((SEQ_BLOCK_ROWS, dist.shape[1]))
+    streams = []
+    for lr, sums in zip(zip(bank.spans, bank.row_scales), carry):
+        rows = chain.from_iterable(_reference_deltas(pieces, *lr, padded, out))
+        streams.append(_running_sums(rows, 0 if sums else pad, 0, 2 * pad, True, sums))
     for blocks in zip(*streams):
         t0, t1 = blocks[0][0], blocks[0][0] + len(blocks[0][1]) - 2 * pad
         for b0 in range(t0, t1, SEQ_BLOCK_ROWS):
             n, j = min(SEQ_BLOCK_ROWS, t1 - b0), b0 - t0 + pad  # j: row b0 in the sums
-            top, o = gram[b0 : b0 + n], out[:n]
+            top, o = dist[b0 - a0 : b0 - a0 + n], out[:n]
             top.fill(-np.inf)
             for _, sums in blocks:
                 for span, scale in zip(spans, scales):
                     np.subtract(sums[j + span : j + span + n], sums[j : j + n], out=o)
                     o -= sums[j : j + n]
                     o += sums[j - span : j - span + n]
-                    o *= scale[b0 : b0 + n, None]
+                    o *= scale[b0 : b0 + n, None] / span
                     np.maximum(top, o, out=top)
+    return list(blocks)
 
 
 def _reference_deltas(
-    gram: np.ndarray, span: int, scale: np.ndarray, padded: np.ndarray, trail: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t0, rows): rows t0, t0 + 1, ... of the edge-replicate span-``span`` delta
-    along each row of ``gram``, times ``scale``, ``SEQ_BLOCK_ROWS`` rows at a time.
+    pieces: Sequence[np.ndarray], span: int, scale: np.ndarray, padded: np.ndarray,
+    trail: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Yield the rows of the edge-replicate span-``span`` delta along each row of the
+    ``pieces``, in order, times ``scale``, ``SEQ_BLOCK_ROWS`` rows of a piece at a time.
 
     Each block is valid until the next; ``padded`` and ``trail`` are scratch. The
     arithmetic is ``_delta_blocks``': the running sums S of each edge-padded row,
     then (S[t+2l] - S[t+l]) - (S[t+l] - S[t]), then / l.
     """
-    cols, reach = gram.shape[1], 2 * span
+    cols, reach = pieces[0].shape[1], 2 * span
     out = np.empty((SEQ_BLOCK_ROWS, cols))
-    for t0 in range(0, len(gram), SEQ_BLOCK_ROWS):
+    for t0, gram in ((t0, g) for g in pieces for t0 in range(0, len(g), SEQ_BLOCK_ROWS)):
         block = gram[t0 : t0 + SEQ_BLOCK_ROWS]
         s, rows = padded[: len(block), : cols + reach], out[: len(block)]
         s[:, :span], s[:, span:-span], s[:, -span:] = block[:, :1], block, block[:, -1:]
@@ -308,7 +349,7 @@ def _reference_deltas(
         rows -= np.subtract(s[:, span:-span], s[:, :-reach], out=trail[: len(block)])
         rows /= span
         rows *= scale
-        yield t0, rows
+        yield rows
 
 
 def retrieve_best(m: DistanceMatrix) -> MatchSet:

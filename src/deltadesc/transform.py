@@ -26,7 +26,7 @@ a query file's row blocks, is transformed with no T x D array at all
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Optional
 
@@ -60,7 +60,8 @@ class DeltaConfig:
 
 
 def _running_sums(
-    rows: Iterable[np.ndarray], before: int, after: int, reach: int, edge: bool
+    rows: Iterable[np.ndarray], before: int, after: int, reach: int, edge: bool,
+    carry: Optional[tuple[int, np.ndarray]] = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (i0, sums): sums[j] is the sum of padded rows 0 .. i0 + j.
 
@@ -70,22 +71,32 @@ def _running_sums(
     a view of one reused buffer, valid until the next block, and starts with
     the last ``reach`` sums of the block before, so each window of ``reach`` + 1
     sums lies in one block. Each sum is ``np.add(prev, row)`` over the rows in
-    order, as ``np.cumsum(axis=0)`` of the padded copy would add them.
+    order, as ``np.cumsum(axis=0)`` of the padded copy would add them. With
+    ``carry``, the last (i0, sums) that a call on the rows before yielded, the
+    sums go on from it, in its buffer; a call's last block is yielded whenever
+    it holds a sum that no block before held.
     """
     padded = _padded(rows, before, after, edge)
-    first = next(padded)
-    buf = np.empty((BOX_BLOCK_ROWS + reach, len(first)))
+    if carry is None:
+        first = next(padded)
+        buf, i0, kept = np.empty((BOX_BLOCK_ROWS + reach, len(first))), 0, 0
+        buf[0] = first
+    else:
+        i0, sums = carry
+        buf, kept = sums if sums.base is None else sums.base, min(reach, len(sums))
+        buf[:kept] = sums[len(sums) - kept :]
+        i0 += len(sums) - kept
     slots = list(buf)  # views made once: the row loop makes no array object per row
-    buf[0] = first
-    i0, fill = 0, 1
+    fill = max(kept, 1)
     for row in padded:
+        if fill == len(buf):  # a full block, yielded: go on from its last reach sums
+            buf[:reach] = buf[fill - reach :]
+            i0, fill, kept = i0 + fill - reach, reach, reach
         np.add(slots[fill - 1], row, out=slots[fill])
         fill += 1
         if fill == len(buf):
             yield i0, buf
-            buf[:reach] = buf[fill - reach :]
-            i0, fill = i0 + fill - reach, reach
-    if fill > reach:
+    if kept < fill < len(buf):
         yield i0, buf[:fill]
 
 
@@ -222,19 +233,18 @@ def _delta_blocks(
         yield t0, block
 
 
-def _delta_scales(data: np.ndarray, span: int, row0: int = 0) -> np.ndarray:
-    """``_row_scales`` of the span-``span`` delta of ``data``, taken from its blocks.
+def _delta_scales(rows: Iterable[np.ndarray], span: int) -> Iterator[np.ndarray]:
+    """``_row_scales`` of the span-``span`` delta of the series whose rows ``rows`` yields,
+    taken from its delta blocks and yielded block by block, in order.
 
-    A non-finite delta value raises as a built member's series would, its row
-    counted from ``row0``; such a value makes its row norm non-finite.
+    A non-finite delta value raises as a built member's series would, named by its
+    row in the series; such a value makes its row norm non-finite.
     """
-    norms = np.empty(len(data))
-    for t0, rows in _delta_blocks(data, span):
-        block = norms[t0 : t0 + len(rows)]
-        block[:] = np.linalg.norm(rows, axis=1)
-        if not np.isfinite(block).all():
-            _check_finite(rows, "descriptor", row0 + t0)
-    return _seal(_norm_scales(norms))
+    for t0, block in _delta_blocks(rows, span):
+        norms = np.linalg.norm(block, axis=1)
+        if not np.isfinite(norms).all():
+            _check_finite(block, "descriptor", t0)
+        yield _norm_scales(norms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +252,7 @@ class SpanBank(Sequence):
     """Edge-replicate deltas of ``source``, one per span of ``spans``, built on demand.
 
     A bank holds its source, its spans and each member's ``_row_scales``, which
-    it takes from the member's delta blocks without building the member; a
-    non-finite delta value's row counts from ``row0``, the source's first row.
+    it takes from the member's delta blocks without building the member.
     ``multi_delta_distance`` matches a bank of two or more spans through
     products with its source and needs no member, so a bank pays off only
     where it is matched that way. Indexing or iterating builds a member, bit
@@ -252,15 +261,14 @@ class SpanBank(Sequence):
 
     source: DescriptorSeries
     spans: tuple[int, ...]
-    row0: InitVar[int] = 0
     row_scales: tuple[np.ndarray, ...] = field(init=False)
 
-    def __post_init__(self, row0: int) -> None:
+    def __post_init__(self) -> None:
         if not self.spans:
             raise ValueError("delta bank needs a non-empty span set")
         spans = tuple(DeltaConfig(window=s).window for s in self.spans)
         object.__setattr__(self, "spans", spans)
-        scales = tuple(_delta_scales(self.source.data, s, row0) for s in spans)
+        scales = tuple(_seal(np.concatenate([*_delta_scales(self.source.data, s)])) for s in spans)
         object.__setattr__(self, "row_scales", scales)
 
     def __len__(self) -> int:

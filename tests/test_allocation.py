@@ -20,16 +20,17 @@ member. Matching two banks holds one Q x R matrix, the result, which holds
 the product and then the best, plus blocks of rows; a wide query source is
 centred a block of rows at a time, not copied whole. The result is adopted
 without a copy. A query bank over several tiles holds one tile's matrices, one
-slice of its source and the filters' blocks, and builds no member. ``run`` and
+block of its source rows and the filters, whose running sums it carries from
+tile to tile, and builds no member. ``run`` and
 ``match`` read a query file as its tiles are matched, so a query 20 times longer
 than its reference never takes a Q x D array: they hold one chunk of the file and
 its float64 rows, the reference and its delta, the running sums, the delta block
 and its trailing windows, two tiles of query rows (one and the one before, which
 hands over its last L - 1 rows) and one tile's distances and seq_match output
-with its counts. A query span bank is read the same way: its tiles of source
-rows, halos included, take no more rows than the member tiles, its tile norms
-take the delta's blocks, and it adds the span-bank filters' blocks and one
-block of centred query rows.
+with its counts. A query span bank is read the same way: its blocks of source
+rows, each read once, take no more rows than the member tiles, its norms take
+one stream of delta blocks per span, and it adds the span-bank filters' blocks
+and one block of centred query rows.
 """
 
 import tracemalloc
@@ -267,16 +268,16 @@ def test_a_query_bank_over_several_tiles_holds_one_tile(monkeypatch):
     monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * FRAMES * 8)
     builds = []
     monkeypatch.setattr(deltadesc.transform, "delta", lambda *args: builds.append(args))
-    # the bank does not fit one tile, so under seqmatch it shares the budget: two matrices
-    # of rows / 2 rows, whose kept rows are widened by seqmatch's halo and by the longest
-    # span on either side
+    # under seqmatch the bank shares the budget, as any query does: two matrices of rows / 2
+    # rows, whose kept rows are widened by seqmatch's halo only
     tile = rows // 2
     matrices = 2 * tile * FRAMES + 2 * SEQ_BLOCK_ROWS * FRAMES  # seq_match's counts too
-    # measured 0.284 matrices, where the whole match would hold two Q x R matrices, and 0.296
-    # with the halos on top of the budget. Tiles of built members held 0.195 and their
-    # members 0.032 more: at D = 16 the query filter's running sums weigh more than the
-    # members. 0.03 covers the tile bank's norms, numpy's buffers for strided operands and
-    # the per-query vectors.
+    # measured 0.304 matrices, where the whole match would hold two Q x R matrices. Tiles
+    # widened by the longest span on either side held 0.284, since their filters went with
+    # each tile; carried, the query filter's running sums stay live through seq_match. Tiles
+    # of built members held 0.195 and their members 0.032 more: at D = 16 the query filter's
+    # running sums weigh more than the members. 0.03 covers the bank's norms, numpy's
+    # buffers for strided operands and the per-query vectors.
     bound = (matrices + tile * qb.source.dim) * 8 / MATRIX_BYTES + blocks(filter_rows(rb.spans, 4))
     assert peak_matrices(deltadesc.cli._match, qb, rb, length) <= bound + 0.03
     assert builds == []
@@ -303,10 +304,11 @@ def test_run_and_match_stream_a_long_query_with_no_q_by_d_array(tmp_path, monkey
     # measured 6.34 MB for run and 5.39 MB for match, against 16.4 MB for one Q x D array;
     # 0.05 covers the per-query vectors, the CSV text and numpy's small temporaries
     bound = stream + reference + transform + tiles + 0.05 * MATRIX_BYTES
-    # a span bank of the same longest span: its 45 tiles of source rows, each widened by
-    # 2 * 4 + 3 halo rows, fit the member tiles' rows, and its norms the delta's blocks. It
-    # adds the filters' blocks and one block of centred query rows, ceil(100 / ceil(512 /
-    # 200)) rows in whole 8-row panels. Measured 6.33 MB.
+    # a span bank of the same longest span: its 40 tiles read each source row once, in
+    # blocks no larger than the member tiles' rows, and its norms take one stream of delta
+    # blocks per span. It adds the filters' blocks and one block of centred query rows,
+    # ceil(100 / ceil(512 / 200)) rows in whole 8-row panels. Measured 7.50 MB, against
+    # 6.33 MB when each tile was widened by 2 * 4 + 3 halo rows and took its own norms.
     filters = (filter_rows((2, 4), window) * frames + 40 * dim) * 8
     run = ["run", "--ref", ref, "--query", query, "--gt", gt, "--seqmatch-length", length,
            "--radius", 2, "--out-dir", tmp_path]

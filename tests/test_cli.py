@@ -535,26 +535,30 @@ class TestRunCommand:
         built = mock.Mock(wraps=delta)
         monkeypatch.setattr(deltadesc.cli, "delta_bank", banks)
         monkeypatch.setattr(deltadesc.transform, "_delta_scales", scales)
+        monkeypatch.setattr(deltadesc.cli, "_delta_scales", scales)
         monkeypatch.setattr(deltadesc.cli, "delta", transformed)
         monkeypatch.setattr(deltadesc.transform, "delta", built)
         # six tiles of 50 kept rows: the bank does not fit one tile, so under seqmatch it
-        # shares the budget, and each tile's halos, 2 * 16 + 3 rows, come out of its share
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 85 * 8 * 300)
+        # shares the budget, as member tiles do, with no span halo
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 50 * 8 * 300)
+        tiles = mock.Mock(wraps=deltadesc.cli.retrieve_best)
+        monkeypatch.setattr(deltadesc.cli, "retrieve_best", tiles)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt,
             "--transform", "multi-delta", "--spans", 4, 8, 16, "--seqmatch-length", 4,
             "--radius", 2, "--out-dir", tmp_path / "o",
         ) == 0
+        assert tiles.call_count == 6
         # the reference is one bank of its loaded series, the query is read from its stream,
-        # and no member is built: the query's tiles are banks of its source's rows
+        # and no member is built
         (call,) = banks.call_args_list
         assert np.array_equal(call.args[0].data, read_descriptors(ref).data)
         assert transformed.call_count == 0 and built.call_count == 0
-        # the three spans' norms of the reference, then of each query tile, none of the
-        # whole query
-        assert scales.call_count == 3 * (1 + 6)
-        sources = [c.args[0] for c in scales.call_args_list[3:]]
-        assert all(len(s) <= 85 for s in sources)
+        # the three spans' norms of the reference, then of the query's row stream, once
+        # each: no tile takes norms of its own
+        assert scales.call_count == 3 * 2
+        assert all(isinstance(c.args[0], np.ndarray) for c in scales.call_args_list[:3])
+        assert not any(isinstance(c.args[0], np.ndarray) for c in scales.call_args_list[3:])
 
     def test_valid_only_scores_the_unpadded_queries(self, synth_files, tmp_path):
         ref, query, gt = synth_files
@@ -713,9 +717,8 @@ class TestTiledMatch:
         query = DescriptorSeries(rng.normal(size=(50, 4)))
         ref = DescriptorSeries(rng.normal(size=(30, 4)))
         # five tiles of 10 kept rows: at L = 3 the distances and seq_match's output share
-        # the budget, and a bank's halos, 2 * 4 + 2 rows, come out of its share
-        halos = 0 if spans is None else 10
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * (10 + halos) * 8 * 30)
+        # the budget
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 10 * 8 * 30)
         # the zero-norm rule, which every norm pass ends in: a series' or a bank's
         spy = mock.Mock(wraps=deltadesc.series._norm_scales)
         monkeypatch.setattr(deltadesc.series, "_norm_scales", spy)
@@ -727,26 +730,13 @@ class TestTiledMatch:
             tiles = [11, 11, 12, 12, 12]  # one query tile of 11 or 12 halo-widened rows each
         else:
             q_members, r_members = delta_bank(query, spans), delta_bank(ref, spans)
-            # per span: the whole query, then each tile, widened by the longest span too
-            tiles = [50, 50] + [15, 20, 20, 20, 15] * 2
+            # per span: the whole query when its bank is built, and once more as _match
+            # reads it as a row stream, one block of norms each; no tile takes its own
+            tiles = [50, 50] * 2
         deltadesc.cli._match(q_members, r_members, 3)
         # one call per reference member, however many tiles
         sizes = sorted(len(call.args[0]) for call in spy.call_args_list)
         assert sizes == sorted(tiles + [30] * len(r_members))
-
-    @pytest.mark.parametrize("spans, tile", [((2, 8), 40), ((2, 16), 70), ((2, 24), 91)])
-    def test_a_query_bank_tile_takes_its_halos_from_the_budget(self, spans, tile, monkeypatch):
-        rng = np.random.default_rng(14)
-        qb = delta_bank(DescriptorSeries(rng.normal(size=(200, 4))), spans)
-        rb = delta_bank(DescriptorSeries(rng.normal(size=(30, 4))), (2, 4))
-        # 40 rows a tile under seqmatch at L = 4: halos of 2 * 8 + 3 rows leave 21 kept rows.
-        # Halos of 2 * 16 + 3 rows would leave 5, so the tile keeps as many rows as its halos,
-        # 35; halos of 2 * 24 + 3 rows pass the budget, whose 40 rows the tile keeps.
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 2 * 40 * 8 * 30)
-        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
-        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
-        deltadesc.cli._match(qb, rb, 4)
-        assert max(len(call.args[0].source.data) for call in spy.call_args_list) == tile
 
     def test_a_one_row_budget_halved_still_takes_one_row_a_tile(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -1229,7 +1219,8 @@ class TestExitCodes:
         (("--transform", "delta", "--window", 2), 40, 6),
         (("--transform", "multi-delta", "--spans", 2, 4), 300, 0),
         (("--transform", "multi-delta", "--spans", 2, 4), 200, 1),
-    ], ids=["delta-tiles", "bank-one-tile", "bank-two-tiles"])
+        (("--transform", "multi-delta", "--spans", 2, 4), 32, 7),
+    ], ids=["delta-tiles", "bank-one-tile", "bank-two-tiles", "bank-32-row-tiles"])
     def test_a_late_non_finite_delta_names_its_transform_and_query_row(
         self, tmp_path, capsys, monkeypatch, flags, rows, tiles
     ):
@@ -1237,9 +1228,9 @@ class TestExitCodes:
         # last row is edge-replicated, so the first non-finite delta value is at row 298. It is
         # found once ``tiles`` tiles are matched: a member's as its block of delta rows,
         # [256, 300), is made for the seventh tile of 40 rows, and a bank's as the norms of
-        # the tile that holds it are taken. Either is named by its row in the query, not in
-        # its block or tile. The two bank tiles are rows [0, 196) and [188, 300); CHANGES.md
-        # says what a tile edge inside the +-1e308 rows reports.
+        # that block are taken, from the query's row stream, for the tile that reads row 256
+        # (its second tile of 200 rows, its eighth of 32). A bank over several tiles has no
+        # tile edge of its own, so either is named by its row in the query, as one tile is.
         rng = np.random.default_rng(4)
         data = rng.normal(size=(300, 4))
         data[250:, 0] = 1e308 * (-1.0) ** np.arange(50)
@@ -1247,17 +1238,40 @@ class TestExitCodes:
         write_descriptors(ref, DescriptorSeries(rng.normal(size=(300, 4))), dtype="float64")
         write_descriptors(query, DescriptorSeries(data), dtype="float64")
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * 300)
-        matched = []
-        for name in ("distance_matrix", "multi_delta_distance"):
-            matched.append(mock.Mock(wraps=getattr(deltadesc.cli, name)))
-            monkeypatch.setattr(deltadesc.cli, name, matched[-1])
+        matched = mock.Mock(wraps=deltadesc.cli.retrieve_best)
+        monkeypatch.setattr(deltadesc.cli, "retrieve_best", matched)
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli("run", "--ref", ref, "--query", query, *flags,
                            "--out-dir", tmp_path / "o")
-        assert code == 2 and sum(spy.call_count for spy in matched) == tiles
+        assert code == 2 and matched.call_count == tiles
         message = "[transform] non-finite descriptor value at row 298, column 0"
         assert capsys.readouterr().err == f"deltadesc: config error: {message}\n"
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("rows", [200, 32])
+    def test_a_query_bank_near_the_float64_limit_ends_over_tiles_as_in_one_tile(
+        self, tmp_path, capsys, monkeypatch, rows
+    ):
+        # alternating +-1e308 in rows [250, 290): every delta of the whole series is finite,
+        # but the product of the centred sources overflows, in one tile as in several. Tiles
+        # of the source's own rows, each edge-replicated, named a non-finite delta at a tile
+        # edge instead (row 266 for 32-row tiles)
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(300, 4))
+        data[250:290, 0] = 1e308 * (-1.0) ** np.arange(40)
+        ref, query = tmp_path / "ref.dvpr", tmp_path / "query.dvpr"
+        write_descriptors(ref, DescriptorSeries(rng.normal(size=(300, 4))), dtype="float64")
+        write_descriptors(query, DescriptorSeries(data), dtype="float64")
+        argv = ("run", "--ref", ref, "--query", query, "--transform", "multi-delta",
+                "--spans", 2, 4, "--out-dir")
+        errors = []
+        for budget in (300, rows):
+            monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", budget * 8 * 300)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert run_cli(*argv, tmp_path / f"o{budget}") == 2
+            errors.append(capsys.readouterr().err)
+        message = "[distance] distance matrix contains non-finite entries"
+        assert errors == [f"deltadesc: config error: {message}\n"] * 2
 
     def test_a_query_cut_short_leaves_no_distance_file(self, synth_files, tmp_path, capsys):
         # match streams its query, so the distance file exists before the cut is found

@@ -14,7 +14,6 @@ from deltadesc import (
     DescriptorSeries,
     DistanceMatrix,
     MatchSet,
-    SpanBank,
     cosine_distance,
     delta,
     delta_bank,
@@ -581,9 +580,9 @@ class TestFactoredBank:
         # differently from one into an R x Q array
         products, centred_product = [], deltadesc.matching._centred_product
 
-        def same_product(source, q, out):
+        def same_product(source, q, out, q_mean):
             products.append(np.empty(out.shape))
-            centred_product(source, q, products[-1])
+            centred_product(source, q, products[-1], q_mean)
             out[...] = products[-1]
 
         with mock.patch.object(deltadesc.matching, "_centred_product", same_product), \
@@ -671,24 +670,22 @@ class TestFactoredBank:
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_a_query_bank_over_several_tiles_equals_one_tile(self, length, monkeypatch):
-        # one tile filters the query source; several tiles each filter a slice of it,
-        # widened by the longest span, and build no member
+        # one tile filters the query source; several tiles carry the query filters from
+        # one tile to the next, and build no member
         rng = np.random.default_rng(13)
         query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
         ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
         one_tile = deltadesc.cli._match(query, ref, length)
-        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
-        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
+        tiles = mock.Mock(wraps=deltadesc.cli.retrieve_best)
+        monkeypatch.setattr(deltadesc.cli, "retrieve_best", tiles)
         builds = mock.Mock(wraps=deltadesc.transform.delta)
         monkeypatch.setattr(deltadesc.transform, "delta", builds)
-        # tiles of 30 rows: with seqmatch the distances and its output share the budget. The
-        # halos, 2 * 8 + length - 1 rows, take more than half of a tile, so each tile keeps
-        # as many rows as its halos: five tiles at L = 1, four at L = 5
+        # tiles of 30 kept rows, with seqmatch's halo and no span halo: with seqmatch the
+        # distances and its output share the budget. Three tiles at L = 1 and at L = 5
         shared = 2 if length > 1 else 1
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 30 * 8 * 50)
         tiled = deltadesc.cli._match(query, ref, length)
-        assert spy.call_count == (5 if length == 1 else 4)
-        assert all(isinstance(c.args[0], SpanBank) for c in spy.call_args_list)
+        assert tiles.call_count == 3
         assert builds.call_count == 0
         np.testing.assert_allclose(
             tiled.distances, one_tile.distances, rtol=0, atol=FACTORED_BOUND
@@ -700,26 +697,22 @@ class TestFactoredBank:
         assert clear.sum() > 60
         assert np.array_equal(tiled.ref_indices[clear], one_tile.ref_indices[clear])
 
-    def test_a_query_bank_keeps_the_whole_tile_budget_under_seqmatch(self, monkeypatch):
-        # other tiles halve the budget under seqmatch; splitting a bank that fits the whole
-        # budget costs more than it saves, so such a bank stays one tile
-        rng = np.random.default_rng(17)
-        query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
-        ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
-        want = deltadesc.cli._match(query, ref, 5)
-        spy = mock.Mock(wraps=deltadesc.matching._bank_distances)
-        monkeypatch.setattr(deltadesc.matching, "_bank_distances", spy)
-        builds = mock.Mock(wraps=deltadesc.transform.delta)
-        monkeypatch.setattr(deltadesc.transform, "delta", builds)
-        # Q x R x 8 bytes: exactly the whole budget, twice half of it
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 70 * 50 * 8)
-        got = deltadesc.cli._match(query, ref, 5)
-        # one call over all rows: a bank of the whole source, not of a slice
-        (call,) = spy.call_args_list
-        assert np.array_equal(call.args[0].source.data, query.source.data)
-        assert call.args[0].spans == query.spans and builds.call_count == 0
-        assert np.array_equal(got.ref_indices, want.ref_indices)
-        assert np.array_equal(got.distances, want.distances)
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_each_query_row_goes_through_the_gemm_once(self, length, monkeypatch):
+        # a tile reads no halo rows: over all tiles, the centred products take every query
+        # row once, whatever the longest span against the tile
+        rng = np.random.default_rng(15)
+        query = delta_bank(stationary_walk(rng, 120, 6, offset=5.0), (2, 16))
+        ref = delta_bank(stationary_walk(rng, 40, 6, offset=5.0), (2, 4))
+        products = mock.Mock(wraps=deltadesc.matching._centred_product)
+        monkeypatch.setattr(deltadesc.matching, "_centred_product", products)
+        tiles = mock.Mock(wraps=deltadesc.cli.retrieve_best)
+        monkeypatch.setattr(deltadesc.cli, "retrieve_best", tiles)
+        shared = 2 if length > 1 else 1
+        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 20 * 8 * 40)
+        deltadesc.cli._match(query, ref, length)
+        assert tiles.call_count == 6
+        assert sum(len(call.args[1]) for call in products.call_args_list) == 120
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -165,6 +165,24 @@ class TestBoxSumKernel:
             for i0, sums in _running_sums(one_buffer(), *pad, width, edge):
                 assert np.array_equal(sums, csum[i0 : i0 + len(sums)])
 
+        # rows handed over in pieces, each call carrying on from the last block of the
+        # call before, as the span-bank filters carry their sums from tile to tile, give
+        # the same sums; only the first piece takes the padding before, the last the one
+        # after
+        cuts = sorted(data.draw(st.lists(st.integers(1, frames - 1), max_size=4), label="cuts"))
+        pieces = np.split(rows, cuts)
+        got[:], carry = np.nan, None
+        with streamed(block_rows):
+            for k, piece in enumerate(pieces):
+                if not len(piece):
+                    continue
+                before = pad[0] if carry is None else 0
+                after = pad[1] if k == len(pieces) - 1 else 0
+                for carry in _running_sums(piece, before, after, width, edge, carry):
+                    i0, sums = carry
+                    got[i0 : i0 + len(sums)] = sums
+        assert np.array_equal(got, csum)
+
 
 class TestSmooth:
     def test_constant_series_unchanged(self):

@@ -26,7 +26,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from itertools import chain, islice, tee
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -248,32 +248,25 @@ def _check_ground_truth(
 
 
 def _match(
-    query: Union[QueryRows, SpanBank, Sequence[DescriptorSeries]],
+    query: QueryRows,
     r_members: Sequence[DescriptorSeries],
     seqmatch_length: int,
     out_distances: Optional[str] = None,
 ) -> MatchSet:
     """Distances (min over pairings for banks), optional seqmatch, best reference per query.
 
-    The query is a ``QueryRows`` stream, read as the tiles need it, or a list of
-    members or a ``SpanBank`` (against a reference bank of two or more spans),
-    whose rows are read in the same way. Every query takes one tile rule: tiles
-    of ``MATCH_TILE_BYTES``, halved with L > 1 for seq_match's output, each
-    widened by seqmatch's halo, L//2 rows before and ceil(L/2) - 1 after, so
-    every kept row sums the same in-bounds shifts as the Q x R matrix would.
-    Members take their tiles from ``_row_tiles``, a span bank from
-    ``_bank_matrices``. The ``out_distances`` file, if named, checks the free
-    disk before the first tile and then takes each tile's kept rows.
+    The query's rows are read from its ``QueryRows`` stream as the tiles need
+    them. Every query takes one tile rule: tiles of ``MATCH_TILE_BYTES``, halved
+    with L > 1 for seq_match's output, each widened by seqmatch's halo, L//2
+    rows before and ceil(L/2) - 1 after, so every kept row sums the same
+    in-bounds shifts as the Q x R matrix would. Members take their tiles from
+    ``_row_tiles``, a span bank's source (against a reference bank of two or
+    more spans) from ``_bank_matrices``. The ``out_distances`` file, if named,
+    checks the free disk before the first tile and then takes each tile's kept
+    rows.
     """
     length = int(seqmatch_length)
     with _stage("distance"):
-        if isinstance(query, SpanBank):
-            source = query.source.data
-            query = QueryRows(len(source), (source.shape[1],), zip(source), query.spans)
-        elif not isinstance(query, QueryRows):
-            # tiles read every member's rows alike, so their frame counts must agree up front
-            q_count, dim = _bank_shape(query)
-            query = QueryRows(q_count, (dim,) * len(query), zip(*(q.data for q in query)))
         q_count, r_count = query.count, _bank_shape(r_members)[0]
     rows = max(1, MATCH_TILE_BYTES // (8 * r_count))  # query rows of the whole budget
     if length > 1:
@@ -460,6 +453,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 ]
                 _project(models, r_members)
                 _project(models, query)
+            query = QueryRows(q_count, tuple(m.k for m in models), zip(*(q.data for q in query)))
         matches = _match(query, r_members, cfg.seqmatch_length)
     with _stage("pca"):
         for i, model in enumerate(models):

@@ -67,6 +67,8 @@ from deltadesc.io import CHUNK_BYTES
 from deltadesc.matching import SEQ_BLOCK_ROWS, _row_scales
 from deltadesc.transform import BOX_BLOCK_ROWS
 
+from test_cli import query_rows
+
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
 
@@ -192,7 +194,7 @@ def test_tiled_match_holds_two_tiles(inputs, monkeypatch, tmp_path):
     # 0.244, and building the whole match 2.03.
     bound = (tiles + counts) * 8 / MATRIX_BYTES + 0.03
     for out in (None, tmp_path / "d.dvpr"):
-        assert peak_matrices(deltadesc.cli._match, [query], [ref], length, out) <= bound
+        assert peak_matrices(deltadesc.cli._match, query_rows([query]), [ref], length, out) <= bound
     assert (tmp_path / "d.dvpr").stat().st_size == 28 + MATRIX_BYTES
 
 
@@ -279,7 +281,7 @@ def test_a_query_bank_over_several_tiles_holds_one_tile(monkeypatch):
     # running sums weigh more than the members. 0.03 covers the bank's norms, numpy's
     # buffers for strided operands and the per-query vectors.
     bound = (matrices + tile * qb.source.dim) * 8 / MATRIX_BYTES + blocks(filter_rows(rb.spans, 4))
-    assert peak_matrices(deltadesc.cli._match, qb, rb, length) <= bound + 0.03
+    assert peak_matrices(deltadesc.cli._match, query_rows(qb), rb, length) <= bound + 0.03
     assert builds == []
 
 

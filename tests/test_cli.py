@@ -26,6 +26,7 @@ from deltadesc import (
     SpanBank,
     delta,
     delta_bank,
+    distance_matrix,
     evaluate_pr,
     load_pca_model,
     max_f1,
@@ -42,11 +43,19 @@ from deltadesc import (
     write_descriptors,
     write_pr_csv,
 )
-from deltadesc.cli import main
+from deltadesc.cli import QueryRows, main
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def query_rows(query) -> QueryRows:
+    """The row stream that ``cli._match`` reads, for a list of members (their rows zipped)
+    or a ``SpanBank`` (its source rows, with its spans)."""
+    members, spans = ([query.source], query.spans) if isinstance(query, SpanBank) else (query, ())
+    return QueryRows(members[0].frame_count, tuple(m.dim for m in members),
+                     zip(*(m.data for m in members)), spans)
 
 
 def watch_reads(monkeypatch, on_read=lambda name: None):
@@ -395,19 +404,27 @@ class TestRunCommand:
                 assert (fifo_dir / name).read_bytes() == (file_dir / name).read_bytes(), name
 
     @pytest.mark.parametrize("fit_on", ["ref", "query", "both"])
-    def test_pca_fit_sources_write_the_library_oracle_bytes(self, synth_files, tmp_path, fit_on):
+    def test_pca_fit_sources_write_the_library_oracle_bytes(
+        self, synth_files, tmp_path, monkeypatch, fit_on
+    ):
         ref, query, gt = synth_files
         out = tmp_path / "run"
+        spy = mock.Mock(wraps=deltadesc.cli._match)
+        monkeypatch.setattr(deltadesc.cli, "_match", spy)
         assert run_cli(
             "run", "--ref", ref, "--query", query, "--gt", gt, "--transform", "delta",
             "--window", 8, "--seqmatch-length", 4, "--pca-k", 6, "--pca-fit", fit_on,
             "--radius", 2, "--out-dir", out,
         ) == 0
+        # every fit source hands _match the query as its row stream
+        assert isinstance(spy.call_args.args[0], QueryRows)
         oracle = tmp_path / "oracle"
         oracle.mkdir()
         tq, tr = (delta(read_descriptors(p), DeltaConfig(8)) for p in (query, ref))
         model = pca_fit(tr if fit_on == "ref" else deltadesc.cli._pca_fit_series(tq, tr, fit_on), 6)
-        matches = deltadesc.cli._match([pca_transform(model, tq)], [pca_transform(model, tr)], 4)
+        # the library's dense path: the whole Q x R matrix, seqmatch, best reference
+        q, r = (pca_transform(model, t) for t in (tq, tr))
+        matches = retrieve_best(seq_match(distance_matrix(q, r), 4))
         deltadesc.cli._score(matches, read_ground_truth(gt, radius=2), None,
                              oracle / "matches.csv", oracle / "pr.csv")
         save_pca_model(oracle / "pca_model.bin", model)
@@ -703,14 +720,6 @@ class TestTiledMatch:
         # both query tiles' rows, after the 28-byte header
         assert (tmp_path / "d").stat().st_size == 28 + 8 * 3000 * 3000
 
-    def test_query_bank_of_unequal_lengths_is_rejected_before_tiling(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        short, long = (DescriptorSeries(rng.normal(size=(t, 4))) for t in (40, 50))
-        monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 10 * 8 * 40)
-        # 10-row tiles of the first member would slice the longer one without a complaint
-        with pytest.raises(ValueError, match="bank members must share frame count"):
-            deltadesc.cli._match([short, long], [short], 1)
-
     @pytest.mark.parametrize("spans", [None, (2, 4)])
     def test_reference_scales_are_computed_once_per_route(self, spans, monkeypatch):
         rng = np.random.default_rng(9)
@@ -733,7 +742,7 @@ class TestTiledMatch:
             # per span: the whole query when its bank is built, and once more as _match
             # reads it as a row stream, one block of norms each; no tile takes its own
             tiles = [50, 50] * 2
-        deltadesc.cli._match(q_members, r_members, 3)
+        deltadesc.cli._match(query_rows(q_members), r_members, 3)
         # one call per reference member, however many tiles
         sizes = sorted(len(call.args[0]) for call in spy.call_args_list)
         assert sizes == sorted(tiles + [30] * len(r_members))
@@ -748,7 +757,7 @@ class TestTiledMatch:
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", 8 * 20)
         tiles = mock.Mock(wraps=deltadesc.cli.distance_matrix)
         monkeypatch.setattr(deltadesc.cli, "distance_matrix", tiles)
-        got = deltadesc.cli._match([query], [ref], 8)
+        got = deltadesc.cli._match(query_rows([query]), [ref], 8)
         assert tiles.call_count == 30
         np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=1e-12)
         # a different argmin is a tie: its dense distance equals the best within 1e-12
@@ -791,7 +800,7 @@ class TestTiledMatch:
 
         with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", rows * 8 * r_count), \
                 mock.patch.object(deltadesc.io, "distance_rows_writer", writer):
-            got = deltadesc.cli._match(q_members, r_members, length, "d.dvpr")
+            got = deltadesc.cli._match(query_rows(q_members), r_members, length, "d.dvpr")
         np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=1e-12)
         # a different argmin is a tie: its dense distance equals the best within 1e-12
         q = np.arange(q_count)

@@ -23,6 +23,8 @@ from deltadesc import (
     seq_match,
 )
 
+from test_cli import query_rows
+
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -433,13 +435,15 @@ class TestMultiDelta:
         assert np.all(raw_diag > 0.0)
 
 
-# Largest |factored - direct| distance this strategy may show on references of 20-60
-# frames, the lengths its test draws. The worst seen over 3000 random cases was 3.9e-12,
-# at reference rows whose delta norm is ~1e-3 of the source's. The error grows with the
-# reference length, so the bound holds for those lengths only: the worst seen was 4.3e-11
-# at 150-200 frames and LONG_REFERENCE_ERROR at 400-500. It needs offsets well below ~100:
-# there the direct path's rounding noise in a delta that is exactly zero can exceed
-# ZERO_NORM, and such a row compares at an arbitrary distance.
+# Largest |factored - direct| distance this strategy is meant to show on references of
+# 20-60 frames, the lengths its test draws. The worst seen over 3000 random cases was
+# 3.9e-12, at reference rows whose delta norm is ~1e-3 of the source's, but it does not
+# cover every draw: 20 query and 60 reference frames, D 2, query spans {3} and reference
+# spans {1, 2} at seed 2147483648 give 4.1e-11. The error grows with the reference
+# length: the worst seen was 4.3e-11 at 150-200 frames and LONG_REFERENCE_ERROR at
+# 400-500. It needs offsets well below ~100: there the direct path's rounding noise in a
+# delta that is exactly zero can exceed ZERO_NORM, and such a row compares at an
+# arbitrary distance.
 FACTORED_BOUND = 1e-11
 # the worst |factored - direct| distance seen over 3000 random cases with 400-500-frame
 # references, all at D = 2 with a query bank. It is not the worst case: one draw of the
@@ -675,7 +679,7 @@ class TestFactoredBank:
         rng = np.random.default_rng(13)
         query = delta_bank(stationary_walk(rng, 70, 6, offset=5.0), (1, 3, 8))
         ref = delta_bank(stationary_walk(rng, 50, 6, offset=5.0), (2, 4))
-        one_tile = deltadesc.cli._match(query, ref, length)
+        one_tile = deltadesc.cli._match(query_rows(query), ref, length)
         tiles = mock.Mock(wraps=deltadesc.cli.retrieve_best)
         monkeypatch.setattr(deltadesc.cli, "retrieve_best", tiles)
         builds = mock.Mock(wraps=deltadesc.transform.delta)
@@ -684,7 +688,7 @@ class TestFactoredBank:
         # distances and its output share the budget. Three tiles at L = 1 and at L = 5
         shared = 2 if length > 1 else 1
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 30 * 8 * 50)
-        tiled = deltadesc.cli._match(query, ref, length)
+        tiled = deltadesc.cli._match(query_rows(query), ref, length)
         assert tiles.call_count == 3
         assert builds.call_count == 0
         np.testing.assert_allclose(
@@ -710,7 +714,7 @@ class TestFactoredBank:
         monkeypatch.setattr(deltadesc.cli, "retrieve_best", tiles)
         shared = 2 if length > 1 else 1
         monkeypatch.setattr(deltadesc.cli, "MATCH_TILE_BYTES", shared * 20 * 8 * 40)
-        deltadesc.cli._match(query, ref, length)
+        deltadesc.cli._match(query_rows(query), ref, length)
         assert tiles.call_count == 6
         assert sum(len(call.args[1]) for call in products.call_args_list) == 120
 
@@ -725,7 +729,7 @@ class TestFactoredBank:
         ),
         r_spans=st.lists(st.integers(2, 8), min_size=1, max_size=2, unique=True),
         length=st.integers(1, 8),
-        # budgets whose halos take part of it, more than half of it, or all of it
+        # tile budgets from one row to more rows than the query has
         rows=st.integers(1, 99),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -738,10 +742,11 @@ class TestFactoredBank:
         qb, rb = delta_bank(query, q_spans), delta_bank(ref, [1, *r_spans])
         dense = seq_match(multi_delta_distance(list(qb), list(rb)), length)
         want = retrieve_best(dense)
-        # a budget of ``rows`` rows a tile, unless under seqmatch the bank fits the whole budget
+        # ``rows`` kept rows a tile, as any query takes: under seqmatch the distances and its
+        # output share the budget, and each tile is widened by seqmatch's halo only
         shared = 2 if length > 1 else 1
         with mock.patch.object(deltadesc.cli, "MATCH_TILE_BYTES", shared * rows * 8 * r_count):
-            got = deltadesc.cli._match(qb, rb, length)
+            got = deltadesc.cli._match(query_rows(qb), rb, length)
         np.testing.assert_allclose(got.distances, want.distances, rtol=0, atol=FACTORED_BOUND)
         # argmins agree except where the dense best is a near-tie
         q, ranked = np.arange(q_count), np.sort(dense.values, axis=1)

@@ -39,7 +39,7 @@ from .matching import distance_matrix, multi_delta_distance, retrieve_best, seq_
 from .reduction import PcaModel, pca_fit, pca_transform, project_rows
 from .series import DescriptorSeries, GroundTruth, _check_finite, _check_radius, _seal
 from .series import apply_permutation
-from .synth import SynthParams, generate_traverse_pair
+from .synth import SynthParams, traverse_rows
 from .transform import EDGE_REPLICATE, VALID_ONLY, DeltaConfig, SpanBank, delta, delta_bank
 from .transform import _delta_scales, _smooth_blocks, delta_rows, delta_valid_range, smooth
 
@@ -493,11 +493,16 @@ def _parse_warp(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _write_traverse_pair(
-    args: argparse.Namespace, ref: DescriptorSeries, query: DescriptorSeries, gt: GroundTruth
+    args: argparse.Namespace, shapes: Sequence[tuple[int, int]], sides: Iterable, gt: GroundTruth
 ) -> int:
-    ddio.write_descriptors(args.out_ref, ref, dtype=args.dtype)
-    ddio.write_descriptors(args.out_query, query, dtype=args.dtype)
-    ddio.write_ground_truth(args.out_gt, gt)
+    """Write the reference's row blocks, then the query's, each block as it comes, then the
+    ground truth. On any failure both traverse files are removed, a finished reference too."""
+    with ExitStack() as stack:
+        for path, shape, blocks in zip((args.out_ref, args.out_query), shapes, sides):
+            append = stack.enter_context(ddio.rows_writer(path, *shape, args.dtype))
+            for block in blocks:
+                append(block)
+        ddio.write_ground_truth(args.out_gt, gt)
     print(f"wrote {args.out_ref}, {args.out_query}, {args.out_gt}")
     return 0
 
@@ -512,7 +517,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         warp=_parse_warp(args.warp) if args.warp else None,
         seed=args.seed,
     )
-    return _write_traverse_pair(args, *generate_traverse_pair(params))
+    ref, query, gt = traverse_rows(params)
+    return _write_traverse_pair(args, [(params.frames, params.dims)] * 2, (ref, query), gt)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -603,8 +609,9 @@ def cmd_rank_dims(args: argparse.Namespace) -> int:
 def cmd_shuffle(args: argparse.Namespace) -> int:
     pair = _read_pair(args)
     with _stage("shuffle"):
-        shuffled = apply_permutation(*pair, args.seed)
-    return _write_traverse_pair(args, *shuffled)
+        ref, query, gt = apply_permutation(*pair, args.seed)
+    return _write_traverse_pair(args, (ref.data.shape, query.data.shape),
+                                ([ref.data], [query.data]), gt)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

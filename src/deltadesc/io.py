@@ -39,7 +39,7 @@ import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, Union
+from typing import BinaryIO, Callable, ContextManager, Iterator, Optional, Union
 
 import numpy as np
 
@@ -190,12 +190,35 @@ def _read_blocks(path: PathLike, count: int, after: str) -> list[np.ndarray]:
     return blocks
 
 
-def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "float32") -> None:
-    """Write a series to the binary container (float32 interchange by default)."""
+@contextmanager
+def rows_writer(
+    path: PathLike, t_count: int, dim: int, dtype: str = "float32"
+) -> Iterator[Callable]:
+    """Open a new T x D container, write its header, and yield a function that appends rows.
+
+    The function takes float64 row blocks in order and writes them as they
+    come, CHUNK_BYTES of ``dtype`` at a time, so the writer holds no copy of the
+    series and never seeks: a pipe (``/dev/fd/N``) takes it as a file does. The
+    caller appends all T rows. If it fails before it is done, a regular file is
+    removed again, so a failed write leaves no partial file.
+    """
     if dtype not in _CODE_FOR_NAME:
         raise ValueError(f"dtype must be 'float32' or 'float64', got {dtype!r}")
-    with open(path, "wb") as fh:
-        _block_writer(fh, *series.data.shape, _CODE_FOR_NAME[dtype])(series.data)
+    path = Path(path)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            yield _block_writer(fh, t_count, dim, _CODE_FOR_NAME[dtype])
+    except BaseException:
+        if path.is_file() and not path.is_symlink():  # never a pipe or a /dev/fd link
+            path.unlink()
+        raise
+
+
+def write_descriptors(path: PathLike, series: DescriptorSeries, dtype: str = "float32") -> None:
+    """Write a series to the binary container (float32 interchange by default)."""
+    with rows_writer(path, *series.data.shape, dtype) as append:
+        append(series.data)
 
 
 @contextmanager
@@ -261,26 +284,18 @@ def read_positions(path: PathLike) -> np.ndarray:
     return series.data
 
 
-@contextmanager
-def distance_rows_writer(path: PathLike, q_count: int, r_count: int) -> Iterator[Callable]:
-    """Check the free disk for a new Q x R float64 distance file, then yield its row appender.
-    A regular file is removed again if the caller fails before its last row, such as on a
-    query file that ends short, so a failed match leaves no partial file."""
-    path = Path(path)
-    size, where = _HEADER.size + 8 * q_count * r_count, path.parent
+def distance_rows_writer(path: PathLike, q_count: int, r_count: int) -> ContextManager[Callable]:
+    """Check the free disk for a new Q x R float64 distance file, then return its
+    ``rows_writer``, which removes a regular file that a failed match, such as one on a
+    query file that ends short, leaves before its last row."""
+    size, where = _HEADER.size + 8 * q_count * r_count, Path(path).parent
     free = shutil.disk_usage(where).free
     if size > free:
         raise ValueError(
             f"a {q_count} x {r_count} float64 distance file takes {size / 2**30:.1f} GiB, "
             f"more than the {free / 2**30:.1f} GiB free in {where}"
         )
-    try:
-        with open(path, "wb") as fh:
-            yield _block_writer(fh, q_count, r_count, _CODE_FOR_NAME["float64"])
-    except BaseException:
-        if path.is_file() and not path.is_symlink():  # never a pipe or a /dev/fd link
-            path.unlink()
-        raise
+    return rows_writer(path, q_count, r_count, "float64")
 
 
 def write_distance_matrix(path: PathLike, m: DistanceMatrix) -> None:

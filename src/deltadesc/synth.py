@@ -13,16 +13,28 @@ vector dominates the place-specific signal (norm about ``0.5 * sqrt(D)`` row
 norms) and single-frame cosine ranking degrades visibly, while differencing
 cancels it exactly. Noise components use ``noise_scale`` times the per-element
 latent RMS: per-frame jitter at a fraction of a typical activation magnitude.
+
+Draw order: one seeded generator draws the T x D latent draws, the reference
+offset, the query offset, all of the reference's noise rows and then all of
+the query's, in row order. ``traverse_rows`` makes each traverse as float64
+row blocks of ``io.CHUNK_BYTES``, each block's noise drawn as it is made; the
+stream of draws is the same in blocks as whole, so the blocks keep these
+bits. Only the smoothed latent is held whole, since its window mean, RMS and
+warp need every row, and its squares go into the spent draw buffer: the RMS
+is ``np.mean`` of the whole array of squares, whose pairwise sum a blockwise
+mean would round differently. So a pair takes about two T x D float64 arrays
+at its peak, and the blocks after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .series import DescriptorSeries, GroundTruth, _seal
+from .io import CHUNK_BYTES
+from .series import DescriptorSeries, GroundTruth, _check_finite, _seal
 from .transform import _window_mean
 
 WarpPoints = Sequence[tuple[float, float]]
@@ -93,6 +105,58 @@ def time_warp(series: DescriptorSeries, control_points: WarpPoints) -> Descripto
     return DescriptorSeries(_seal(_interp_rows(series.data, sources)))
 
 
+def _rows(
+    rng: np.random.Generator, latent: np.ndarray, offset: np.ndarray, scale: float,
+    sources: Optional[np.ndarray],
+) -> Iterator[np.ndarray]:
+    """One traverse's rows in blocks of CHUNK_BYTES: the latent rows, interpolated at
+    ``sources`` where given, plus ``offset``, plus this block's noise draws times ``scale``.
+    Each block is checked to be finite, naming its row in the traverse."""
+    step = max(1, CHUNK_BYTES // (8 * latent.shape[1]))
+    for t0 in range(0, len(latent), step):
+        rows = slice(t0, t0 + step)
+        block = (latent[rows] if sources is None else _interp_rows(latent, sources[rows])) + offset
+        block += rng.standard_normal(block.shape) * scale
+        _check_finite(block, "descriptor", t0)
+        yield block
+
+
+def traverse_rows(
+    params: SynthParams,
+) -> tuple[Iterator[np.ndarray], Iterator[np.ndarray], GroundTruth]:
+    """``generate_traverse_pair``'s reference and query as float64 row blocks, and its ground
+    truth: the same bits, with no T x D array of either traverse.
+
+    The query's noise is drawn after all of the reference's, so asking for the
+    query's first block draws whatever reference blocks have not been read.
+    """
+    rng = np.random.default_rng(params.seed)
+    # centered box mean of exactly w draws: (w - 1) // 2 rows before, the rest after
+    before = (params.latent_smooth_window - 1) // 2
+    after = params.latent_smooth_window - 1 - before
+    draws = rng.standard_normal((params.frames, params.dims))
+    latent = _window_mean(draws, before, after)
+    rms = float(np.sqrt(np.mean(np.square(latent, out=draws))))
+    del draws
+    rms_row = rms * np.sqrt(params.dims)
+
+    offset_ref = rng.standard_normal(params.dims) * (params.offset_scale * rms_row)
+    offset_query = rng.standard_normal(params.dims) * (params.offset_scale * rms_row)
+    scale = params.noise_scale * rms
+    warped = None if params.warp is None else _warped_source_positions(
+        params.frames, _validated_warp(params.warp))
+    ref = _rows(rng, latent, offset_ref, scale, None)
+
+    def query() -> Iterator[np.ndarray]:
+        for _ in ref:  # the reference's noise rows come first in the draw order
+            pass
+        yield from _rows(rng, latent, offset_query, scale, warped)
+
+    sources = np.arange(params.frames, dtype=np.float64) if warped is None else warped
+    pairs = _seal(np.clip(np.rint(sources).astype(np.int64), 0, params.frames - 1))
+    return ref, query(), GroundTruth(pairs, radius_mode="frames", radius=0.0)
+
+
 def generate_traverse_pair(
     params: SynthParams,
 ) -> tuple[DescriptorSeries, DescriptorSeries, GroundTruth]:
@@ -101,28 +165,8 @@ def generate_traverse_pair(
     The ground truth maps each query frame to its (rounded) warped source
     frame; without a warp it is the identity. Returned ground truth carries
     radius 0 in frames mode; widen it with ``dataclasses.replace`` as needed.
+    Both series are filled from ``traverse_rows``' blocks.
     """
-    rng = np.random.default_rng(params.seed)
-    # centered box mean of exactly w draws: (w - 1) // 2 rows before, the rest after
-    before = (params.latent_smooth_window - 1) // 2
-    after = params.latent_smooth_window - 1 - before
-    latent = _window_mean(rng.standard_normal((params.frames, params.dims)), before, after)
-    rms = float(np.sqrt(np.mean(latent**2)))
-    rms_row = rms * np.sqrt(params.dims)
-
-    offset_ref = rng.standard_normal(params.dims) * (params.offset_scale * rms_row)
-    offset_query = rng.standard_normal(params.dims) * (params.offset_scale * rms_row)
-    noise_ref = rng.standard_normal((params.frames, params.dims)) * (params.noise_scale * rms)
-    noise_query = rng.standard_normal((params.frames, params.dims)) * (params.noise_scale * rms)
-
-    if params.warp is not None:
-        sources = _warped_source_positions(params.frames, _validated_warp(params.warp))
-        query_base = _interp_rows(latent, sources)
-    else:
-        sources = np.arange(params.frames, dtype=np.float64)
-        query_base = latent
-
-    ref = DescriptorSeries(_seal(latent + offset_ref + noise_ref))
-    query = DescriptorSeries(_seal(query_base + offset_query + noise_query))
-    pairs = _seal(np.clip(np.rint(sources).astype(np.int64), 0, params.frames - 1))
-    return ref, query, GroundTruth(pairs, radius_mode="frames", radius=0.0)
+    ref, query, gt = traverse_rows(params)
+    ref, query = (DescriptorSeries(_seal(np.concatenate(list(rows)))) for rows in (ref, query))
+    return ref, query, gt

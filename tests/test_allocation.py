@@ -30,7 +30,10 @@ hands over its last L - 1 rows) and one tile's distances and seq_match output
 with its counts. A query span bank is read the same way: its blocks of source
 rows, each read once, take no more rows than the member tiles, its norms take
 one stream of delta blocks per span, and it adds the span-bank filters' blocks
-and one block of centred query rows.
+and one block of centred query rows. ``synth`` holds the smoothed latent, the
+draw buffer that takes its squares for the RMS and the window mean's running
+sums, about two T x D matrices, where making each traverse whole held about six;
+its row blocks are written as they are made.
 """
 
 import tracemalloc
@@ -49,6 +52,7 @@ from deltadesc import (
     DescriptorSeries,
     DistanceMatrix,
     GroundTruth,
+    SynthParams,
     delta,
     delta_bank,
     distance_matrix,
@@ -68,6 +72,7 @@ from deltadesc.matching import SEQ_BLOCK_ROWS, _row_scales
 from deltadesc.transform import BOX_BLOCK_ROWS
 
 from test_cli import query_rows
+from test_synth import WARP, synth_argv
 
 FRAMES = 1000
 MATRIX_BYTES = FRAMES * FRAMES * 8
@@ -323,3 +328,15 @@ def test_run_and_match_stream_a_long_query_with_no_q_by_d_array(tmp_path, monkey
     ):
         assert held < q_count * dim * 8 / 2
         assert peak_matrices(deltadesc.cli.main, [str(a) for a in argv]) * MATRIX_BYTES <= held
+
+
+def test_synth_holds_the_latent_its_squares_and_a_few_blocks(tmp_path):
+    window = 20
+    params = SynthParams(FRAMES, FRAMES, window, 0.5, 0.1, WARP, seed=7)
+    deltadesc.cli.main(synth_argv(SynthParams(2, 2, warp=WARP), tmp_path))  # numpy's lazy imports
+    # measured 2.105, where the whole traverses held 6.02: the latent and the draw buffer that
+    # takes its squares, and the window mean's running sums with their 20 carried rows. The
+    # row blocks come after the draws are freed: one block, its noise, its warped rows and
+    # the float32 chunk, 0.5 in all. 0.03 covers numpy's small temporaries.
+    bound = 2.0 + blocks(BOX_BLOCK_ROWS + window) + 0.03
+    assert peak_matrices(deltadesc.cli.main, synth_argv(params, tmp_path)) <= bound

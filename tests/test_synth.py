@@ -10,9 +10,19 @@ from deltadesc import (
     delta,
     distance_matrix,
     generate_traverse_pair,
+    read_descriptors,
+    read_ground_truth,
     retrieve_best,
     time_warp,
 )
+from deltadesc.cli import main
+from deltadesc.io import CHUNK_BYTES
+from deltadesc.synth import _interp_rows, _validated_warp, _warped_source_positions
+from deltadesc.transform import _window_mean
+
+# a width at which synth's float64 row blocks are 3 rows each
+WIDE = CHUNK_BYTES // (8 * 3)
+WARP = ((0.0, 0.0), (0.3, 0.5), (1.0, 1.0))
 
 
 class TestTimeWarp:
@@ -163,3 +173,96 @@ def test_clean_reference_is_box_mean_of_first_draws(window):
         np.testing.assert_array_equal(ref.data, draws)
     else:
         np.testing.assert_allclose(ref.data, expected, rtol=0, atol=1e-12)
+
+
+def whole_array_pair(params):
+    """The pair made from whole arrays, one per draw, in the draw order: the oracle that the
+    streamed row blocks must equal bit for bit."""
+    rng = np.random.default_rng(params.seed)
+    before = (params.latent_smooth_window - 1) // 2
+    after = params.latent_smooth_window - 1 - before
+    latent = _window_mean(rng.standard_normal((params.frames, params.dims)), before, after)
+    rms = float(np.sqrt(np.mean(latent**2)))
+    rms_row = rms * np.sqrt(params.dims)
+    offset_ref = rng.standard_normal(params.dims) * (params.offset_scale * rms_row)
+    offset_query = rng.standard_normal(params.dims) * (params.offset_scale * rms_row)
+    noise_ref = rng.standard_normal((params.frames, params.dims)) * (params.noise_scale * rms)
+    noise_query = rng.standard_normal((params.frames, params.dims)) * (params.noise_scale * rms)
+    if params.warp is not None:
+        sources = _warped_source_positions(params.frames, _validated_warp(params.warp))
+        query_base = _interp_rows(latent, sources)
+    else:
+        sources = np.arange(params.frames, dtype=np.float64)
+        query_base = latent
+    pairs = np.clip(np.rint(sources).astype(np.int64), 0, params.frames - 1)
+    return latent + offset_ref + noise_ref, query_base + offset_query + noise_query, pairs
+
+
+def synth_argv(params, tmp_path, dtype="float32"):
+    """``deltadesc synth``'s arguments for ``params``, its three files in ``tmp_path``."""
+    argv =["synth", "--frames", params.frames, "--dims", params.dims,
+            "--latent-smooth-window", params.latent_smooth_window,
+            "--offset-scale", repr(params.offset_scale), "--noise-scale", repr(params.noise_scale),
+            "--seed", params.seed, "--dtype", dtype, "--out-ref", tmp_path / "r.dvpr",
+            "--out-query", tmp_path / "q.dvpr", "--out-gt", tmp_path / "gt.csv"]
+    if params.warp is not None:
+        argv += ["--warp", ",".join(f"{s!r}:{t!r}" for s, t in params.warp)]
+    return [str(a) for a in argv]
+
+
+# frames, dims, latent window, offset scale, noise scale
+ORACLE_CASES = {
+    "below-one-block": (2, WIDE, 2, 0.5, 0.1),
+    "one-block": (3, WIDE, 2, 0.5, 0.1),
+    "just-past-one-block": (4, WIDE, 3, 0.5, 0.1),
+    "several-blocks": (11, WIDE, 4, 0.5, 0.1),
+    "one-dimension": (50, 1, 6, 0.5, 0.1),
+    "latent-window-of-one": (40, 7, 1, 0.5, 0.1),
+    "no-noise-no-offset": (30, 5, 3, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("warp", [None, WARP], ids=["no-warp", "warp"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_row_blocks_equal_the_whole_array_pair(case, warp, tmp_path):
+    assert CHUNK_BYTES // (8 * WIDE) == 3
+    frames, dims, window, offset, noise = ORACLE_CASES[case]
+    params = SynthParams(frames, dims, window, offset, noise, warp, seed=7)
+    want = whole_array_pair(params)
+    ref, query, gt = generate_traverse_pair(params)
+    assert ref.data.tobytes() == want[0].tobytes()
+    assert query.data.tobytes() == want[1].tobytes()
+    assert gt.pairs.tobytes() == want[2].tobytes()
+    for dtype in ("float32", "float64"):
+        assert main(synth_argv(params, tmp_path, dtype)) == 0
+        for name, values in zip(("r.dvpr", "q.dvpr"), want):
+            written = read_descriptors(tmp_path / name).data
+            assert written.tobytes() == values.astype(dtype).astype(np.float64).tobytes()
+        assert read_ground_truth(tmp_path / "gt.csv").pairs.tobytes() == want[2].tobytes()
+
+
+FAILING_PAIRS = {
+    # the offsets overflow on both sides, so the reference fails at its first value
+    "reference-first-row": SynthParams(50, 4, offset_scale=1e308, seed=7),
+    # one noise value overflows, in the reference's fourth block
+    "reference-late-block": SynthParams(11, WIDE, noise_scale=3.7e307, seed=0),
+    # only the query's offset overflows, once the whole reference is written
+    "query": SynthParams(50, 4, offset_scale=6.9e307, seed=2),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", FAILING_PAIRS)
+def test_a_failed_synth_writes_nothing(case, tmp_path, capsys):
+    params = FAILING_PAIRS[case]
+    ref, query, _ = whole_array_pair(params)
+    bad = query if case == "query" else ref
+    assert (case == "query") == np.isfinite(ref).all()
+    row, column = np.argwhere(~np.isfinite(bad))[0]
+    assert (case == "reference-late-block") == (row >= 3)
+    message = f"non-finite descriptor value at row {row}, column {column}"
+    with pytest.raises(ValueError, match=message):
+        generate_traverse_pair(params)
+    assert main(synth_argv(params, tmp_path)) == 2
+    assert capsys.readouterr().err == f"deltadesc: config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
